@@ -586,23 +586,33 @@ def poset_from_json(text: str) -> GradedPoset:
         covers = doc["covers"]
     except KeyError as e:
         raise PosetError(f"poset JSON is missing {e.args[0]!r}") from None
+    if isinstance(height, bool) or not isinstance(height, int):
+        raise PosetError("height must be an integer")
+    if not isinstance(levels, list) or not all(
+        isinstance(lv, list) and all(isinstance(x, str) for x in lv) for lv in levels
+    ):
+        raise PosetError("levels must be a list of lists of string ids")
+    if not isinstance(covers, list) or not all(
+        isinstance(c, list) and len(c) == 2 and all(isinstance(x, str) for x in c)
+        for c in covers
+    ):
+        raise PosetError("covers must be [lo, hi] pairs of string ids")
     if height != len(levels) - 1:
         raise PosetError(f"height {height} does not match {len(levels)} levels")
-    try:
-        pairs = [(lo, hi) for lo, hi in covers]
-    except (TypeError, ValueError):
-        raise PosetError("covers must be [lo, hi] pairs") from None
-    return build_poset(levels, pairs)
+    return build_poset(levels, [(lo, hi) for lo, hi in covers])
 
 
 def poset_to_dot(p: GradedPoset, name: str = "poset") -> str:
     """DOT rendering: edges point upward, one rank=same group per level."""
+    def quote(x: str) -> str:
+        return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
     out = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
     for lv in p.levels:
-        row = " ".join(f'"{x}";' for x in lv)
+        row = " ".join(f"{quote(x)};" for x in lv)
         out.append("  { rank=same; " + row + " }")
     idx = p._index
     for lo, hi in sorted(p.covers, key=lambda c: (idx[c[0]], idx[c[1]])):
-        out.append(f'  "{lo}" -> "{hi}";')
+        out.append(f"  {quote(lo)} -> {quote(hi)};")
     out.append("}")
     return "\n".join(out) + "\n"

@@ -1,14 +1,48 @@
 """Rank-respecting isomorphism tests and canonical certificates.
 
 The certificate is the lexicographically least adjacency encoding over
-all labelings reachable by color refinement plus backtracking, so equal
-certificates mean isomorphic diagrams and conversely.  Levels in these
-posets are tiny, which keeps the backtracking tree small; a node cap
-guards against pathological inputs and is reported, never silently hit.
+the leaves of a search tree of ordered partitions, so equal certificates
+mean isomorphic diagrams and conversely.  Certificate bytes (and the CLI
+``intervals`` hex that shows them) are stable only within a version of
+this package: compare them, never store them across an upgrade.
+
+The search follows McKay and Piperno ("Practical graph isomorphism, II",
+2014) and Junttila and Kaski (bliss, 2007), kept to what graded diagrams
+need:
+
+* Refinement.  The partition is a list ``lab`` of element indices,
+  level by level, cut into contiguous cells; an element's color is the
+  start position of its cell.  A queue of splitter cells drives the
+  refinement to the coarsest equitable partition: each splitter counts
+  its neighbours, and every cell it touches is split by that count, in
+  count order.  Cells never mix levels and covers join adjacent levels
+  only, so one combined up-and-down neighbour list serves both
+  directions.  The fragments of a split cell are queued except its
+  largest, unless the cell itself was still queued; individualizing an
+  element queues only its singleton cell.
+
+* Search.  A node individualizes each member of its first smallest
+  non-singleton cell in turn; a discrete partition is a leaf, and
+  ``lab`` is its element order.  Leaves that encode equally to the first
+  leaf or to the best one yield automorphisms, stored sparsely (moved
+  points only), and send the search back to the node where the two paths
+  part.  A node keeps the automorphisms that fix its path
+  pointwise; those map its target cell onto itself, so a member already
+  in the closure of the explored members under them roots a subtree
+  equivalent to one explored, and is skipped.
+
+* Memo.  Results are remembered per exact labelled input: the encoding
+  of the diagram under its own element order with its pins, which is
+  everything the search reads.  A remembered run whose node count
+  exceeds the caller's cap raises as a fresh run would.
+
+A node cap guards against pathological inputs and is reported, never
+silently hit.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Mapping, Sequence
 
 from .core import GradedPoset, PosetError
@@ -23,192 +57,258 @@ __all__ = [
 
 DEFAULT_NODE_CAP = 200_000
 
+# Least recently used labelled inputs are dropped beyond this many.
+_MEMO_SIZE = 512
+_memo: dict[bytes, tuple[bytes, tuple[int, ...], int]] = {}
+
 
 class CanonicalizationCapError(PosetError):
     """The canonical-labeling backtracking exceeded its node budget."""
 
 
-def _refine(
-    colors: list[int], up: Sequence[Sequence[int]], down: Sequence[Sequence[int]]
-) -> list[int]:
-    """Iterated neighbor-multiset refinement to a fixed point."""
-    n = len(colors)
-    while True:
-        keys = [
-            (
-                colors[i],
-                tuple(sorted(colors[j] for j in up[i])),
-                tuple(sorted(colors[j] for j in down[i])),
-            )
-            for i in range(n)
-        ]
-        palette = {k: c for c, k in enumerate(sorted(set(keys)))}
-        new = [palette[k] for k in keys]
-        if len(palette) == len(set(colors)):
-            return new
-        colors = new
-
-
-def _encode(p: GradedPoset, order: list[int], pins: list[int]) -> bytes:
+def _encode(p: GradedPoset, order: Sequence[int], pins: Sequence[int]) -> bytes:
     """Adjacency encoding of the diagram under the given element order.
 
     ``order`` lists element indices level by level; the encoding is the
     width header, the pinned colors in order, and one packed cover
     bit-matrix per level pair.  Levels and degrees need no row of their
     own: the header and the matrices already determine them."""
-    pos_in_level: dict[int, int] = {}
-    offsets: list[int] = []
-    off = 0
-    for w in p.widths:
-        offsets.append(off)
-        off += w
-    for pos, el in enumerate(order):
-        r = p._level_of[el]
-        pos_in_level[el] = pos - offsets[r]
+    widths = p.widths
+    level = p._level_of
+    offsets = [0]
+    for w in widths:
+        offsets.append(offsets[-1] + w)
+    pos = [0] * len(order)
+    for i, el in enumerate(order):
+        pos[el] = i - offsets[level[el]]
     parts = [
-        ",".join(str(w) for w in p.widths).encode(),
+        ",".join(str(w) for w in widths).encode(),
         ",".join(str(pins[el]) for el in order).encode(),
     ]
     up = p._up
     for r in range(p.height):
-        w_lo, w_hi = p.widths[r], p.widths[r + 1]
+        w_lo, top = widths[r], widths[r + 1] - 1
         bits = 0
-        for el in order[offsets[r] : offsets[r] + w_lo]:
+        for el in order[offsets[r] : offsets[r + 1]]:
             row = 0
             for nb in up[el]:
-                row |= 1 << (w_hi - 1 - pos_in_level[nb])
-            bits = (bits << w_hi) | row
-        parts.append(bits.to_bytes((w_lo * w_hi + 7) // 8, "big"))
+                row |= 1 << (top - pos[nb])
+            bits = (bits << (top + 1)) | row
+        parts.append(bits.to_bytes((w_lo * (top + 1) + 7) // 8, "big"))
     return b"|".join(parts)
 
 
+def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> None:
+    """Grow ``reached`` to its closure under ``gens``, from ``start``."""
+    while start:
+        x = start.pop()
+        for g in gens:
+            y = g.get(x)
+            if y is not None and y not in reached:
+                reached.add(y)
+                start.append(y)
+
+
 class _Canonicalizer:
-    def __init__(self, p: GradedPoset, node_cap: int, extra: Mapping[str, int] | None):
+    def __init__(self, p: GradedPoset, node_cap: int, pins: list[int]):
         self.p = p
+        self.pins = pins
         self.cap = node_cap
         self.nodes = 0
-        self.best: bytes | None = None
-        self.best_order: list[int] | None = None
+        self.n = len(p.elements)
         up, down = p._adjacency
-        self.up, self.down = up, down
-        idx = p._index
-        seed = [
-            (p._level_of[i], len(up[i]), len(down[i]), 0)
-            for i in range(len(p.elements))
-        ]
-        self.pins = [0] * len(p.elements)
-        if extra:
-            for x, c in extra.items():
-                seed[idx[x]] = seed[idx[x]][:3] + (c,)
-                self.pins[idx[x]] = c
-        palette = {k: c for c, k in enumerate(sorted(set(seed)))}
-        self.seed = [palette[k] for k in seed]
-        # Automorphisms discovered at leaves, used to prune sibling branches.
-        # The first leaf is kept as a stable reference: comparing against it
-        # keeps yielding generators even after better leaves replace best.
+        self.adj = [u + d for u, d in zip(up, down)]
+        self.best: bytes | None = None
+        self.best_order: list[int] = []
+        self.best_path: tuple[int, ...] = ()
+        # The first leaf is kept as a stable reference: comparing against
+        # it keeps yielding automorphisms after better leaves replace best.
         self.first: bytes | None = None
-        self.first_order: list[int] | None = None
-        self.gens: list[list[int]] = []
+        self.first_order: list[int] = []
+        self.first_path: tuple[int, ...] = ()
+        self.gens: list[dict[int, int]] = []
         self.path: list[int] = []
 
     def run(self) -> tuple[bytes, list[int]]:
-        self._walk(self.seed)
-        assert self.best is not None and self.best_order is not None
+        # the seed partition: one cell per (level, pin), levels in order
+        n = self.n
+        key = list(zip(self.p._level_of, self.pins))
+        lab = sorted(range(n), key=key.__getitem__)
+        starts = [i for i in range(n) if not i or key[lab[i]] != key[lab[i - 1]]]
+        cell, end = [0] * n, [0] * n
+        for s, e in zip(starts, starts[1:] + [n]):
+            end[s] = e
+            for v in lab[s:e]:
+                cell[v] = s
+        self._walk(lab, cell, end, len(starts), starts, [])
+        assert self.best is not None
         return self.best, self.best_order
 
-    def _walk(self, colors: list[int]) -> None:
+    def _refine(
+        self, lab: list[int], cell: list[int], end: list[int], ncells: int, queue: list[int]
+    ) -> int:
+        """Refine in place to the coarsest equitable partition; the cell count."""
+        adj, n = self.adj, self.n
+        pending = deque(queue)
+        queued = set(queue)
+        while pending and ncells < n:
+            s = pending.popleft()
+            queued.discard(s)
+            counts: dict[int, int] = {}
+            for v in lab[s : end[s]]:
+                for w in adj[v]:
+                    counts[w] = counts.get(w, 0) + 1
+            touched: dict[int, list[int]] = {}
+            for w in counts:
+                x = cell[w]
+                if end[x] - x > 1:
+                    touched.setdefault(x, []).append(w)
+            for x in sorted(touched):
+                members = touched[x]
+                ex = end[x]
+                groups: dict[int, list[int]] = {}
+                for w in members:
+                    groups.setdefault(counts[w], []).append(w)
+                if len(members) < ex - x:
+                    groups[0] = [v for v in lab[x:ex] if v not in counts]
+                if len(groups) == 1:
+                    continue
+                frags = []
+                at = x
+                for c in sorted(groups):
+                    frag = groups[c]
+                    lab[at : at + len(frag)] = frag
+                    for v in frag:
+                        cell[v] = at
+                    end[at] = at + len(frag)
+                    frags.append(at)
+                    at += len(frag)
+                ncells += len(frags) - 1
+                if x in queued:
+                    new = frags[1:]
+                else:
+                    sizes = [end[f] - f for f in frags]
+                    skip = sizes.index(max(sizes))
+                    new = frags[:skip] + frags[skip + 1 :]
+                pending.extend(new)
+                queued.update(new)
+        return ncells
+
+    def _walk(
+        self,
+        lab: list[int],
+        cell: list[int],
+        end: list[int],
+        ncells: int,
+        queue: list[int],
+        fixing: list[dict[int, int]],
+    ) -> int:
+        """Search below the node of the current path; the depth to resume at."""
+        depth = len(self.path)
         self.nodes += 1
         if self.nodes > self.cap:
             raise CanonicalizationCapError(
                 f"canonical labeling exceeded {self.cap} nodes"
             )
-        colors = _refine(colors, self.up, self.down)
-        cells: dict[int, list[int]] = {}
-        for i, c in enumerate(colors):
-            cells.setdefault(c, []).append(i)
-        target = None
-        for c in sorted(cells):
-            cell = cells[c]
-            if len(cell) > 1 and (target is None or len(cell) < len(target)):
-                target = cell
-        if target is None:
-            order = sorted(range(len(colors)), key=lambda i: (self.p._level_of[i], colors[i]))
-            enc = _encode(self.p, order, self.pins)
-            if self.first is None:
-                self.first, self.first_order = enc, order
-            elif enc == self.first:
-                self._record_automorphism(self.first_order, order)
-            if self.best is None or enc < self.best:
-                self.best, self.best_order = enc, order
-            elif enc == self.best and enc != self.first:
-                self._record_automorphism(self.best_order, order)
-            return
-        fresh = max(colors) + 1
-        done: list[int] = []
-        orbit: list[int] | None = None
-        built_with = -1
-        for member in target:
-            if done:
-                if built_with != len(self.gens):
-                    orbit = self._node_orbits()
-                    built_with = len(self.gens)
-                if orbit is not None:
-                    m = orbit[member]
-                    if any(orbit[w] == m for w in done):
-                        continue
-            branch = list(colors)
-            branch[member] = fresh
-            self.path.append(member)
-            self._walk(branch)
+        ncells = self._refine(lab, cell, end, ncells, queue)
+        if ncells == self.n:
+            return self._leaf(lab)
+        target, size = -1, self.n + 1
+        s = 0
+        while s < self.n:
+            e = end[s]
+            if 1 < e - s < size:
+                target, size = s, e - s
+            s = e
+        # Automorphisms fixing the path fix this partition, so the closure
+        # of explored members under them stays inside the target cell.
+        reached: set[int] = set()
+        seen = len(self.gens)
+        for m in lab[target : target + size]:
+            if m in reached:
+                continue
+            child = list(lab)
+            i = child.index(m, target, target + size)
+            child[i], child[target] = child[target], m
+            child_cell = list(cell)
+            for v in child[target + 1 : target + size]:
+                child_cell[v] = target + 1
+            child_cell[m] = target
+            child_end = list(end)
+            child_end[target] = target + 1
+            child_end[target + 1] = target + size
+            self.path.append(m)
+            resume = self._walk(
+                child, child_cell, child_end, ncells + 1, [target],
+                [g for g in fixing if m not in g],
+            )
             self.path.pop()
-            done.append(member)
+            if resume < depth:
+                return resume
+            reached.add(m)
+            # Each automorphism recorded below sent the search back to the
+            # prefix it fixes, so those reaching this node fix its path.
+            if seen < len(self.gens):
+                fixing = fixing + self.gens[seen:]
+                seen = len(self.gens)
+                _close(reached, fixing, list(reached))
+            else:
+                _close(reached, fixing, [m])
+        return depth - 1
 
-    def _record_automorphism(self, ref: list[int] | None, order: list[int]) -> None:
-        # Equal encodings pin levels, degrees, and extra colors, so mapping
+    def _leaf(self, order: list[int]) -> int:
+        """Compare a leaf with the first and the best; the depth to resume at.
+
+        A leaf encoding like an earlier one yields an automorphism that
+        fixes the common prefix of their paths and maps the earlier path's
+        member there onto this one's, so the rest of this subtree repeats
+        one already searched: the search resumes at that prefix."""
+        enc = _encode(self.p, order, self.pins)
+        if self.first is None:
+            self.first, self.first_order, self.first_path = enc, order, tuple(self.path)
+        elif enc == self.first:
+            return self._automorphism(self.first_order, self.first_path, order)
+        if self.best is None or enc < self.best:
+            self.best, self.best_order, self.best_path = enc, order, tuple(self.path)
+        elif enc == self.best:
+            return self._automorphism(self.best_order, self.best_path, order)
+        return len(self.path) - 1
+
+    def _automorphism(self, ref: list[int], ref_path: tuple[int, ...], order: list[int]) -> int:
+        # Equal encodings pin levels, covers, and extra colors, so mapping
         # the reference order onto this one position by position is a
         # color-preserving automorphism of the diagram.
-        if len(self.gens) >= 256:
-            return
-        assert ref is not None
-        perm = list(range(len(order)))
-        trivial = True
-        for a, b in zip(ref, order):
-            perm[a] = b
+        self.gens.append({a: b for a, b in zip(ref, order) if a != b})
+        k = 0
+        for a, b in zip(ref_path, self.path):
             if a != b:
-                trivial = False
-        if not trivial:
-            self.gens.append(perm)
-
-    def _node_orbits(self) -> list[int] | None:
-        # Only automorphisms fixing every element individualized on the
-        # current path map this node's subtrees onto each other, so the
-        # orbit structure is computed from those alone.
-        fixing = [g for g in self.gens if all(g[v] == v for v in self.path)]
-        if not fixing:
-            return None
-        parent = list(range(len(self.seed)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in fixing:
-            for a, b in enumerate(g):
-                if a != b:
-                    ra, rb = find(a), find(b)
-                    if ra != rb:
-                        parent[ra] = rb
-        return [find(x) for x in range(len(parent))]
+                break
+            k += 1
+        return k
 
 
 def _canonical(
     p: GradedPoset,
     node_cap: int = DEFAULT_NODE_CAP,
     extra_colors: Mapping[str, int] | None = None,
-) -> tuple[bytes, list[int]]:
-    return _Canonicalizer(p, node_cap, extra_colors).run()
+) -> tuple[bytes, tuple[int, ...]]:
+    pins = [0] * len(p.elements)
+    if extra_colors:
+        idx = p._index
+        for x, c in extra_colors.items():
+            pins[idx[x]] = c
+    key = _encode(p, range(len(pins)), pins)
+    hit = _memo.pop(key, None)
+    if hit is None:
+        run = _Canonicalizer(p, node_cap, pins)
+        cert, order = run.run()
+        hit = (cert, tuple(order), run.nodes)
+        if len(_memo) >= _MEMO_SIZE:
+            del _memo[next(iter(_memo))]
+    _memo[key] = hit
+    if hit[2] > node_cap:
+        raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")
+    return hit[0], hit[1]
 
 
 def canonical_form(
@@ -220,7 +320,7 @@ def canonical_form(
 
     ``extra_colors`` optionally pins an integer color to some element ids;
     two diagrams then compare as colored diagrams.  Render with ``.hex()``
-    for display."""
+    for display; the bytes are stable only within a version."""
     return _canonical(p, node_cap, extra_colors)[0]
 
 

@@ -295,7 +295,12 @@ class _Levelwise:
         p = self._partial_poset(self.N)
         rep = verify_binomial(p, workers=1)
         if not rep.ok or rep.atoms is None or rep.atoms.head != self.seq.head:
-            return  # construction invariants should prevent this
+            # the exact chain counts and census checks at every added
+            # element make every completed candidate binomial
+            raise AssertionError(
+                f"levelwise search completed a candidate that fails its own "
+                f"target {self.seq.format()}: {rep.detail or rep.atoms}"
+            )
         try:
             cert = canonical_form(p)
         except CanonicalizationCapError as exc:

@@ -105,6 +105,20 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(path))
         assert code == 2 and err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            '{"height":0,"levels":[5],"covers":[]}',
+            '{"height":1,"levels":[["a"],["b"]],"covers":[[["a"],"b"]]}',
+            '{"height":0,"levels":[[1]],"covers":[]}',
+        ],
+    )
+    def test_malformed_poset(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and not out and "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err

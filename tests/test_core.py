@@ -253,6 +253,29 @@ class TestSerialization:
         with pytest.raises(PosetError, match="height"):
             poset_from_json('{"height":3,"levels":[["a"],["b"]],"covers":[["a","b"]]}')
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"height":0,"levels":[5],"covers":[]}', "levels"),
+            ('{"height":0,"levels":[[1]],"covers":[]}', "levels"),
+            ('{"height":0,"levels":"a","covers":[]}', "levels"),
+            ('{"height":"1","levels":[["a"],["b"]],"covers":[]}', "height"),
+            ('{"height":true,"levels":[["a"]],"covers":[]}', "height"),
+            ('{"height":1,"levels":[["a"],["b"]],"covers":[[["a"],"b"]]}', "covers"),
+            ('{"height":1,"levels":[["a"],["b"]],"covers":[["a","b","a"]]}', "covers"),
+            ('{"height":1,"levels":[["a"],["b"]],"covers":{"a":"b"}}', "covers"),
+        ],
+    )
+    def test_json_type_errors(self, text, message):
+        with pytest.raises(PosetError, match=message):
+            poset_from_json(text)
+
+    def test_dot_escapes_ids(self):
+        p = build_poset([['a"b'], ["c\\d"]], [('a"b', "c\\d")])
+        dot = poset_to_dot(p)
+        assert '"a\\"b" -> "c\\\\d";' in dot
+        assert '{ rank=same; "a\\"b"; }' in dot
+
     def test_dot_output(self, diamond):
         dot = poset_to_dot(diamond)
         assert dot.startswith("digraph")

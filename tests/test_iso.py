@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binposet.core import GradedPoset, build_poset, dual
+from binposet import iso
+from binposet.core import GradedPoset, build_poset, dual, grid_ids
 from binposet.iso import (
     CanonicalizationCapError,
     are_isomorphic,
@@ -16,7 +17,8 @@ from conftest import brute_isomorphic
 
 
 def relabel(p: GradedPoset, rng: random.Random) -> GradedPoset:
-    names = {el: f"n{rng.randrange(10**9)}" for el in p.elements}
+    ids = rng.sample(range(10**9), len(p.elements))
+    names = {el: f"n{i}" for el, i in zip(p.elements, ids)}
     levels = []
     for lv in p.levels:
         row = [names[e] for e in lv]
@@ -74,6 +76,41 @@ class TestCanonicalForm:
         assert pinned != canonical_form(diamond, extra_colors={"y": 2})
 
 
+def cycle_union(lengths: tuple[int, ...]) -> GradedPoset:
+    """Two levels, every element of degree 2: one 2L-cycle per length L.
+    Refinement cannot split such a diagram, and two of them are
+    isomorphic exactly when their length multisets agree."""
+    lo = [f"a{c}.{i}" for c, n in enumerate(lengths) for i in range(n)]
+    hi = [f"b{c}.{i}" for c, n in enumerate(lengths) for i in range(n)]
+    covers = {
+        (f"a{c}.{i}", f"b{c}.{(i + d) % n}")
+        for c, n in enumerate(lengths)
+        for i in range(n)
+        for d in (0, 1)
+    }
+    return GradedPoset((tuple(lo), tuple(hi)), frozenset(covers))
+
+
+def partitions(total: int, least: int = 2) -> list[tuple[int, ...]]:
+    if total == 0:
+        return [()]
+    return [
+        (first,) + rest
+        for first in range(least, total + 1)
+        for rest in partitions(total - first, first)
+    ]
+
+
+def test_certificates_of_cycle_unions_follow_their_lengths():
+    rng = random.Random(17)
+    shapes = partitions(11)
+    certs = [canonical_form(cycle_union(shape)) for shape in shapes]
+    assert len(set(certs)) == len(shapes)
+    for shape, cert in zip(shapes, certs):
+        for _ in range(4):
+            assert canonical_form(relabel(cycle_union(shape), rng)) == cert
+
+
 class TestAreIsomorphic:
     def test_matches_brute_force_on_small_pool(
         self, chain3, diamond, butterfly, cube, not_binomial, eight_cycle, two_squares
@@ -104,6 +141,57 @@ class TestIsomorphism:
         assert isomorphism(eight_cycle, two_squares) is None
 
 
+class TestMemo:
+    @pytest.fixture(autouse=True)
+    def empty_memo(self):
+        iso._memo.clear()
+        yield
+        iso._memo.clear()
+
+    def test_hit_honours_a_smaller_node_cap(self, cube):
+        cert = canonical_form(cube)
+        ((_, _, nodes),) = iso._memo.values()
+        assert nodes > 1
+        with pytest.raises(CanonicalizationCapError):
+            canonical_form(cube, node_cap=nodes - 1)
+        assert canonical_form(cube, node_cap=nodes) == cert
+
+    def test_capped_run_is_not_stored(self, cube):
+        with pytest.raises(CanonicalizationCapError):
+            canonical_form(cube, node_cap=1)
+        assert not iso._memo
+        canonical_form(cube)
+        assert len(iso._memo) == 1
+
+    def test_extra_colors_are_part_of_the_key(self, diamond):
+        plain = canonical_form(diamond)
+        pinned = canonical_form(diamond, extra_colors={"x": 1})
+        assert len(iso._memo) == 2
+        assert canonical_form(diamond) == plain
+        assert canonical_form(diamond, extra_colors={"x": 1}) == pinned
+        assert plain != pinned
+
+    def test_isomorphism_on_a_hit_maps_covers_to_covers(self, cube):
+        # same labelled structure under other ids: the second call is a hit
+        names = {x: x.upper() + "'" for x in cube.elements}
+        twin = GradedPoset(
+            tuple(tuple(names[x] for x in lv) for lv in cube.levels),
+            frozenset((names[a], names[b]) for a, b in cube.covers),
+        )
+        q = relabel(cube, random.Random(4))
+        assert isomorphism(cube, q) is not None
+        size = len(iso._memo)
+        m = isomorphism(twin, q)
+        assert len(iso._memo) == size
+        assert m is not None
+        assert {(m[a], m[b]) for a, b in twin.covers} == set(q.covers)
+
+    def test_size_is_bounded(self, diamond):
+        for c in range(iso._MEMO_SIZE + 5):
+            canonical_form(diamond, extra_colors={"x": c + 1})
+        assert len(iso._memo) == iso._MEMO_SIZE
+
+
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)
 
 
@@ -131,3 +219,83 @@ def test_certificate_is_an_invariant(p, seed):
 @given(raw_diagrams(), raw_diagrams())
 def test_certificate_equality_matches_brute_force(p, q):
     assert (canonical_form(p) == canonical_form(q)) == brute_isomorphic(p, q)
+
+
+def random_graded(rng: random.Random) -> GradedPoset:
+    """A random leveled diagram of at most 60 elements; every third one is
+    a few copies of one random block between a bottom and a top, which
+    gives large automorphism groups."""
+    if rng.randrange(3):
+        widths = [rng.randint(1, 12) for _ in range(rng.randint(2, 6))]
+        while sum(widths) > 60:
+            widths.pop()
+        levels = grid_ids(widths)
+        density = rng.uniform(0.15, 0.7)
+        covers = {
+            (a, b)
+            for r in range(len(levels) - 1)
+            for a in levels[r]
+            for b in levels[r + 1]
+            if rng.random() < density
+        }
+        return GradedPoset(levels, frozenset(covers))
+    copies = rng.randint(2, 4)
+    block = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+    inner = {
+        (r, i, j)
+        for r in range(len(block) - 1)
+        for i in range(block[r])
+        for j in range(block[r + 1])
+        if rng.random() < 0.6
+    }
+    levels = (("b",),) + tuple(
+        tuple(f"{r}:{c}:{i}" for c in range(copies) for i in range(w))
+        for r, w in enumerate(block)
+    ) + (("t",),)
+    covers = set()
+    for c in range(copies):
+        covers |= {("b", f"0:{c}:{i}") for i in range(block[0])}
+        covers |= {(f"{len(block) - 1}:{c}:{i}", "t") for i in range(block[-1])}
+        covers |= {(f"{r}:{c}:{i}", f"{r + 1}:{c}:{j}") for r, i, j in inner}
+    return GradedPoset(levels, frozenset(covers))
+
+
+def near_twin(p: GradedPoset, rng: random.Random) -> GradedPoset | None:
+    """The same widths and cover count with one cover moved, or None."""
+    covers = sorted(p.covers)
+    if not covers:
+        return None
+    lo, hi = rng.choice(covers)
+    r = p.rank(lo)
+    free = [
+        (a, b) for a in p.levels[r] for b in p.levels[r + 1] if (a, b) not in p.covers
+    ]
+    if not free:
+        return None
+    return GradedPoset(p.levels, (p.covers - {(lo, hi)}) | {rng.choice(free)})
+
+
+def test_certificate_equality_matches_vf2():
+    nx = pytest.importorskip("networkx")
+
+    def graph(p: GradedPoset):
+        g = nx.Graph()
+        for x in p.elements:
+            g.add_node(x, rank=p.rank(x))
+        g.add_edges_from(sorted(p.covers))
+        return g
+
+    match = nx.algorithms.isomorphism.categorical_node_match("rank", None)
+    rng = random.Random(2024)
+    verdicts = []
+    for _ in range(60):
+        p = random_graded(rng)
+        pairs = [relabel(p, rng)]
+        twin = near_twin(p, rng)
+        if twin is not None:
+            pairs.append(relabel(twin, rng))
+        for q in pairs:
+            want = nx.is_isomorphic(graph(p), graph(q), node_match=match)
+            assert (canonical_form(p) == canonical_form(q)) == want
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts

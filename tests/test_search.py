@@ -1,7 +1,8 @@
 import pytest
 
+from binposet import search
 from binposet.construct import debruijn_poset, m_interval
-from binposet.core import AtomicSequence, PosetError, verify_binomial
+from binposet.core import AtomicSequence, BinomialReport, PosetError, verify_binomial
 from binposet.iso import are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
 
@@ -90,6 +91,14 @@ class TestEnumerate:
     def test_assembly_is_rank_four_only(self):
         with pytest.raises(PosetError, match="rank 4"):
             enumerate_intervals((1, 2, 2), strategy="assembly")
+
+    def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
+        def fails(p, workers=None):
+            return BinomialReport(ok=False, detail="forced failure")
+
+        monkeypatch.setattr(search, "verify_binomial", fails)
+        with pytest.raises(AssertionError, match="forced failure"):
+            enumerate_intervals((1, 2, 2), strategy="levelwise")
 
 
 class TestExtension:
