@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import GradedPoset, Interval, PosetError, interval, verify_binomial, _chain_rows
+from .core import GradedPoset, Interval, PosetError, interval, verify_binomial, _pairs_of_length
 from .iso import canonical_form
 
 __all__ = [
@@ -252,16 +252,10 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     if not 0 <= n <= p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els = p.elements
-    lv = p._level_of
-    pairs: list[tuple[str, str]] = []
-    for s in range(len(els)):
-        for t, _c in _chain_rows(p._up, s):
-            if lv[t] - lv[s] == n:
-                pairs.append((els[s], els[t]))
     found: dict[bytes, list[tuple[str, str]]] = {}
-    for bottom, top in pairs:
-        sub = interval(p, bottom, top).poset
-        cert = canonical_form(sub)
+    for s, t in _pairs_of_length(p, n):
+        bottom, top = els[s], els[t]
+        cert = canonical_form(interval(p, bottom, top).poset)
         found.setdefault(cert, []).append((bottom, top))
     classes = tuple(
         IntervalClass(cert, members[0][0], members[0][1], len(members))

@@ -9,11 +9,10 @@ fixed-width or floating representation.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, zip_longest
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
@@ -39,8 +38,6 @@ __all__ = [
     "poset_from_json",
     "poset_to_dot",
 ]
-
-WORKERS_ENV = "BINPOSET_WORKERS"
 
 
 class PosetError(ValueError):
@@ -267,6 +264,23 @@ class GradedPoset:
             masks.append(m)
         return tuple(masks)
 
+    @cached_property
+    def _up_mask(self) -> tuple[int, ...]:
+        # bit i of entry e is set iff element e <= element i
+        up = self._up
+        masks = [0] * len(up)
+        for e in range(len(up) - 1, -1, -1):
+            m = 1 << e
+            for j in up[e]:
+                m |= masks[j]
+            masks[e] = m
+        return tuple(masks)
+
+    @cached_property
+    def _level_start(self) -> tuple[int, ...]:
+        # level r holds the element indices _level_start[r] .. _level_start[r + 1] - 1
+        return tuple(accumulate(self.widths, initial=0))
+
     def le(self, x: str, y: str) -> bool:
         """Order relation generated by the covers."""
         ix, iy = self._require(x), self._require(y)
@@ -384,26 +398,126 @@ def count_maximal_chains(iv: Interval) -> int:
     return 0
 
 
-def _rows_for_chunk(args: tuple[tuple, tuple, list[int]]) -> list[tuple[int, list[tuple[int, int]]]]:
-    levels, covers, chunk = args
-    p = GradedPoset(levels, frozenset(covers))
-    return [(s, _chain_rows(p._up, s)) for s in chunk]
+# ---------------------------------------------------------------------------
+# the all-pairs atom sweep
 
 
-def _scan_sources(
-    p: GradedPoset, workers: int
-) -> Iterator[tuple[int, list[tuple[int, int]]]]:
-    n = len(p.elements)
-    if workers <= 1 or n < 96:
-        for s in range(n):
-            yield s, _chain_rows(p._up, s)
-        return
-    step = -(-n // workers)
-    chunks = [list(range(lo, min(lo + step, n))) for lo in range(0, n, step)]
-    args = [(p.levels, tuple(sorted(p.covers)), chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as ex:
-        for part in ex.map(_rows_for_chunk, args):
-            yield from part
+def _rank_span(p: GradedPoset, lo: int, hi: int) -> int:
+    """Bitset of the elements whose rank lies in lo..hi (empty if lo > hi)."""
+    if lo > hi:
+        return 0
+    start = p._level_start
+    return ((1 << (start[hi + 1] - start[lo])) - 1) << start[lo]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _pairs_of_length(p: GradedPoset, n: int) -> Iterator[tuple[int, int]]:
+    """Index pairs (s, t) with s <= t and rank(t) - rank(s) = n, in index order."""
+    up = p._up_mask
+    lv = p._level_of
+    for s in range(len(lv)):
+        r = lv[s] + n
+        if r > p.height:
+            return
+        for t in _bits(up[s] & _rank_span(p, r, r)):
+            yield s, t
+
+
+def _atom_planes(p: GradedPoset, s: int) -> tuple[int, list[int]]:
+    """Atom counts of every interval with bottom ``s``, as bit planes.
+
+    Returns ``(above, planes)``: bit t of ``above`` is set iff s < t, and
+    bit t of ``planes[j]`` is bit j of the number of atoms of [s, t].  The
+    atoms of [s, t] are the upper covers of s whose up-set holds t, so the
+    up-sets of the upper covers are summed bitwise with a carry-save adder.
+    """
+    up = p._up_mask
+    above = 0
+    planes: list[int] = []
+    for k in p._up[s]:
+        x = up[k]
+        above |= x
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ x
+            x &= plane
+            if not x:
+                break
+        else:
+            planes.append(x)
+    return above, planes
+
+
+def _count_at(planes: list[int], t: int) -> int:
+    """The count whose bit j is bit t of ``planes[j]``."""
+    return sum((plane >> t & 1) << j for j, plane in enumerate(planes))
+
+
+def _atom_sweep(
+    p: GradedPoset, ref: list[tuple[int, int, int]]
+) -> Iterator[tuple[int, list[int], int]]:
+    """The all-pairs kernel behind :func:`verify_binomial` and :func:`atomic_numbers`.
+
+    Sources s are taken in index order.  ``ref`` is extended in place:
+    ``ref[d - 1]`` is ``(atoms, s, t)`` for the first length-d pair (s, t)
+    in index order, added when the sweep first reaches length d (lengths
+    are reached as a prefix 1..len(ref), since a chain crosses every rank).
+    Each source with an interval whose atom count differs from its
+    length's reference is yielded as ``(s, planes, bad)``, where ``bad``
+    marks those tops t and ``planes`` is as in :func:`_atom_planes`.
+    """
+    lv = p._level_of
+    height = p.height
+    runs: list[list[tuple[int, int]]] = []
+    expected: list[int] = []
+    level = -1
+    for s in range(len(lv)):
+        above, planes = _atom_planes(p, s)
+        if not above:
+            continue
+        r = lv[s]
+        reach = lv[above.bit_length() - 1] - r
+        if reach > len(ref):
+            for d in range(len(ref) + 1, reach + 1):
+                t = next(_bits(above & _rank_span(p, r + d, r + d)))
+                ref.append((_count_at(planes, t), s, t))
+            runs = _bit_runs([a for a, _, _ in ref])
+            level = -1
+        if r != level:
+            # bit t of expected[j] is bit j of the reference count at t's
+            # length; the spans are disjoint, so their sum is their union
+            expected = [
+                sum(_rank_span(p, r + d1, min(r + d2, height)) for d1, d2 in rj)
+                for rj in runs
+            ]
+            level = r
+        diff = 0
+        for got, want in zip_longest(planes, expected, fillvalue=0):
+            diff |= got ^ want
+        bad = above & diff
+        if bad:
+            yield s, planes, bad
+
+
+def _bit_runs(values: list[int]) -> list[list[tuple[int, int]]]:
+    """Per bit j, the maximal runs d1..d2 of 1-based positions whose value has bit j set."""
+    out: list[list[tuple[int, int]]] = []
+    for j in range(max(values).bit_length()):
+        rj: list[tuple[int, int]] = []
+        for d, a in enumerate(values, 1):
+            if a >> j & 1:
+                if rj and rj[-1][1] == d - 1:
+                    rj[-1] = (rj[-1][0], d)
+                else:
+                    rj.append((d, d))
+        out.append(rj)
+    return out
 
 
 @dataclass(frozen=True)
@@ -422,15 +536,21 @@ class BinomialReport:
     detail: str = ""
 
 
-def _witness_pass(p: GradedPoset, d: int) -> tuple[tuple[str, str], tuple[str, str], int, int]:
-    """Lexicographically least pair of length-d intervals with unequal counts."""
+def _witness_pass(
+    p: GradedPoset, d: int, below: int
+) -> tuple[tuple[str, str], tuple[str, str], int, int]:
+    """Lexicographically least pair of length-d intervals with unequal counts,
+    given that every length-(d-1) interval has ``below`` maximal chains."""
     els = p.elements
     lv = p._level_of
     pairs: list[tuple[str, str, int]] = []
     for s in range(len(els)):
-        for t, c in _chain_rows(p._up, s):
-            if lv[t] - lv[s] == d:
-                pairs.append((els[s], els[t], c))
+        r = lv[s] + d
+        if r > p.height:
+            break
+        above, planes = _atom_planes(p, s)
+        for t in _bits(above & _rank_span(p, r, r)):
+            pairs.append((els[s], els[t], _count_at(planes, t) * below))
     pairs.sort(key=lambda r: (r[0], r[1]))
     x1, y1, c1 = pairs[0]
     for x2, y2, c2 in pairs[1:]:
@@ -439,28 +559,35 @@ def _witness_pass(p: GradedPoset, d: int) -> tuple[tuple[str, str], tuple[str, s
     raise AssertionError("witness pass found no mismatch")
 
 
-def verify_binomial(p: GradedPoset, workers: int | None = None) -> BinomialReport:
+def verify_binomial(p: GradedPoset) -> BinomialReport:
     """Check that the maximal-chain count of an interval depends only on
     its length, over every interval contained in the truncation.
 
-    ``workers`` (default: the BINPOSET_WORKERS environment variable, else 1)
-    partitions the scan across processes; verdict and witness are identical
-    regardless of the worker count.
+    The chains are counted through atoms.  A maximal chain of [s, t]
+    starts with a cover s < k, so chains(s, t) is the sum of chains(k, t)
+    over the atoms k of [s, t].  If every interval shorter than d has the
+    common count C(d-1) of its length, a length-d interval [s, t]
+    therefore has atoms(s, t) * C(d-1) chains, and C(d-1) >= 1.  By
+    induction on d, chain counts first disagree at exactly the length
+    where atom counts first do, and below it ``counts[d]`` is
+    ``counts[d-1]`` times the common atom count A(d), with no remainder.
+    So the check runs on atom counts (see :func:`_atom_sweep`), and only
+    the witness, at the first disagreeing length, is turned back into
+    chain counts.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1") or "1")
     lv = p._level_of
-    counts: dict[int, int] = {}
-    bad: set[int] = set()
-    for s, rows in _scan_sources(p, workers):
-        for t, c in rows:
-            d = lv[t] - lv[s]
-            have = counts.setdefault(d, c)
-            if have != c:
-                bad.add(d)
-    if bad:
-        d = min(bad)
-        w1, w2, c1, c2 = _witness_pass(p, d)
+    ref: list[tuple[int, int, int]] = []
+    first_bad: int | None = None
+    for s, _planes, bad in _atom_sweep(p, ref):
+        d = lv[next(_bits(bad))] - lv[s]
+        if first_bad is None or d < first_bad:
+            first_bad = d
+    counts = {0: 1}
+    for d, (a, _s, _t) in enumerate(ref, 1):
+        counts[d] = counts[d - 1] * a
+    if first_bad is not None:
+        d = first_bad
+        w1, w2, c1, c2 = _witness_pass(p, d, counts[d - 1])
         return BinomialReport(
             ok=False,
             witness=(w1, w2),
@@ -469,19 +596,9 @@ def verify_binomial(p: GradedPoset, workers: int | None = None) -> BinomialRepor
                 f"maximal chains, [{w2[0]}, {w2[1]}] has {c2}"
             ),
         )
-    missing = [d for d in range(p.height + 1) if d not in counts]
-    if missing:
-        return BinomialReport(ok=False, detail=f"no interval of length {missing[0]}")
-    head: list[int] = []
-    for d in range(1, p.height + 1):
-        q, r = divmod(counts[d], counts[d - 1])
-        if r:
-            return BinomialReport(
-                ok=False,
-                detail=f"chain counts at lengths {d - 1} and {d} are incompatible",
-            )
-        head.append(q)
-    atoms = AtomicSequence(tuple(head))
+    if len(ref) < p.height:
+        return BinomialReport(ok=False, detail=f"no interval of length {len(ref) + 1}")
+    atoms = AtomicSequence(tuple(a for a, _s, _t in ref))
     return BinomialReport(ok=True, counts=counts, atoms=atoms)
 
 
@@ -501,39 +618,30 @@ class AtomicNumbersReport:
 def atomic_numbers(p: GradedPoset) -> AtomicNumbersReport:
     """Measure A(n) = atom count of every length-n interval, per length.
 
-    Counted directly from covers (not derived from chain counts), so it is
-    an independent cross-check on :func:`verify_binomial`."""
+    Counted directly from covers by the same sweep as
+    :func:`verify_binomial`, so it is not an independent check on it; the
+    brute-force oracles in ``tests/conftest.py`` are.  The witness pairs the
+    first interval of its length in (bottom, top) index order with the
+    first interval in that order whose atom count differs from it."""
     els = p.elements
     lv = p._level_of
-    up = p._up
-    masks = p._down_mask
-    per_len: dict[int, tuple[int, int, int]] = {}
-    for s in range(len(els)):
-        for t, _ in _chain_rows(up, s):
-            d = lv[t] - lv[s]
-            if d == 0:
-                continue
-            atoms_here = sum(1 for k in up[s] if masks[t] >> k & 1)
-            have = per_len.get(d)
-            if have is None:
-                per_len[d] = (atoms_here, s, t)
-            elif have[0] != atoms_here:
-                a0, s0, t0 = have
-                return AtomicNumbersReport(
-                    ok=False,
-                    witness=((els[s0], els[t0]), (els[s], els[t])),
-                    detail=(
-                        f"length-{d} intervals disagree on atom count: "
-                        f"[{els[s0]}, {els[t0]}] has {a0}, [{els[s]}, {els[t]}] has {atoms_here}"
-                    ),
-                )
-    if not p.height:
-        return AtomicNumbersReport(ok=True, atoms=AtomicSequence(()))
-    missing = [d for d in range(1, p.height + 1) if d not in per_len]
-    if missing:
-        return AtomicNumbersReport(ok=False, detail=f"no interval of length {missing[0]}")
-    head = tuple(per_len[d][0] for d in range(1, p.height + 1))
-    return AtomicNumbersReport(ok=True, atoms=AtomicSequence(head))
+    ref: list[tuple[int, int, int]] = []
+    for s, planes, bad in _atom_sweep(p, ref):
+        t = next(_bits(bad))
+        d = lv[t] - lv[s]
+        a0, s0, t0 = ref[d - 1]
+        a = _count_at(planes, t)
+        return AtomicNumbersReport(
+            ok=False,
+            witness=((els[s0], els[t0]), (els[s], els[t])),
+            detail=(
+                f"length-{d} intervals disagree on atom count: "
+                f"[{els[s0]}, {els[t0]}] has {a0}, [{els[s]}, {els[t]}] has {a}"
+            ),
+        )
+    if len(ref) < p.height:
+        return AtomicNumbersReport(ok=False, detail=f"no interval of length {len(ref) + 1}")
+    return AtomicNumbersReport(ok=True, atoms=AtomicSequence(tuple(a for a, _s, _t in ref)))
 
 
 # ---------------------------------------------------------------------------

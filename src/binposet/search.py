@@ -293,7 +293,7 @@ class _Levelwise:
 
     def _emit(self) -> None:
         p = self._partial_poset(self.N)
-        rep = verify_binomial(p, workers=1)
+        rep = verify_binomial(p)
         if not rep.ok or rep.atoms is None or rep.atoms.head != self.seq.head:
             # the exact chain counts and census checks at every added
             # element make every completed candidate binomial
@@ -534,7 +534,7 @@ class _Assembly:
             for k, c in assignment:
                 covers.add((f"2:{base[T] + c}", f"3:{k}"))
         p = GradedPoset(levels, frozenset(covers))
-        rep = verify_binomial(p, workers=1)
+        rep = verify_binomial(p)
         if not rep.ok or rep.atoms is None or rep.atoms.head != self.seq.head:
             return
         try:

@@ -14,7 +14,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import settings
 
-from binposet.core import GradedPoset, build_poset
+from binposet.core import (
+    AtomicNumbersReport,
+    AtomicSequence,
+    BinomialReport,
+    GradedPoset,
+    build_poset,
+)
 
 settings.register_profile("suite", max_examples=60, deadline=None)
 settings.load_profile("suite")
@@ -43,6 +49,95 @@ def brute_chain_count(levels, covers, src, dst) -> int:
         return sum(walk(y) for y in up.get(x, ()))
 
     return walk(src)
+
+
+def _brute_pairs(p: GradedPoset) -> list[tuple[str, str]]:
+    """Every comparable pair (x, y), x <= y, in (x, y) element order."""
+    up: dict[str, list[str]] = {}
+    for a, b in p.covers:
+        up.setdefault(a, []).append(b)
+    order = {x: i for i, x in enumerate(p.elements)}
+    pairs = []
+    for x in p.elements:
+        seen, stack = {x}, [x]
+        while stack:
+            for y in up.get(stack.pop(), ()):
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        pairs.extend((x, y) for y in sorted(seen, key=order.__getitem__))
+    return pairs
+
+
+def brute_binomial_report(p: GradedPoset) -> BinomialReport:
+    """The report :func:`verify_binomial` must give, from a chain count per pair.
+
+    A disagreement is reported at its least length, with the id-order
+    least pair of that length and the first pair after it, in id order,
+    whose count differs; then a length with no interval; then counts that
+    do not divide."""
+    by_len: dict[int, list[tuple[str, str, int]]] = {}
+    for x, y in _brute_pairs(p):
+        c = brute_chain_count(p.levels, p.covers, x, y)
+        by_len.setdefault(p.rank(y) - p.rank(x), []).append((x, y, c))
+    bad = [d for d, rows in by_len.items() if len({c for _, _, c in rows}) > 1]
+    if bad:
+        d = min(bad)
+        rows = sorted(by_len[d])
+        x1, y1, c1 = rows[0]
+        x2, y2, c2 = next(r for r in rows if r[2] != c1)
+        return BinomialReport(
+            ok=False,
+            witness=((x1, y1), (x2, y2)),
+            detail=(
+                f"length-{d} intervals disagree: [{x1}, {y1}] has {c1} "
+                f"maximal chains, [{x2}, {y2}] has {c2}"
+            ),
+        )
+    missing = [d for d in range(p.height + 1) if d not in by_len]
+    if missing:
+        return BinomialReport(ok=False, detail=f"no interval of length {missing[0]}")
+    counts = {d: by_len[d][0][2] for d in range(p.height + 1)}
+    head = []
+    for d in range(1, p.height + 1):
+        q, r = divmod(counts[d], counts[d - 1])
+        if r:
+            return BinomialReport(
+                ok=False, detail=f"chain counts at lengths {d - 1} and {d} are incompatible"
+            )
+        head.append(q)
+    return BinomialReport(ok=True, counts=counts, atoms=AtomicSequence(tuple(head)))
+
+
+def brute_atomic_report(p: GradedPoset) -> AtomicNumbersReport:
+    """The report :func:`atomic_numbers` must give, from an atom count per pair.
+
+    The atoms of [x, y] are the upper covers of x that lie below y.  The
+    first pair in element order whose count differs from the first pair of
+    its length is reported against that pair."""
+    pairs = _brute_pairs(p)
+    below = set(pairs)
+    first: dict[int, tuple[str, str, int]] = {}
+    for x, y in pairs:
+        d = p.rank(y) - p.rank(x)
+        if d == 0:
+            continue
+        a = sum(1 for lo, k in p.covers if lo == x and (k, y) in below)
+        x0, y0, a0 = first.setdefault(d, (x, y, a))
+        if a != a0:
+            return AtomicNumbersReport(
+                ok=False,
+                witness=((x0, y0), (x, y)),
+                detail=(
+                    f"length-{d} intervals disagree on atom count: "
+                    f"[{x0}, {y0}] has {a0}, [{x}, {y}] has {a}"
+                ),
+            )
+    missing = [d for d in range(1, p.height + 1) if d not in first]
+    if missing:
+        return AtomicNumbersReport(ok=False, detail=f"no interval of length {missing[0]}")
+    head = tuple(first[d][2] for d in range(1, p.height + 1))
+    return AtomicNumbersReport(ok=True, atoms=AtomicSequence(head))
 
 
 def brute_isomorphic(p: GradedPoset, q: GradedPoset) -> bool:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import re
@@ -7,9 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from binposet.cli import main
-from binposet.construct import m_interval
+from binposet.construct import m_interval, poset_from_string
 from binposet.core import poset_from_json, poset_to_json, verify_binomial
 
 
@@ -241,6 +244,87 @@ class TestExportDot:
     def test_stdout(self, capsys, cube_file):
         code, out, _ = run(capsys, "export-dot", cube_file)
         assert code == 0 and "rankdir=BT" in out
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def small_posets(draw):
+    """Small bounded-below diagrams with no dangling element, sometimes
+    spoiled: a repeated id, a cover that skips a level, a wrong height, or
+    an arbitrary JSON value in place of one part."""
+    widths = [1] + draw(st.lists(st.integers(1, 3), max_size=3))
+    levels = [[f"{r}:{i}" for i in range(w)] for r, w in enumerate(widths)]
+    covers = []
+    for lo, hi in zip(levels, levels[1:]):
+        row = [[a, b] for a in lo for b in hi if draw(st.booleans())]
+        row += [[lo[0], b] for b in hi if not any(c[1] == b for c in row)]
+        row += [[a, hi[0]] for a in lo if not any(c[0] == a for c in row)]
+        covers += row
+    height = len(levels) - 1
+    spoil = draw(st.sampled_from(["none", "none", "id", "cover", "height", "value", "value"]))
+    if spoil == "id":
+        levels[-1].append("0:0")
+    elif spoil == "cover":
+        covers.append([levels[0][0], levels[-1][0]])
+    elif spoil == "height":
+        height += 1
+    elif spoil == "value":
+        # any JSON value in place of one level, one id, one cover or one endpoint
+        junk = draw(json_values)
+        spot = draw(st.sampled_from(["level", "id", "cover", "endpoint"]))
+        if spot == "level":
+            levels[-1] = junk
+        elif spot == "id":
+            levels[-1][-1] = junk
+        elif covers:
+            c = draw(st.sampled_from(covers))
+            if spot == "cover":
+                covers[covers.index(c)] = junk
+            else:
+                c[draw(st.integers(0, 1))] = junk
+    return {"height": height, "levels": levels, "covers": covers}
+
+
+def small_binomial_posets():
+    return st.sampled_from([m_interval(2), m_interval(3), poset_from_string("12112")]).map(
+        lambda p: json.loads(poset_to_json(p))
+    )
+
+
+junk_documents = (
+    json_values
+    | st.fixed_dictionaries({"height": json_values, "levels": json_values, "covers": json_values})
+    | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30)
+)
+commands = st.sampled_from(
+    [["verify"], ["classify"], ["intervals", "--length", "1"], ["export-dot"]]
+)
+
+
+def run_on_file(tmp_path_factory, doc, command) -> int:
+    path = tmp_path_factory.mktemp("doc") / "poset.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    argv = [command[0], str(path), *command[1:]]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestArbitraryInput:
+    """Whatever a poset file holds, each command ends with an exit code."""
+
+    @given(doc=junk_documents, command=commands)
+    def test_junk(self, tmp_path_factory, doc, command):
+        assert run_on_file(tmp_path_factory, doc, command) in {0, 1, 2, 3}
+
+    @given(doc=small_posets() | small_binomial_posets(), command=commands)
+    def test_small_posets(self, tmp_path_factory, doc, command):
+        assert run_on_file(tmp_path_factory, doc, command) in {0, 1, 2, 3}
 
 
 class TestTopLevel:

@@ -1,11 +1,15 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binposet.construct import debruijn_poset, divisible_poset, poset_from_string
 from binposet.core import (
     AtomicSequence,
+    BinomialReport,
     FactorialProfile,
     GradedPoset,
     PosetError,
@@ -22,7 +26,7 @@ from binposet.core import (
     sup_rank_size,
     verify_binomial,
 )
-from conftest import brute_chain_count
+from conftest import brute_atomic_report, brute_binomial_report, brute_chain_count
 
 heads = st.lists(st.integers(1, 9), min_size=0, max_size=6).map(
     lambda xs: tuple([1] + xs)
@@ -188,8 +192,7 @@ class TestVerifyBinomial:
         first = verify_binomial(not_binomial).witness
         assert all(verify_binomial(not_binomial).witness == first for _ in range(3))
 
-    def test_worker_count_does_not_change_verdict(self):
-        # big enough to cross the parallel threshold
+    def test_boolean_lattice_b7(self):
         n = 7
         labels = ["".join("abcdefg"[i] for i in range(n) if m >> i & 1) or "0" for m in range(1 << n)]
         by_size: dict[int, list[str]] = {}
@@ -201,10 +204,10 @@ class TestVerifyBinomial:
             for i in range(n):
                 if not m >> i & 1:
                     covers.append((labels[m], labels[m | 1 << i]))
-        p = build_poset(levels, covers)
-        seq = verify_binomial(p, workers=1)
-        par = verify_binomial(p, workers=3)
-        assert seq.ok and par.ok and seq.counts == par.counts
+        rep = verify_binomial(build_poset(levels, covers))
+        assert rep.ok
+        assert rep.atoms.head == tuple(range(1, n + 1))
+        assert rep.counts == {d: math.factorial(d) for d in range(n + 1)}
 
 
 class TestAtomicNumbers:
@@ -215,6 +218,84 @@ class TestAtomicNumbers:
     def test_counts_atoms_not_chains(self, not_binomial):
         rep = atomic_numbers(not_binomial)
         assert not rep.ok and rep.witness is not None
+
+
+def _random_raw_poset(rng: random.Random) -> GradedPoset:
+    """A leveled diagram with random covers: often several minima or dangling elements.
+
+    Ids are shuffled across levels, so id order differs from level order."""
+    widths = [rng.randint(1, rng.choice((2, 4, 6))) for _ in range(rng.randint(0, 6) + 1)]
+    ids = [f"{rng.choice('pqxy')}{i}" for i in range(sum(widths))]
+    rng.shuffle(ids)
+    levels = []
+    for w in widths:
+        levels.append(tuple(ids[:w]))
+        del ids[:w]
+    density = rng.choice((0.4, 0.7, 1.0))
+    covers = frozenset(
+        (a, b)
+        for lo, hi in zip(levels, levels[1:])
+        for a in lo
+        for b in hi
+        if rng.random() < density
+    )
+    return GradedPoset(tuple(levels), covers)
+
+
+def _one_cover_mutant(p: GradedPoset, rng: random.Random) -> GradedPoset:
+    """``p`` with one cover removed or one new cover added."""
+    covers = set(p.covers)
+    if rng.random() < 0.5:
+        covers.remove(rng.choice(sorted(covers)))
+    else:
+        r = rng.randrange(p.height)
+        missing = [
+            (a, b) for a in p.levels[r] for b in p.levels[r + 1] if (a, b) not in covers
+        ]
+        if missing:
+            covers.add(rng.choice(missing))
+    return GradedPoset(p.levels, frozenset(covers))
+
+
+class TestDifferentialOracle:
+    """Both sweep reports equal the brute-force ones field by field.
+
+    ``repr`` is compared, so the order of ``counts`` counts too."""
+
+    @staticmethod
+    def check(p: GradedPoset) -> BinomialReport:
+        rep = verify_binomial(p)
+        assert repr(rep) == repr(brute_binomial_report(p))
+        assert repr(atomic_numbers(p)) == repr(brute_atomic_report(p))
+        return rep
+
+    def test_random_raw_posets(self):
+        rng = random.Random(2005)
+        kinds = set()
+        for _ in range(250):
+            p = _random_raw_poset(rng)
+            rep = self.check(p)
+            if len(p.levels[0]) > 1:
+                kinds.add("several minima")
+            if any(not p.upper_covers(x) for x in p.elements if p.rank(x) < p.height):
+                kinds.add("dangling")
+            kinds.add("ok" if rep.ok else "witness" if rep.witness else "other failure")
+        assert kinds == {"several minima", "dangling", "ok", "witness", "other failure"}
+
+    def test_one_cover_mutants(self):
+        rng = random.Random(1972)
+        witness_lengths = set()
+        for base in (
+            poset_from_string("12112121121"),
+            divisible_poset((1, 2, 4), 5),
+            debruijn_poset(3, 2, 5),
+        ):
+            assert self.check(base).ok
+            for _ in range(12):
+                rep = self.check(_one_cover_mutant(base, rng))
+                if rep.witness is not None:
+                    witness_lengths.add(int(rep.detail.split()[0].split("-")[1]))
+        assert {3, 4} <= witness_lengths
 
 
 class TestRankSizes:
