@@ -4,13 +4,14 @@ Between two adjacent width-4 levels the cover relation is a 2-regular
 bipartite graph on 4+4 vertices, hence an 8-cycle or two 4-cycles.  The
 word of section types (2 for the 8-cycle, 1 for the pair of 4-cycles) is
 a complete isomorphism invariant for these truncations; this module
-measures it, enumerates the words it can take, and classifies intervals.
+measures it and classifies intervals.  The words themselves (which ones
+are valid, and how many) belong to :mod:`binposet.construct`, which
+builds a truncation from its word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .core import GradedPoset, Interval, PosetError, interval, verify_binomial, _pairs_of_length
 from .iso import canonical_form
@@ -24,10 +25,6 @@ __all__ = [
     "co_cover_partitions",
     "AvoidanceReport",
     "check_partition_avoidance",
-    "validate_string",
-    "valid_words",
-    "count_valid_words",
-    "versal_string",
     "IntervalClass",
     "IntervalClassification",
     "enumerate_interval_classes",
@@ -173,53 +170,6 @@ def check_partition_avoidance(p: GradedPoset) -> AvoidanceReport:
                 detail=f"partition {blocks} of level {level} is induced from both sides",
             )
     return AvoidanceReport(ok=True)
-
-
-# ---------------------------------------------------------------------------
-# the word language
-
-
-def validate_string(word: str) -> bool:
-    """True iff the word is over {1,2} with no two adjacent 2s."""
-    if any(ch not in "12" for ch in word):
-        raise PosetError(f"bad section word {word!r}: letters must be 1 or 2")
-    return "22" not in word
-
-
-def valid_words(length: int) -> Iterator[str]:
-    """All valid words of the given length, lexicographically."""
-    if length < 0:
-        raise PosetError("length must be non-negative")
-    if length == 0:
-        yield ""
-        return
-    def rec(prefix: str) -> Iterator[str]:
-        if len(prefix) == length:
-            yield prefix
-            return
-        yield from rec(prefix + "1")
-        if not prefix.endswith("2"):
-            yield from rec(prefix + "2")
-    yield from rec("")
-
-
-def count_valid_words(length: int) -> int:
-    """Number of valid words of the given length: c(L) = c(L-1) + c(L-2)."""
-    if length < 0:
-        raise PosetError("length must be non-negative")
-    a, b = 1, 2  # c(0), c(1)
-    for _ in range(length):
-        a, b = b, a + b
-    return a
-
-
-def versal_string(max_length: int) -> str:
-    """A valid word containing every valid word of length <= max_length as
-    a contiguous substring: the words in (length, lex) order, joined by 1s."""
-    if max_length < 1:
-        raise PosetError("max_length must be at least 1")
-    words = [w for n in range(1, max_length + 1) for w in valid_words(n)]
-    return "1".join(words)
 
 
 # ---------------------------------------------------------------------------

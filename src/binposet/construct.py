@@ -1,4 +1,9 @@
-"""Constructions of binomial poset truncations.
+"""Constructions of binomial poset truncations, and the section words
+that name the type-(1,1,2,2,...) ones.
+
+A section word is a word over {1, 2} with no two adjacent 2s.  The word
+language validates, enumerates and counts these words, and builds a
+versal word that contains every one of them up to a given length.
 
 Every builder returns a :class:`~binposet.core.GradedPoset` with uniform
 "rank:index" element ids.  Ids are for debugging only; nothing downstream
@@ -9,18 +14,71 @@ from __future__ import annotations
 
 from itertools import combinations, product
 from math import comb
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .classify import validate_string
 from .core import AtomicSequence, GradedPoset, PosetError, build_poset, grid_ids
 
 __all__ = [
+    "validate_string",
+    "valid_words",
+    "count_valid_words",
+    "versal_string",
     "poset_from_string",
     "debruijn_poset",
     "stripped_boolean_interval",
     "m_interval",
     "divisible_poset",
 ]
+
+# ---------------------------------------------------------------------------
+# the word language
+
+
+def validate_string(word: str) -> bool:
+    """True iff the word is over {1,2} with no two adjacent 2s."""
+    if any(ch not in "12" for ch in word):
+        raise PosetError(f"bad section word {word!r}: letters must be 1 or 2")
+    return "22" not in word
+
+
+def valid_words(length: int) -> Iterator[str]:
+    """All valid words of the given length, lexicographically."""
+    if length < 0:
+        raise PosetError("length must be non-negative")
+    if length == 0:
+        yield ""
+        return
+    def rec(prefix: str) -> Iterator[str]:
+        if len(prefix) == length:
+            yield prefix
+            return
+        yield from rec(prefix + "1")
+        if not prefix.endswith("2"):
+            yield from rec(prefix + "2")
+    yield from rec("")
+
+
+def count_valid_words(length: int) -> int:
+    """Number of valid words of the given length: c(L) = c(L-1) + c(L-2)."""
+    if length < 0:
+        raise PosetError("length must be non-negative")
+    a, b = 1, 2  # c(0), c(1)
+    for _ in range(length):
+        a, b = b, a + b
+    return a
+
+
+def versal_string(max_length: int) -> str:
+    """A valid word containing every valid word of length <= max_length as
+    a contiguous substring: the words in (length, lex) order, joined by 1s."""
+    if max_length < 1:
+        raise PosetError("max_length must be at least 1")
+    words = [w for n in range(1, max_length + 1) for w in valid_words(n)]
+    return "1".join(words)
+
+
+# ---------------------------------------------------------------------------
+# constructions
 
 # The three 2+2 partitions of positions {0,1,2,3}, in lexicographic order.
 _PARTS = (

@@ -31,7 +31,6 @@ __all__ = [
     "count_maximal_chains",
     "atomic_numbers",
     "verify_binomial",
-    "rank_sizes",
     "predicted_rank_size",
     "sup_rank_size",
     "poset_to_json",
@@ -368,34 +367,24 @@ def interval(p: GradedPoset, bottom: str, top: str) -> Interval:
     return Interval(sub, bottom, top)
 
 
-def _chain_rows(up: Sequence[Sequence[int]], src: int) -> list[tuple[int, int]]:
-    """Saturated-chain counts from element ``src`` to everything above it.
+def count_maximal_chains(iv: Interval) -> int:
+    """Exact number of saturated chains from bottom to top.
 
     Element order is topological (levels are stored bottom-up), so one
-    forward sweep suffices."""
-    n = len(up)
-    f = [0] * n
-    f[src] = 1
-    rows: list[tuple[int, int]] = []
-    for j in range(src, n):
-        c = f[j]
-        if not c:
-            continue
-        rows.append((j, c))
-        for k in up[j]:
-            f[k] += c
-    return rows
-
-
-def count_maximal_chains(iv: Interval) -> int:
-    """Exact number of saturated chains from bottom to top."""
+    forward sweep from the bottom adds each element's count into its
+    upper covers before they are reached."""
     sub = iv.poset
     src = sub._require(iv.bottom)
     dst = sub._require(iv.top)
-    for j, c in _chain_rows(sub._up, src):
-        if j == dst:
-            return c
-    return 0
+    up = sub._up
+    f = [0] * len(up)
+    f[src] = 1
+    for j in range(src, dst):
+        c = f[j]
+        if c:
+            for k in up[j]:
+                f[k] += c
+    return f[dst]
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +635,6 @@ def atomic_numbers(p: GradedPoset) -> AtomicNumbersReport:
 
 # ---------------------------------------------------------------------------
 # rank sizes
-
-
-def rank_sizes(p: GradedPoset) -> tuple[int, ...]:
-    """Observed level widths."""
-    return p.widths
 
 
 def predicted_rank_size(seq: AtomicSequence, i: int) -> Fraction:

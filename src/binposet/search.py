@@ -16,6 +16,16 @@ unless a resource cap interrupts):
   concrete mid-level elements.  This tames the very wide middle level
   that defeats the levelwise order at rank 4.
 
+Both run on one core, ``_Core``: the node and deadline budget, the
+dedup switch and the certificate check behind it, the translation of a
+canonicalization cap into a "capped" verdict, and ``classify``, which
+verifies a completed candidate, checks its atom head, canonicalizes it
+and stores it.  A strategy supplies only the candidate generator: its
+recursion and prunes, a ``spend()`` per branch it opens, the diagrams it
+dedups on and a dedup set per stage.  The sets are never shared between
+stages or runs, because the partial states of two stages can be the
+same diagram and would then prune each other.
+
 A search reports "exhausted" only when no branch was cut by a cap.
 """
 
@@ -24,6 +34,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     AtomicSequence,
@@ -70,15 +81,18 @@ class _Capped(Exception):
         self.detail = detail
 
 
-class _Budget:
-    __slots__ = ("max_nodes", "deadline", "nodes")
+class _Core:
+    """The budget, dedup and classification shared by every strategy."""
 
-    def __init__(self, limits: SearchLimits):
+    __slots__ = ("max_nodes", "deadline", "nodes", "dedup")
+
+    def __init__(self, limits: SearchLimits, dedup: bool):
         self.max_nodes = limits.max_nodes
         self.deadline = (
             None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         )
         self.nodes = 0
+        self.dedup = dedup
 
     def spend(self) -> None:
         self.nodes += 1
@@ -87,6 +101,53 @@ class _Budget:
         if self.deadline is not None and not self.nodes % 256:
             if time.monotonic() > self.deadline:
                 raise _Capped("time budget exhausted")
+
+    def certify(self, p: GradedPoset, what: str) -> bytes:
+        """The certificate of ``p``; a canonicalization cap caps the search."""
+        try:
+            return canonical_form(p)
+        except CanonicalizationCapError as exc:
+            raise _Capped(f"{what} hit the canonicalization cap: {exc}") from None
+
+    def repeats(self, seen: set[bytes], build: Callable[[], GradedPoset]) -> bool:
+        """Is the diagram ``build()`` isomorphic to one already in ``seen``?
+        Records it if not.  Always False with dedup off, and when the
+        canonicalization cap is hit: searching on is still sound."""
+        if not self.dedup:
+            return False
+        try:
+            cert = canonical_form(build())
+        except CanonicalizationCapError:
+            return False
+        if cert in seen:
+            return True
+        seen.add(cert)
+        return False
+
+    def classify(
+        self, p: GradedPoset, head: tuple[int, ...], out: dict[bytes, GradedPoset]
+    ) -> bool:
+        """Store a completed candidate under its certificate if it passes
+        verify_binomial with atom counts ``head``; False if it does not."""
+        rep = verify_binomial(p)
+        if not rep.ok or rep.atoms is None or rep.atoms.head != head:
+            return False
+        out.setdefault(self.certify(p, "classifying a candidate"), p)
+        return True
+
+
+def _room(
+    count: Sequence[int], universe: Iterable[int], picked: tuple[int, ...], cap: int, rem: int
+) -> bool:
+    """Can each element of ``picked`` take one more, staying within
+    ``cap``, while every element of ``universe`` can still reach ``cap``
+    if each of the ``rem`` later picks adds at most one?"""
+    if any(count[x] >= cap for x in picked):
+        return False
+    for x in universe:
+        if cap - count[x] - (x in picked) > rem:
+            return False
+    return True
 
 
 def _check_widths(seq: AtomicSequence, rank: int) -> str | None:
@@ -109,16 +170,14 @@ class _Levelwise:
     def __init__(
         self,
         seq: AtomicSequence,
-        budget: _Budget,
+        core: _Core,
         anchor: tuple[bytes, int] | None,
-        use_dedup: bool,
         out: dict[bytes, GradedPoset],
     ):
         self.seq = seq
         self.N = len(seq.head)
-        self.budget = budget
+        self.core = core
         self.anchor = anchor
-        self.use_dedup = use_dedup
         self.out = out
         prof = FactorialProfile(seq)
         self.Wtab = [[prof.W(d, r) for r in range(d + 1)] for d in range(self.N + 1)]
@@ -156,22 +215,11 @@ class _Levelwise:
             return
         cap = self.seq.a(self.N - j + 1)  # forced up-degree at rank j-1
         rem = width - s - 1
-        updeg = self.updeg
         for ci in range(min_ci, len(cands)):
-            local = cands[ci]
-            C = tuple(prev[t] for t in local)
-            if any(updeg[u] >= cap for u in C):
+            C = tuple(prev[t] for t in cands[ci])
+            if not _room(self.updeg, prev, C, cap, rem):
                 continue
-            # every rank-(j-1) element must still be able to reach its cap
-            short = False
-            for t, u in enumerate(prev):
-                need = cap - updeg[u] - (1 if t in local else 0)
-                if need > rem:
-                    short = True
-                    break
-            if short:
-                continue
-            self.budget.spend()
+            self.core.spend()
             e = self._create(j, C)
             if e is not None:
                 self._slots(j, s + 1, ci, cands, prev)
@@ -219,11 +267,7 @@ class _Levelwise:
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
-        sub = self._down_poset(e)
-        try:
-            cert = canonical_form(sub)
-        except CanonicalizationCapError as exc:
-            raise _Capped(f"anchor check hit the canonicalization cap: {exc}") from None
+        cert = self.core.certify(self._diagram(sorted(self.chains[e])), "anchor check")
         return cert == self.anchor[0]
 
     def _destroy(self, e: int, C: tuple[int, ...]) -> None:
@@ -247,65 +291,39 @@ class _Levelwise:
         if j == self.N:
             self._emit()
             return
-        if self.use_dedup:
-            cert = None
-            try:
-                cert = canonical_form(self._partial_poset(j))
-            except CanonicalizationCapError:
-                pass  # cannot dedup this one; searching on is still sound
-            if cert is not None:
-                seen = self.seen.setdefault(j, set())
-                if cert in seen:
-                    return
-                seen.add(cert)
+        if self.core.repeats(self.seen.setdefault(j, set()), self._built):
+            return
         self._fill(j + 1)
 
-    def _partial_poset(self, top: int) -> GradedPoset:
+    def _diagram(self, keep: Iterable[int]) -> GradedPoset:
+        """The diagram on the down-closed elements ``keep``, listed in
+        creation order; each is named "rank:i", i its place in that order
+        among the kept elements of its rank."""
         names: dict[int, str] = {}
-        levels = []
-        for r in range(top + 1):
-            row = self.level_members[r]
-            levels.append(tuple(f"{r}:{i}" for i in range(len(row))))
-            for i, g in enumerate(row):
-                names[g] = f"{r}:{i}"
-        covers = frozenset(
-            (names[c], names[e]) for e in names for c in self.covers_of[e]
-        )
-        return GradedPoset(tuple(levels), covers)
-
-    def _down_poset(self, e: int) -> GradedPoset:
-        keep = sorted(self.chains[e])
-        lo = 0
-        names: dict[int, str] = {}
-        rows: dict[int, list[int]] = {}
+        levels: list[list[str]] = []
         for g in keep:
-            rows.setdefault(self.level_of[g] - lo, []).append(g)
-        levels = []
-        for r in range(len(rows)):
-            row = rows[r]
-            levels.append(tuple(f"{r}:{i}" for i in range(len(row))))
-            for i, g in enumerate(row):
-                names[g] = f"{r}:{i}"
-        covers = frozenset(
-            (names[c], names[g]) for g in keep for c in self.covers_of[g]
-        )
-        return GradedPoset(tuple(levels), covers)
+            r = self.level_of[g]
+            if r == len(levels):
+                levels.append([])
+            names[g] = f"{r}:{len(levels[r])}"
+            levels[r].append(names[g])
+        covers = frozenset((names[c], names[g]) for g in names for c in self.covers_of[g])
+        return GradedPoset(tuple(map(tuple, levels)), covers)
+
+    def _built(self) -> GradedPoset:
+        """The whole diagram built so far."""
+        return self._diagram(range(len(self.level_of)))
 
     def _emit(self) -> None:
-        p = self._partial_poset(self.N)
-        rep = verify_binomial(p)
-        if not rep.ok or rep.atoms is None or rep.atoms.head != self.seq.head:
+        p = self._built()
+        if not self.core.classify(p, self.seq.head, self.out):
             # the exact chain counts and census checks at every added
             # element make every completed candidate binomial
+            rep = verify_binomial(p)
             raise AssertionError(
                 f"levelwise search completed a candidate that fails its own "
                 f"target {self.seq.format()}: {rep.detail or rep.atoms}"
             )
-        try:
-            cert = canonical_form(p)
-        except CanonicalizationCapError as exc:
-            raise _Capped(f"classifying a candidate hit the canonicalization cap: {exc}") from None
-        self.out.setdefault(cert, p)
 
 
 # ---------------------------------------------------------------------------
@@ -327,9 +345,8 @@ class _Assembly:
     def __init__(
         self,
         seq: AtomicSequence,
-        budget: _Budget,
+        core: _Core,
         anchor: tuple[bytes, int] | None,
-        use_dedup: bool,
         out: dict[bytes, GradedPoset],
     ):
         if len(seq.head) != 4:
@@ -337,9 +354,8 @@ class _Assembly:
         if anchor is not None and anchor[1] != 3:
             raise PosetError("assembly strategy anchors at rank 3 only")
         self.seq = seq
-        self.budget = budget
+        self.core = core
         self.anchor = anchor
-        self.use_dedup = use_dedup
         self.out = out
         self.a2, self.a3, self.a4 = seq.a(2), seq.a(3), seq.a(4)
         self.W2 = FactorialProfile(seq).W(4, 2)
@@ -347,9 +363,7 @@ class _Assembly:
 
     def run(self) -> None:
         catalog: dict[bytes, GradedPoset] = {}
-        _Levelwise(
-            AtomicSequence(self.seq.head[:3]), self.budget, None, self.use_dedup, catalog
-        ).run()
+        _Levelwise(AtomicSequence(self.seq.head[:3]), self.core, None, catalog).run()
         wanted = None if self.anchor is None else self.anchor[0]
         reps = [p for c, p in sorted(catalog.items()) if wanted is None or c == wanted]
         patterns: set[tuple[tuple[int, ...], ...]] = set()
@@ -375,16 +389,8 @@ class _Assembly:
         cap = self.a3
         for pl in range(min_pl, len(self.placements)):
             S, rows = self.placements[pl]
-            if any(self.count[x] >= cap for x in S):
-                continue
-            short = False
-            for x in range(self.a4):
-                # each later block passes over x at most once
-                need = cap - self.count[x] - (1 if x in S else 0)
-                if need > rem:
-                    short = True
-                    break
-            if short:
+            # each later block passes over an atom at most once
+            if not _room(self.count, range(self.a4), S, cap, rem):
                 continue
             # every row with positive demand becomes a mid atom-set in the
             # finished diagram, so the distinct rows are capped globally by
@@ -398,7 +404,7 @@ class _Assembly:
                 for x in S
             ):
                 continue
-            self.budget.spend()
+            self.core.spend()
             for x in S:
                 self.count[x] += 1
             for row in rows:
@@ -412,7 +418,7 @@ class _Assembly:
                 d % self.a2 and any(self.count[x] >= cap for x in T)
                 for T, d in self.demand.items()
             )
-            if not stuck and not self._seen_state():
+            if not stuck and not self.core.repeats(self.seen, self._state):
                 self._slots(pl)
             self.chosen.pop()
             for row in rows:
@@ -424,29 +430,22 @@ class _Assembly:
             for x in S:
                 self.count[x] -= 1
 
-    def _seen_state(self) -> bool:
-        if not self.use_dedup:
-            return False
+    def _state(self) -> GradedPoset:
+        """The chosen blocks as a diagram: atoms, one mid element per
+        placed row, one element per block."""
         levels = [tuple(f"0:{x}" for x in range(self.a4))]
         covers: list[tuple[str, str]] = []
         mid: list[str] = []
         for k, pl in enumerate(self.chosen):
             _S, rows = self.placements[pl]
-            for r, row in enumerate(rows):
+            for row in rows:
                 rid = f"1:{len(mid)}"
                 mid.append(rid)
                 covers.extend((f"0:{x}", rid) for x in row)
                 covers.append((rid, f"2:{k}"))
         levels.append(tuple(mid))
         levels.append(tuple(f"2:{k}" for k in range(len(self.chosen))))
-        try:
-            cert = canonical_form(GradedPoset(tuple(levels), frozenset(covers)))
-        except CanonicalizationCapError:
-            return False  # cannot dedup; treat as new
-        if cert in self.seen:
-            return True
-        self.seen.add(cert)
-        return False
+        return GradedPoset(tuple(levels), frozenset(covers))
 
     def _match(self) -> None:
         if any(c != self.a3 for c in self.count):
@@ -469,8 +468,9 @@ class _Assembly:
                 return
             options.append(opts)
         for combo in product(*options):
-            self.budget.spend()
-            self._emit(rows_T, mu, combo)
+            self.core.spend()
+            # a wiring that fails the chain counts is dropped
+            self.core.classify(self._candidate(rows_T, mu, combo), self.seq.head, self.out)
 
     def _assign(self, occs: list[int], copies: int) -> list[tuple[tuple[int, int], ...]]:
         """All ways to spread row occurrences over interchangeable copies.
@@ -489,7 +489,7 @@ class _Assembly:
                 if all(ld == a2 for ld in load):
                     res.append(tuple(cur))
                 return
-            self.budget.spend()
+            self.core.spend()
             floor = cur[-1][1] + 1 if cur and cur[-1][0] == occs[i] else 0
             for c in range(floor, min(used + 1, copies)):
                 if load[c] >= a2:
@@ -503,12 +503,12 @@ class _Assembly:
         rec(0, 0)
         return res
 
-    def _emit(
+    def _candidate(
         self,
         rows_T: list[tuple[int, ...]],
         mu: dict[tuple[int, ...], int],
         combo: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> None:
+    ) -> GradedPoset:
         base = {}
         total = 0
         for T in rows_T:
@@ -533,38 +533,11 @@ class _Assembly:
                     covers.add((f"1:{x}", yid))
             for k, c in assignment:
                 covers.add((f"2:{base[T] + c}", f"3:{k}"))
-        p = GradedPoset(levels, frozenset(covers))
-        rep = verify_binomial(p)
-        if not rep.ok or rep.atoms is None or rep.atoms.head != self.seq.head:
-            return
-        try:
-            cert = canonical_form(p)
-        except CanonicalizationCapError as exc:
-            raise _Capped(f"classifying a candidate hit the canonicalization cap: {exc}") from None
-        self.out.setdefault(cert, p)
+        return GradedPoset(levels, frozenset(covers))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
-
-
-def _run(
-    seq: AtomicSequence,
-    budget: _Budget,
-    anchor: tuple[bytes, int] | None,
-    use_dedup: bool,
-    strategy: str,
-    out: dict[bytes, GradedPoset],
-) -> None:
-    if strategy == "auto":
-        fits = len(seq.head) == 4 and (anchor is None or anchor[1] == 3)
-        strategy = "assembly" if fits else "levelwise"
-    if strategy == "assembly":
-        _Assembly(seq, budget, anchor, use_dedup, out).run()
-    elif strategy == "levelwise":
-        _Levelwise(seq, budget, anchor, use_dedup, out).run()
-    else:
-        raise PosetError(f"unknown strategy {strategy!r}")
 
 
 def _classes(out: dict[bytes, GradedPoset]) -> tuple[GradedPoset, ...]:
@@ -605,15 +578,21 @@ def enumerate_intervals(
         if not 0 < base.height < rank:
             raise PosetError("base height must be strictly between 0 and the rank")
         anchor = (canonical_form(base), base.height)
-    budget = _Budget(limits or SearchLimits())
+    if strategy == "auto":
+        fits = rank == 4 and (anchor is None or anchor[1] == 3)
+        strategy = "assembly" if fits else "levelwise"
+    strategies = {"assembly": _Assembly, "levelwise": _Levelwise}
+    if strategy not in strategies:
+        raise PosetError(f"unknown strategy {strategy!r}")
+    core = _Core(limits or SearchLimits(), use_iso_dedup)
     out: dict[bytes, GradedPoset] = {}
     try:
-        _run(seq, budget, anchor, use_iso_dedup, strategy, out)
+        strategies[strategy](seq, core, anchor, out).run()
     except _Capped as capped:
-        return SearchResult("capped", _classes(out), budget.nodes, capped.detail)
+        return SearchResult("capped", _classes(out), core.nodes, capped.detail)
     classes = _classes(out)
     verdict = "found" if classes else "exhausted"
-    return SearchResult(verdict, classes, budget.nodes)
+    return SearchResult(verdict, classes, core.nodes)
 
 
 def extension_search(

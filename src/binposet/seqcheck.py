@@ -29,7 +29,6 @@ from .core import (
     PosetError,
     atomic_numbers,
 )
-from .search import SearchLimits, SearchResult, enumerate_intervals, extension_search
 
 __all__ = [
     "CompatibilityReport",
@@ -39,10 +38,6 @@ __all__ = [
     "decide_family",
     "RClassReport",
     "check_R_equivalence",
-    "SearchLimits",
-    "SearchResult",
-    "enumerate_intervals",
-    "extension_search",
 ]
 
 

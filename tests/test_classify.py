@@ -5,18 +5,20 @@ from hypothesis import strategies as st
 from binposet.classify import (
     check_partition_avoidance,
     co_cover_partitions,
-    count_valid_words,
     cover_partitions,
     enumerate_interval_classes,
     phi,
     section_graph,
     section_type,
+)
+from binposet.core import GradedPoset, PosetError, build_poset, verify_binomial
+from binposet.construct import (
+    count_valid_words,
+    poset_from_string,
     valid_words,
     validate_string,
     versal_string,
 )
-from binposet.core import GradedPoset, PosetError, build_poset, verify_binomial
-from binposet.construct import poset_from_string
 
 
 def small_words(max_len: int) -> list[str]:

@@ -1,12 +1,13 @@
 import pytest
 
-from binposet.classify import phi, valid_words
+from binposet.classify import phi
 from binposet.construct import (
     debruijn_poset,
     divisible_poset,
     m_interval,
     poset_from_string,
     stripped_boolean_interval,
+    valid_words,
 )
 from binposet.core import (
     AtomicSequence,

@@ -22,7 +22,6 @@ from binposet.core import (
     poset_to_dot,
     poset_to_json,
     predicted_rank_size,
-    rank_sizes,
     sup_rank_size,
     verify_binomial,
 )
@@ -300,7 +299,7 @@ class TestDifferentialOracle:
 
 class TestRankSizes:
     def test_observed(self, cube):
-        assert rank_sizes(cube) == (1, 3, 3, 1)
+        assert cube.widths == (1, 3, 3, 1)
 
     def test_predicted(self):
         s = AtomicSequence((1, 1), tail=2)

@@ -1,0 +1,37 @@
+"""Package layout: every module exports only what it defines."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import binposet
+
+MODULES = sorted(
+    info.name for info in pkgutil.iter_modules(binposet.__path__) if info.name != "__init__"
+)
+
+
+def _assigned(mod) -> set[str]:
+    """Names bound by a top-level assignment in the module's source."""
+    names = set()
+    for node in ast.parse(inspect.getsource(mod)).body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_is_defined_in_its_module(name):
+    mod = importlib.import_module(f"binposet.{name}")
+    for attr in mod.__all__:
+        obj = getattr(mod, attr)
+        home = getattr(obj, "__module__", None)
+        if home is None:  # a constant: it must be assigned here, not imported
+            assert attr in _assigned(mod), f"{mod.__name__}.{attr}"
+        else:
+            assert home == mod.__name__, f"{mod.__name__}.{attr} comes from {home}"

@@ -1,7 +1,7 @@
 import pytest
 
 from binposet import search
-from binposet.construct import debruijn_poset, m_interval
+from binposet.construct import debruijn_poset, m_interval, stripped_boolean_interval
 from binposet.core import AtomicSequence, BinomialReport, PosetError, verify_binomial
 from binposet.iso import are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
@@ -93,12 +93,79 @@ class TestEnumerate:
             enumerate_intervals((1, 2, 2), strategy="assembly")
 
     def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
-        def fails(p, workers=None):
+        def fails(p):
             return BinomialReport(ok=False, detail="forced failure")
 
         monkeypatch.setattr(search, "verify_binomial", fails)
         with pytest.raises(AssertionError, match="forced failure"):
             enumerate_intervals((1, 2, 2), strategy="levelwise")
+
+
+# Exact work counters of fixed searches.  Any change to them is a change
+# to what the search does, so it must be deliberate.
+_BUDGET = "node budget of {} exhausted"
+PINNED = {
+    "criterion 7": (
+        lambda: extension_search(stripped_boolean_interval(4, 1), (1, 2, 3, 4, 4)),
+        "exhausted", 3429, 0, "",
+    ),
+    "m3 to a4=6": (
+        lambda: extension_search(m_interval(3), (1, 3, 4, 6)), "exhausted", 36, 0, "",
+    ),
+    "m3 to a4=9": (
+        lambda: extension_search(m_interval(3), (1, 3, 4, 9)), "exhausted", 168, 0, "",
+    ),
+    "1349 assembly over m3": (
+        lambda: enumerate_intervals((1, 3, 4, 9), base=m_interval(3), strategy="assembly"),
+        "exhausted", 168, 0, "",
+    ),
+    "1349 levelwise capped": (
+        lambda: enumerate_intervals(
+            (1, 3, 4, 9), strategy="levelwise", limits=SearchLimits(max_nodes=2000)
+        ),
+        "capped", 2001, 0, _BUDGET.format(2000),
+    ),
+    "1238 assembly": (
+        lambda: enumerate_intervals((1, 2, 3, 8), strategy="assembly"), "found", 205, 1, "",
+    ),
+    "1248 assembly capped": (
+        lambda: enumerate_intervals(
+            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+        ),
+        "capped", 301, 2, _BUDGET.format(300),
+    ),
+    "1248 levelwise capped": (
+        lambda: enumerate_intervals(
+            (1, 2, 4, 8), strategy="levelwise", limits=SearchLimits(max_nodes=300)
+        ),
+        "capped", 301, 6, _BUDGET.format(300),
+    ),
+    "1234 levelwise": (
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="levelwise"), "found", 312, 1, "",
+    ),
+    "1234 assembly": (
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 34, 1, "",
+    ),
+    "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 57, 2, ""),
+    "124 without dedup": (
+        lambda: enumerate_intervals((1, 2, 4), use_iso_dedup=False), "found", 61, 2, "",
+    ),
+    # the rank-3 partials of the inner levelwise run and the assembly block
+    # states are the same 1+1+1 diagram: one dedup set for both stages
+    # would let each prune the other
+    "1111 assembly": (
+        lambda: enumerate_intervals((1, 1, 1, 1), strategy="assembly"), "found", 6, 1, "",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PINNED)
+def test_search_counters_are_pinned(case):
+    run, verdict, nodes, classes, detail = PINNED[case]
+    res = run()
+    assert (res.verdict, res.nodes, len(res.classes), res.detail) == (
+        verdict, nodes, classes, detail
+    )
 
 
 class TestExtension:
