@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GradedPoset, Interval, PosetError, interval, verify_binomial, _pairs_of_length
+from .core import GradedPoset, PosetError, interval, verify_binomial, _bits, _pairs_of_length
 from .iso import canonical_form
 
 __all__ = [
@@ -198,15 +198,23 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     """Group all length-n intervals by canonical certificate.
 
     Returns one representative (bottom, top) pair per class: the first in
-    level order."""
+    level order.  An interval is keyed by its cover lists in the order of
+    ``p``'s elements; equal keys are the same labelled diagram, so only
+    the first interval with a key is built and canonicalized."""
     if not 0 <= n <= p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els = p.elements
+    up, up_mask, down_mask = p._up, p._up_mask, p._down_mask
+    seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
     found: dict[bytes, list[tuple[str, str]]] = {}
     for s, t in _pairs_of_length(p, n):
-        bottom, top = els[s], els[t]
-        cert = canonical_form(interval(p, bottom, top).poset)
-        found.setdefault(cert, []).append((bottom, top))
+        order = list(_bits(up_mask[s] & down_mask[t]))
+        pos = {e: i for i, e in enumerate(order)}
+        key = tuple(tuple(pos[k] for k in up[e] if k in pos) for e in order)
+        cert = seen.get(key)
+        if cert is None:
+            cert = seen[key] = canonical_form(interval(p, els[s], els[t]).poset)
+        found.setdefault(cert, []).append((els[s], els[t]))
     classes = tuple(
         IntervalClass(cert, members[0][0], members[0][1], len(members))
         for cert, members in sorted(found.items())

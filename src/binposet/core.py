@@ -9,6 +9,7 @@ fixed-width or floating representation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -53,17 +54,26 @@ class AtomicSequence:
 
     ``head`` lists the leading values; a non-None ``tail`` means every
     value past the head equals it (an eventually constant sequence).
-    Only positivity and a_1 = 1 are enforced here.  Monotonicity and the
-    divisibility conditions are a verdict, not a type invariant: the
-    checker in :mod:`binposet.seqcheck` owns them, and sequences measured
-    off arbitrary diagrams must be representable even when they fail.
+    Only integer entries, positivity and a_1 = 1 are enforced here.
+    Monotonicity and the divisibility conditions are a verdict, not a type
+    invariant: the checker in :mod:`binposet.seqcheck` owns them, and
+    sequences measured off arbitrary diagrams must be representable even
+    when they fail.
     """
 
     head: tuple[int, ...]
     tail: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "head", tuple(int(a) for a in self.head))
+        try:
+            head = tuple(map(operator.index, self.head))
+            tail = self.tail if self.tail is None else operator.index(self.tail)
+        except TypeError:
+            raise PosetError(
+                f"atom counts must be integers, got head {self.head!r}, tail {self.tail!r}"
+            ) from None
+        object.__setattr__(self, "head", head)
+        object.__setattr__(self, "tail", tail)
         if any(a < 1 for a in self.head):
             raise PosetError("atom counts must be positive")
         first = self.head[0] if self.head else self.tail
@@ -118,6 +128,19 @@ class AtomicSequence:
 
     def __str__(self) -> str:
         return self.format()
+
+
+def _as_sequence(seq: AtomicSequence | str | Iterable[int]) -> AtomicSequence:
+    """What the entry points accept as atom counts: a sequence, a string
+    for :meth:`AtomicSequence.parse`, or an iterable of integers (a head)."""
+    if isinstance(seq, AtomicSequence):
+        return seq
+    if isinstance(seq, str):
+        return AtomicSequence.parse(seq)
+    try:
+        return AtomicSequence(tuple(seq))
+    except TypeError:
+        raise PosetError(f"atom counts expected, got {seq!r}") from None
 
 
 class FactorialProfile:

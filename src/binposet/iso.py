@@ -31,10 +31,12 @@ need:
   in the closure of the explored members under them roots a subtree
   equivalent to one explored, and is skipped.
 
-* Memo.  Results are remembered per exact labelled input: the encoding
-  of the diagram under its own element order with its pins, which is
-  everything the search reads.  A remembered run whose node count
-  exceeds the caller's cap raises as a fresh run would.
+* Cache.  A poset keeps its last complete run (certificate, element
+  order, node count) in its own ``__dict__``, as ``cached_property``
+  keeps its adjacency, so asking the same object twice searches once.
+  There is no state outside the poset: an equal poset built anew gets
+  its own run.  A kept run whose node count exceeds the caller's cap
+  raises as a fresh run would, and a capped run is not kept.
 
 A node cap guards against pathological inputs and is reported, never
 silently hit.
@@ -43,7 +45,7 @@ silently hit.
 from __future__ import annotations
 
 from collections import deque
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .core import GradedPoset, PosetError
 
@@ -57,34 +59,25 @@ __all__ = [
 
 DEFAULT_NODE_CAP = 200_000
 
-# Least recently used labelled inputs are dropped beyond this many.
-_MEMO_SIZE = 512
-_memo: dict[bytes, tuple[bytes, tuple[int, ...], int]] = {}
-
 
 class CanonicalizationCapError(PosetError):
     """The canonical-labeling backtracking exceeded its node budget."""
 
 
-def _encode(p: GradedPoset, order: Sequence[int], pins: Sequence[int]) -> bytes:
+def _encode(p: GradedPoset, order: Sequence[int]) -> bytes:
     """Adjacency encoding of the diagram under the given element order.
 
     ``order`` lists element indices level by level; the encoding is the
-    width header, the pinned colors in order, and one packed cover
-    bit-matrix per level pair.  Levels and degrees need no row of their
-    own: the header and the matrices already determine them."""
+    width header and one packed cover bit-matrix per level pair.  Levels
+    and degrees need no row of their own: the header and the matrices
+    already determine them."""
     widths = p.widths
     level = p._level_of
-    offsets = [0]
-    for w in widths:
-        offsets.append(offsets[-1] + w)
+    offsets = p._level_start
     pos = [0] * len(order)
     for i, el in enumerate(order):
         pos[el] = i - offsets[level[el]]
-    parts = [
-        ",".join(str(w) for w in widths).encode(),
-        ",".join(str(pins[el]) for el in order).encode(),
-    ]
+    parts = [",".join(str(w) for w in widths).encode()]
     up = p._up
     for r in range(p.height):
         w_lo, top = widths[r], widths[r + 1] - 1
@@ -110,9 +103,8 @@ def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> N
 
 
 class _Canonicalizer:
-    def __init__(self, p: GradedPoset, node_cap: int, pins: list[int]):
+    def __init__(self, p: GradedPoset, node_cap: int):
         self.p = p
-        self.pins = pins
         self.cap = node_cap
         self.nodes = 0
         self.n = len(p.elements)
@@ -130,17 +122,14 @@ class _Canonicalizer:
         self.path: list[int] = []
 
     def run(self) -> tuple[bytes, list[int]]:
-        # the seed partition: one cell per (level, pin), levels in order
+        # the seed partition: one cell per level, in element order
         n = self.n
-        key = list(zip(self.p._level_of, self.pins))
-        lab = sorted(range(n), key=key.__getitem__)
-        starts = [i for i in range(n) if not i or key[lab[i]] != key[lab[i - 1]]]
+        starts = list(self.p._level_start[:-1])
         cell, end = [0] * n, [0] * n
-        for s, e in zip(starts, starts[1:] + [n]):
+        for s, e in zip(starts, self.p._level_start[1:]):
             end[s] = e
-            for v in lab[s:e]:
-                cell[v] = s
-        self._walk(lab, cell, end, len(starts), starts, [])
+            cell[s:e] = [s] * (e - s)
+        self._walk(list(range(n)), cell, end, len(starts), starts, [])
         assert self.best is not None
         return self.best, self.best_order
 
@@ -263,7 +252,7 @@ class _Canonicalizer:
         fixes the common prefix of their paths and maps the earlier path's
         member there onto this one's, so the rest of this subtree repeats
         one already searched: the search resumes at that prefix."""
-        enc = _encode(self.p, order, self.pins)
+        enc = _encode(self.p, order)
         if self.first is None:
             self.first, self.first_order, self.first_path = enc, order, tuple(self.path)
         elif enc == self.first:
@@ -275,9 +264,9 @@ class _Canonicalizer:
         return len(self.path) - 1
 
     def _automorphism(self, ref: list[int], ref_path: tuple[int, ...], order: list[int]) -> int:
-        # Equal encodings pin levels, covers, and extra colors, so mapping
-        # the reference order onto this one position by position is a
-        # color-preserving automorphism of the diagram.
+        # Equal encodings pin levels and covers, so mapping the reference
+        # order onto this one position by position is a rank-preserving
+        # automorphism of the diagram.
         self.gens.append({a: b for a, b in zip(ref, order) if a != b})
         k = 0
         for a, b in zip(ref_path, self.path):
@@ -287,41 +276,24 @@ class _Canonicalizer:
         return k
 
 
-def _canonical(
-    p: GradedPoset,
-    node_cap: int = DEFAULT_NODE_CAP,
-    extra_colors: Mapping[str, int] | None = None,
-) -> tuple[bytes, tuple[int, ...]]:
-    pins = [0] * len(p.elements)
-    if extra_colors:
-        idx = p._index
-        for x, c in extra_colors.items():
-            pins[idx[x]] = c
-    key = _encode(p, range(len(pins)), pins)
-    hit = _memo.pop(key, None)
-    if hit is None:
-        run = _Canonicalizer(p, node_cap, pins)
-        cert, order = run.run()
-        hit = (cert, tuple(order), run.nodes)
-        if len(_memo) >= _MEMO_SIZE:
-            del _memo[next(iter(_memo))]
-    _memo[key] = hit
-    if hit[2] > node_cap:
+def _canonical(p: GradedPoset, node_cap: int) -> tuple[bytes, tuple[int, ...]]:
+    """Certificate and canonical element order, from the run ``p`` keeps."""
+    run = p.__dict__.get("_canonical_run")
+    if run is None:
+        search = _Canonicalizer(p, node_cap)
+        cert, order = search.run()
+        run = p.__dict__["_canonical_run"] = (cert, tuple(order), search.nodes)
+    if run[2] > node_cap:
         raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")
-    return hit[0], hit[1]
+    return run[0], run[1]
 
 
-def canonical_form(
-    p: GradedPoset,
-    node_cap: int = DEFAULT_NODE_CAP,
-    extra_colors: Mapping[str, int] | None = None,
-) -> bytes:
+def canonical_form(p: GradedPoset, node_cap: int = DEFAULT_NODE_CAP) -> bytes:
     """Canonical certificate: equal bytes iff rank-preserving isomorphic.
 
-    ``extra_colors`` optionally pins an integer color to some element ids;
-    two diagrams then compare as colored diagrams.  Render with ``.hex()``
-    for display; the bytes are stable only within a version."""
-    return _canonical(p, node_cap, extra_colors)[0]
+    Render with ``.hex()`` for display; the bytes are stable only within
+    a version."""
+    return _canonical(p, node_cap)[0]
 
 
 def are_isomorphic(p: GradedPoset, q: GradedPoset, node_cap: int = DEFAULT_NODE_CAP) -> bool:

@@ -42,6 +42,7 @@ from .core import (
     GradedPoset,
     PosetError,
     verify_binomial,
+    _as_sequence,
 )
 from .iso import CanonicalizationCapError, canonical_form
 
@@ -545,7 +546,7 @@ def _classes(out: dict[bytes, GradedPoset]) -> tuple[GradedPoset, ...]:
 
 
 def _as_finite_sequence(atoms) -> AtomicSequence:
-    seq = atoms if isinstance(atoms, AtomicSequence) else AtomicSequence(tuple(atoms))
+    seq = _as_sequence(atoms)
     if not seq.finite:
         raise PosetError("need a finite atom tuple, not a tailed sequence")
     if not seq.head:
@@ -610,10 +611,7 @@ def extension_search(
     extension exists; "capped" means a resource limit cut the search."""
     if extra_ranks < 1:
         raise PosetError("extra_ranks must be at least 1")
-    if isinstance(target, str):
-        target = AtomicSequence.parse(target)
-    elif not isinstance(target, AtomicSequence):
-        target = AtomicSequence(tuple(target))
+    target = _as_sequence(target)
     rep = verify_binomial(base)
     if not rep.ok:
         raise PosetError(f"base fails the chain-count check: {rep.detail}")

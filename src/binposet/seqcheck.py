@@ -28,6 +28,7 @@ from .core import (
     Interval,
     PosetError,
     atomic_numbers,
+    _as_sequence,
 )
 
 __all__ = [
@@ -39,14 +40,6 @@ __all__ = [
     "RClassReport",
     "check_R_equivalence",
 ]
-
-
-def _norm(seq) -> AtomicSequence:
-    if isinstance(seq, AtomicSequence):
-        return seq
-    if isinstance(seq, str):
-        return AtomicSequence.parse(seq)
-    return AtomicSequence(tuple(seq))
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
     constant sequence is checked completely: with k explicit values and
     constant tail L, every ratio with j > k collapses to L^i / B(i),
     which the pairs (i, k+1) for i <= k + 1 already cover."""
-    seq = _norm(seq)
+    seq = _as_sequence(seq)
     k = len(seq.head)
     if horizon is not None:
         if horizon < 0:
@@ -121,7 +114,7 @@ def lcm_extension(head) -> AtomicSequence:
 
     The extension satisfies the growth condition in full: B(i) divides
     lcm(head)^i because each factor divides the lcm."""
-    seq = _norm(head)
+    seq = _as_sequence(head)
     if not seq.finite:
         raise PosetError("sequence already has a constant tail")
     if not seq.head:
@@ -157,7 +150,7 @@ def decide_family(seq, witness_height: int | None = None) -> FamilyDecision:
 
     Witnesses for unbounded families are truncated at ``witness_height``
     (default: the head length, plus two when a tail is present)."""
-    seq = _norm(seq)
+    seq = _as_sequence(seq)
     if not seq.head and seq.tail is not None:
         seq = AtomicSequence((seq.tail,), seq.tail)
     comp = check_compatibility(seq)

@@ -17,6 +17,7 @@ from binposet import (
     canonical_form,
     check_compatibility,
     check_R_equivalence,
+    count_valid_words,
     debruijn_poset,
     divisible_poset,
     enumerate_interval_classes,
@@ -89,6 +90,20 @@ def test_criterion_03_interval_classes_count_like_words():
         assert [counts[n] for n in range(2, 10)] == [1, 1, 1, 2, 3, 5, 8, 13]
         for n in range(6, 10):
             assert counts[n] == counts[n - 1] + counts[n - 2]
+
+
+def test_every_interval_with_word_atoms_is_a_word_interval():
+    # the paper's classification, by exhaustion: the search finds every
+    # class of bounded binomial poset with atoms (1, 1, 2, ..., 2), and
+    # each is one of the length-n intervals of a versal word poset
+    p = poset_from_string(versal_string(5))
+    for n in range(3, 10):
+        res = enumerate_intervals((1, 1) + (2,) * (n - 2))
+        assert res.verdict == "found", n
+        searched = {canonical_form(q) for q in res.classes}
+        census = {c.certificate for c in enumerate_interval_classes(p, n).classes}
+        assert searched == census, n
+        assert len(searched) == count_valid_words(max(0, n - 4)), n
 
 
 def test_criterion_04_level_widths_match_the_closed_form():

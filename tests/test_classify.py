@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,14 +13,18 @@ from binposet.classify import (
     section_graph,
     section_type,
 )
-from binposet.core import GradedPoset, PosetError, build_poset, verify_binomial
+from binposet.core import GradedPoset, PosetError, build_poset, interval, verify_binomial
 from binposet.construct import (
     count_valid_words,
+    debruijn_poset,
+    divisible_poset,
     poset_from_string,
+    stripped_boolean_interval,
     valid_words,
     validate_string,
     versal_string,
 )
+from binposet.iso import canonical_form
 
 
 def small_words(max_len: int) -> list[str]:
@@ -173,3 +179,45 @@ class TestIntervalClassification:
         certs = [c.certificate for c in cls.classes]
         assert len(set(certs)) == len(certs)
         assert certs == sorted(certs)
+
+
+def census_by_definition(p: GradedPoset, n: int) -> list[tuple[bytes, str, str, int]]:
+    """Every length-n pair in element order, grouped by the certificate of
+    its own interval poset: (certificate, first bottom, first top, size)."""
+    found: dict[bytes, list[tuple[str, str]]] = {}
+    for b in p.elements:
+        for t in p.elements:
+            if p.rank(t) - p.rank(b) == n and p.le(b, t):
+                cert = canonical_form(interval(p, b, t).poset)
+                found.setdefault(cert, []).append((b, t))
+    return [(cert, m[0][0], m[0][1], len(m)) for cert, m in sorted(found.items())]
+
+
+def raw_with_several_minima(seed: int) -> GradedPoset:
+    rng = random.Random(seed)
+    widths = [rng.randint(2, 4) for _ in range(rng.randint(3, 5))]
+    levels = tuple(tuple(f"{r}.{i}" for i in range(w)) for r, w in enumerate(widths))
+    covers = frozenset(
+        (a, b) for lo, hi in zip(levels, levels[1:]) for a in lo for b in hi if rng.random() < 0.6
+    )
+    return GradedPoset(levels, covers)
+
+
+CENSUS_CASES = {
+    **{w: lambda w=w: poset_from_string(w) for w in ("12", "211", "1211", "12112")},
+    "divisible 124": lambda: divisible_poset((1, 2, 4), 5),
+    "debruijn 3 2": lambda: debruijn_poset(3, 2, 5),
+    "stripped boolean 4 2": lambda: stripped_boolean_interval(4, 2),
+    **{f"raw {seed}": lambda seed=seed: raw_with_several_minima(seed) for seed in range(4)},
+}
+
+
+@pytest.mark.parametrize("case", CENSUS_CASES)
+def test_census_matches_grouping_by_definition(case):
+    p = CENSUS_CASES[case]()
+    for n in range(p.height + 1):
+        got = [
+            (c.certificate, c.bottom, c.top, c.size)
+            for c in enumerate_interval_classes(p, n).classes
+        ]
+        assert got == census_by_definition(p, n), n

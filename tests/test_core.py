@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binposet.construct import debruijn_poset, divisible_poset, poset_from_string
+from binposet.construct import debruijn_poset, divisible_poset, m_interval, poset_from_string
 from binposet.core import (
     AtomicSequence,
     BinomialReport,
@@ -25,6 +25,8 @@ from binposet.core import (
     sup_rank_size,
     verify_binomial,
 )
+from binposet.search import enumerate_intervals, extension_search
+from binposet.seqcheck import check_compatibility, decide_family, lcm_extension
 from conftest import brute_atomic_report, brute_binomial_report, brute_chain_count
 
 heads = st.lists(st.integers(1, 9), min_size=0, max_size=6).map(
@@ -79,6 +81,29 @@ class TestAtomicSequence:
         t = AtomicSequence.parse(s.format())
         n = len(t.head) + 3
         assert t.prefix(n) == s.prefix(n) and t.finite == s.finite
+
+
+# Atom counts are integers: every entry point turns anything else into a
+# PosetError instead of truncating it or leaking a TypeError/ValueError.
+JUNK_ATOMS = {
+    "float entry": lambda: AtomicSequence((1.5,)),
+    "string entry": lambda: AtomicSequence(("x",)),
+    "float tail": lambda: AtomicSequence((1,), tail=2.5),
+    "not iterable": lambda: AtomicSequence(5),
+    "check_compatibility": lambda: check_compatibility([1, "a"]),
+    "check_compatibility, not iterable": lambda: check_compatibility(5),
+    "lcm_extension": lambda: lcm_extension([1, None]),
+    "decide_family": lambda: decide_family([1, 2.5]),
+    "enumerate_intervals, string": lambda: enumerate_intervals("1,2,x"),
+    "enumerate_intervals, float": lambda: enumerate_intervals((1, 2.0, 4)),
+    "extension_search": lambda: extension_search(m_interval(3), [1, 3, "x", 6]),
+}
+
+
+@pytest.mark.parametrize("case", JUNK_ATOMS)
+def test_junk_atom_counts_raise_poset_error(case):
+    with pytest.raises(PosetError):
+        JUNK_ATOMS[case]()
 
 
 class TestFactorialProfile:

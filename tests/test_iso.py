@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binposet import iso
 from binposet.core import GradedPoset, build_poset, dual, grid_ids
 from binposet.iso import (
     CanonicalizationCapError,
@@ -66,14 +65,6 @@ class TestCanonicalForm:
     def test_node_cap(self, cube):
         with pytest.raises(CanonicalizationCapError):
             canonical_form(cube, node_cap=2)
-
-    def test_extra_colors_split_twins(self, diamond):
-        plain = canonical_form(diamond)
-        pinned = canonical_form(diamond, extra_colors={"x": 1})
-        assert plain != pinned
-        # pinning the other twin gives the same colored class
-        assert pinned == canonical_form(diamond, extra_colors={"y": 1})
-        assert pinned != canonical_form(diamond, extra_colors={"y": 2})
 
 
 def cycle_union(lengths: tuple[int, ...]) -> GradedPoset:
@@ -141,55 +132,44 @@ class TestIsomorphism:
         assert isomorphism(eight_cycle, two_squares) is None
 
 
-class TestMemo:
-    @pytest.fixture(autouse=True)
-    def empty_memo(self):
-        iso._memo.clear()
-        yield
-        iso._memo.clear()
+def kept_run(p: GradedPoset):
+    """The (certificate, order, nodes) run ``p`` keeps, or None."""
+    return p.__dict__.get("_canonical_run")
 
-    def test_hit_honours_a_smaller_node_cap(self, cube):
+
+class TestInstanceCache:
+    def test_kept_run_honours_a_smaller_node_cap(self, cube):
         cert = canonical_form(cube)
-        ((_, _, nodes),) = iso._memo.values()
+        nodes = kept_run(cube)[2]
         assert nodes > 1
         with pytest.raises(CanonicalizationCapError):
             canonical_form(cube, node_cap=nodes - 1)
         assert canonical_form(cube, node_cap=nodes) == cert
 
-    def test_capped_run_is_not_stored(self, cube):
+    def test_capped_run_is_not_kept(self, cube):
         with pytest.raises(CanonicalizationCapError):
             canonical_form(cube, node_cap=1)
-        assert not iso._memo
+        assert kept_run(cube) is None
         canonical_form(cube)
-        assert len(iso._memo) == 1
+        assert kept_run(cube) is not None
 
-    def test_extra_colors_are_part_of_the_key(self, diamond):
-        plain = canonical_form(diamond)
-        pinned = canonical_form(diamond, extra_colors={"x": 1})
-        assert len(iso._memo) == 2
-        assert canonical_form(diamond) == plain
-        assert canonical_form(diamond, extra_colors={"x": 1}) == pinned
-        assert plain != pinned
-
-    def test_isomorphism_on_a_hit_maps_covers_to_covers(self, cube):
-        # same labelled structure under other ids: the second call is a hit
-        names = {x: x.upper() + "'" for x in cube.elements}
-        twin = GradedPoset(
-            tuple(tuple(names[x] for x in lv) for lv in cube.levels),
-            frozenset((names[a], names[b]) for a, b in cube.covers),
-        )
+    def test_isomorphism_on_kept_runs_maps_covers_to_covers(self, cube):
         q = relabel(cube, random.Random(4))
-        assert isomorphism(cube, q) is not None
-        size = len(iso._memo)
-        m = isomorphism(twin, q)
-        assert len(iso._memo) == size
+        assert canonical_form(cube) == canonical_form(q)
+        runs = kept_run(cube), kept_run(q)
+        m = isomorphism(cube, q)
+        assert (kept_run(cube), kept_run(q)) == runs
         assert m is not None
-        assert {(m[a], m[b]) for a, b in twin.covers} == set(q.covers)
+        assert {(m[a], m[b]) for a, b in cube.covers} == set(q.covers)
 
-    def test_size_is_bounded(self, diamond):
-        for c in range(iso._MEMO_SIZE + 5):
-            canonical_form(diamond, extra_colors={"x": c + 1})
-        assert len(iso._memo) == iso._MEMO_SIZE
+    def test_equal_twin_gets_its_own_run(self, cube):
+        cert = canonical_form(cube)
+        twin = GradedPoset(cube.levels, cube.covers)
+        assert twin == cube and hash(twin) == hash(cube) and twin is not cube
+        assert kept_run(twin) is None
+        assert canonical_form(twin) == cert
+        assert kept_run(twin) == kept_run(cube)
+        assert kept_run(twin) is not kept_run(cube)
 
 
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)

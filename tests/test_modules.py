@@ -35,3 +35,15 @@ def test_every_exported_name_is_defined_in_its_module(name):
             assert attr in _assigned(mod), f"{mod.__name__}.{attr}"
         else:
             assert home == mod.__name__, f"{mod.__name__}.{attr} comes from {home}"
+
+
+@pytest.mark.parametrize("name", ["__init__"] + MODULES)
+def test_no_module_level_state(name):
+    # a module-level container or function cache carries results from one
+    # call to the next, so counters and timings would depend on call history
+    mod = binposet if name == "__init__" else importlib.import_module(f"binposet.{name}")
+    for attr in _assigned(mod) - {"__all__"}:
+        value = getattr(mod, attr)
+        assert not isinstance(value, (dict, list, set)), f"{mod.__name__}.{attr}"
+    for attr, value in vars(mod).items():
+        assert not hasattr(value, "cache_info"), f"{mod.__name__}.{attr} is a cache"

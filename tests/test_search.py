@@ -80,6 +80,13 @@ class TestEnumerate:
         with pytest.raises(PosetError, match="at least one"):
             enumerate_intervals(())
 
+    def test_string_atoms_are_parsed(self):
+        parsed, given = enumerate_intervals("1,2,4"), enumerate_intervals((1, 2, 4))
+        assert (parsed.verdict, parsed.nodes) == (given.verdict, given.nodes)
+        assert parsed.classes == given.classes
+        with pytest.raises(PosetError, match="finite"):
+            enumerate_intervals("1,2...")
+
     def test_base_height_must_be_interior(self, cube):
         with pytest.raises(PosetError, match="strictly between"):
             enumerate_intervals((1, 2, 3), base=cube)
