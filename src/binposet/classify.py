@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GradedPoset, PosetError, interval, verify_binomial, _bits, _pairs_of_length
+from .core import GradedPoset, PosetError, interval, verify_binomial
+from .core import _bits, _induced_down, _pairs_of_length
 from .iso import canonical_form
 
 __all__ = [
@@ -204,13 +205,11 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     if not 0 <= n <= p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els = p.elements
-    up, up_mask, down_mask = p._up, p._up_mask, p._down_mask
+    up_mask, down_mask = p._up_mask, p._down_mask
     seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
     found: dict[bytes, list[tuple[str, str]]] = {}
     for s, t in _pairs_of_length(p, n):
-        order = list(_bits(up_mask[s] & down_mask[t]))
-        pos = {e: i for i, e in enumerate(order)}
-        key = tuple(tuple(pos[k] for k in up[e] if k in pos) for e in order)
+        key = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
         cert = seen.get(key)
         if cert is None:
             cert = seen[key] = canonical_form(interval(p, els[s], els[t]).poset)

@@ -2,8 +2,8 @@
 
 Results go to stdout as tab-separated key/value rows; diagnostics go to
 stderr.  Exit codes: 0 for pass/found/realizable, 1 for the checked
-negative (fail/exhausted/non-realizable), 2 for unusable input, 3 for
-capped or undecided outcomes.
+negative (fail/exhausted/non-realizable), 2 for unusable input or a file
+that cannot be read or written, 3 for capped or undecided outcomes.
 """
 
 from __future__ import annotations
@@ -48,22 +48,20 @@ def _read(path: str) -> str:
             return sys.stdin.read()
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise _Exit(2, f"cannot read {path}: {e}") from None
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise _Exit(2, f"cannot write {path}: {e}") from None
+
+
 def _load_poset(path: str) -> GradedPoset:
-    try:
-        return poset_from_json(_read(path))
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
-
-
-def _parse_seq(text: str) -> AtomicSequence:
-    try:
-        return AtomicSequence.parse(text)
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
+    return poset_from_json(_read(path))
 
 
 def _emit(rows: Sequence[tuple[str, object]]) -> None:
@@ -76,41 +74,36 @@ def _write_out(p: GradedPoset, out: str | None, dot: str | None) -> None:
     if out is None or out == "-":
         print(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(out, text + "\n")
     if dot is not None:
         rendered = poset_to_dot(p)
         if dot == "-":
             print(rendered)
         else:
-            with open(dot, "w", encoding="utf-8") as fh:
-                fh.write(rendered)
+            _write(dot, rendered)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    try:
-        if args.kind == "string":
-            if args.word is None:
-                raise _Exit(2, "build string needs --word")
-            p = poset_from_string(args.word, args.height)
-        elif args.kind == "debruijn":
-            if args.m is None or args.n is None or args.height is None:
-                raise _Exit(2, "build debruijn needs --m, --n, and --height")
-            p = debruijn_poset(args.m, args.n, args.height)
-        elif args.kind == "boolean-strip":
-            if args.n is None or args.k is None:
-                raise _Exit(2, "build boolean-strip needs --n and --k")
-            p = stripped_boolean_interval(args.n, args.k)
-        elif args.kind == "m-interval":
-            if args.m is None:
-                raise _Exit(2, "build m-interval needs --m")
-            p = m_interval(args.m)
-        else:  # divisible
-            if args.seq is None or args.height is None:
-                raise _Exit(2, "build divisible needs --seq and --height")
-            p = divisible_poset(_parse_seq(args.seq), args.height)
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
+    if args.kind == "string":
+        if args.word is None:
+            raise _Exit(2, "build string needs --word")
+        p = poset_from_string(args.word, args.height)
+    elif args.kind == "debruijn":
+        if args.m is None or args.n is None or args.height is None:
+            raise _Exit(2, "build debruijn needs --m, --n, and --height")
+        p = debruijn_poset(args.m, args.n, args.height)
+    elif args.kind == "boolean-strip":
+        if args.n is None or args.k is None:
+            raise _Exit(2, "build boolean-strip needs --n and --k")
+        p = stripped_boolean_interval(args.n, args.k)
+    elif args.kind == "m-interval":
+        if args.m is None:
+            raise _Exit(2, "build m-interval needs --m")
+        p = m_interval(args.m)
+    else:  # divisible
+        if args.seq is None or args.height is None:
+            raise _Exit(2, "build divisible needs --seq and --height")
+        p = divisible_poset(AtomicSequence.parse(args.seq), args.height)
     _write_out(p, args.out, args.dot)
     return 0
 
@@ -143,10 +136,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
     p = _load_poset(args.poset)
-    try:
-        classification = enumerate_interval_classes(p, args.length)
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
+    classification = enumerate_interval_classes(p, args.length)
     _emit([("length", classification.length), ("classes", classification.count)])
     for cls in classification.classes:
         print(f"class\t{cls.certificate.hex()}\t{cls.bottom}\t{cls.top}\t{cls.size}")
@@ -154,11 +144,7 @@ def _cmd_intervals(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_seq(args: argparse.Namespace) -> int:
-    seq = _parse_seq(args.seq)
-    try:
-        rep = check_compatibility(seq, horizon=args.horizon)
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
+    rep = check_compatibility(AtomicSequence.parse(args.seq), horizon=args.horizon)
     rows: list[tuple[str, object]] = [("ok", str(rep.ok).lower())]
     if not rep.ok:
         assert rep.witness is not None
@@ -174,8 +160,7 @@ def _cmd_check_seq(args: argparse.Namespace) -> int:
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    seq = _parse_seq(args.seq)
-    decision = decide_family(seq, witness_height=args.height)
+    decision = decide_family(AtomicSequence.parse(args.seq), witness_height=args.height)
     rows: list[tuple[str, object]] = [("verdict", decision.verdict)]
     if decision.recipe:
         rows.append(("recipe", decision.recipe))
@@ -192,21 +177,18 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_search_extension(args: argparse.Namespace) -> int:
     base = _load_poset(args.base)
-    target = _parse_seq(args.target)
+    target = AtomicSequence.parse(args.target)
     limits = SearchLimits(
         max_nodes=args.max_nodes,
         max_seconds=args.max_seconds,
     )
-    try:
-        res = extension_search(
-            base,
-            target,
-            extra_ranks=args.extra_ranks,
-            limits=limits,
-            use_iso_dedup=not args.no_dedup,
-        )
-    except PosetError as e:
-        raise _Exit(2, str(e)) from None
+    res = extension_search(
+        base,
+        target,
+        extra_ranks=args.extra_ranks,
+        limits=limits,
+        use_iso_dedup=not args.no_dedup,
+    )
     _emit([("verdict", res.verdict), ("nodes", res.nodes), ("classes", len(res.classes))])
     if res.detail:
         print(res.detail, file=sys.stderr)
@@ -220,13 +202,11 @@ def _cmd_search_extension(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    p = _load_poset(args.poset)
-    rendered = poset_to_dot(p)
+    rendered = poset_to_dot(_load_poset(args.poset))
     if args.out is None or args.out == "-":
         print(rendered)
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        _write(args.out, rendered)
     return 0
 
 

@@ -149,16 +149,15 @@ class FactorialProfile:
 
     def __init__(self, source: AtomicSequence):
         self.source = source
-        self._B: dict[int, int] = {0: 1}
+        self._B = [1]  # _B[n] = B(n), extended on demand
 
     def B(self, n: int) -> int:
         if n < 0:
             raise IndexError("negative length")
-        got = self._B.get(n)
-        if got is None:
-            got = self.B(n - 1) * self.source.a(n)
-            self._B[n] = got
-        return got
+        B = self._B
+        while len(B) <= n:
+            B.append(B[-1] * self.source.a(len(B)))
+        return B[n]
 
     def coefficient(self, n: int, j: int) -> Fraction:
         """B(n) / (B(j) B(n-j)) as an exact rational."""
@@ -347,6 +346,16 @@ def dual(p: GradedPoset) -> GradedPoset:
     )
 
 
+def _from_down(levels: Sequence[Sequence[str]], down: Sequence[Iterable[int]]) -> GradedPoset:
+    """The diagram whose i-th element, counted level by level through
+    ``levels``, has the lower covers ``down[i]`` (positions in that count)."""
+    els = [x for lv in levels for x in lv]
+    return GradedPoset(
+        tuple(map(tuple, levels)),
+        frozenset({(els[c], els[i]) for i, cs in enumerate(down) for c in cs}),
+    )
+
+
 # ---------------------------------------------------------------------------
 # intervals and chain counting
 
@@ -368,26 +377,23 @@ def interval(p: GradedPoset, bottom: str, top: str) -> Interval:
     ib, it = p._require(bottom), p._require(top)
     if not p._down_mask[it] >> ib & 1:
         raise PosetError(f"not comparable: {bottom!r} is not below {top!r}")
-    lo, hi = p._level_of[ib], p._level_of[it]
-    masks = p._down_mask
-    keep = [
-        i
-        for i in range(ib, it + 1)
-        if masks[it] >> i & 1 and masks[i] >> ib & 1
-    ]
-    keepset = set(keep)
+    order = list(_bits(p._up_mask[ib] & p._down_mask[it]))
+    lo = p._level_of[ib]
     els = p.elements
-    lv: list[list[str]] = [[] for _ in range(hi - lo + 1)]
-    for i in keep:
+    lv: list[list[str]] = [[] for _ in range(p._level_of[it] - lo + 1)]
+    for i in order:
         lv[p._level_of[i] - lo].append(els[i])
-    covers = frozenset(
-        (els[a], els[b])
-        for a in keep
-        for b in p._up[a]
-        if b in keepset
-    )
-    sub = GradedPoset(tuple(tuple(level) for level in lv), covers)
-    return Interval(sub, bottom, top)
+    return Interval(_from_down(lv, _induced_down(p, order)), bottom, top)
+
+
+def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The lower covers of each element of ``order`` inside ``order``, as
+    positions in ``order``; ascending when ``order`` is."""
+    # this is the census key of every interval, so it is built with list
+    # comprehensions, which run faster than generator expressions here
+    pos = dict(zip(order, range(len(order))))
+    down = p._down
+    return tuple([tuple([pos[k] for k in down[e] if k in pos]) for e in order])
 
 
 def count_maximal_chains(iv: Interval) -> int:

@@ -26,6 +26,8 @@ dedups on and a dedup set per stage.  The sets are never shared between
 stages or runs, because the partial states of two stages can be the
 same diagram and would then prune each other.
 
+Strategies hand integer cover lists to ``core``, which names the elements.
+
 A search reports "exhausted" only when no branch was cut by a cap.
 """
 
@@ -41,8 +43,10 @@ from .core import (
     FactorialProfile,
     GradedPoset,
     PosetError,
+    grid_ids,
     verify_binomial,
     _as_sequence,
+    _from_down,
 )
 from .iso import CanonicalizationCapError, canonical_form
 
@@ -300,16 +304,12 @@ class _Levelwise:
         """The diagram on the down-closed elements ``keep``, listed in
         creation order; each is named "rank:i", i its place in that order
         among the kept elements of its rank."""
-        names: dict[int, str] = {}
-        levels: list[list[str]] = []
-        for g in keep:
-            r = self.level_of[g]
-            if r == len(levels):
-                levels.append([])
-            names[g] = f"{r}:{len(levels[r])}"
-            levels[r].append(names[g])
-        covers = frozenset((names[c], names[g]) for g in names for c in self.covers_of[g])
-        return GradedPoset(tuple(map(tuple, levels)), covers)
+        pos = {g: i for i, g in enumerate(keep)}
+        widths = [0] * (self.level_of[max(pos)] + 1)
+        for g in pos:
+            widths[self.level_of[g]] += 1
+        down = [[pos[c] for c in self.covers_of[g]] for g in pos]
+        return _from_down(grid_ids(widths), down)
 
     def _built(self) -> GradedPoset:
         """The whole diagram built so far."""
@@ -434,19 +434,15 @@ class _Assembly:
     def _state(self) -> GradedPoset:
         """The chosen blocks as a diagram: atoms, one mid element per
         placed row, one element per block."""
-        levels = [tuple(f"0:{x}" for x in range(self.a4))]
-        covers: list[tuple[str, str]] = []
-        mid: list[str] = []
-        for k, pl in enumerate(self.chosen):
-            _S, rows = self.placements[pl]
-            for row in rows:
-                rid = f"1:{len(mid)}"
-                mid.append(rid)
-                covers.extend((f"0:{x}", rid) for x in row)
-                covers.append((rid, f"2:{k}"))
-        levels.append(tuple(mid))
-        levels.append(tuple(f"2:{k}" for k in range(len(self.chosen))))
-        return GradedPoset(tuple(levels), frozenset(covers))
+        a4 = self.a4
+        mid: list[tuple[int, ...]] = []
+        blocks: list[range] = []
+        for pl in self.chosen:
+            rows = self.placements[pl][1]
+            blocks.append(range(a4 + len(mid), a4 + len(mid) + len(rows)))
+            mid.extend(rows)
+        down = [()] * a4 + mid + blocks
+        return _from_down(grid_ids((a4, len(mid), len(blocks))), down)
 
     def _match(self) -> None:
         if any(c != self.a3 for c in self.count):
@@ -510,31 +506,20 @@ class _Assembly:
         mu: dict[tuple[int, ...], int],
         combo: tuple[tuple[tuple[int, int], ...], ...],
     ) -> GradedPoset:
-        base = {}
-        total = 0
-        for T in rows_T:
-            base[T] = total
-            total += mu[T]
-        levels = (
-            ("0:0",),
-            tuple(f"1:{x}" for x in range(self.a4)),
-            tuple(f"2:{y}" for y in range(total)),
-            tuple(f"3:{k}" for k in range(self.a4)),
-            ("4:0",),
-        )
-        covers: set[tuple[str, str]] = set()
-        for x in range(self.a4):
-            covers.add(("0:0", f"1:{x}"))
-        for k in range(self.a4):
-            covers.add((f"3:{k}", "4:0"))
+        # positions: the bottom, atom x at 1 + x, then the mid elements
+        # (the mu[T] copies of each row T together, in rows_T order), the
+        # coatoms and the top
+        a4 = self.a4
+        mid: list[tuple[int, ...]] = []
+        coatoms: list[list[int]] = [[] for _ in range(a4)]
         for T, assignment in zip(rows_T, combo):
-            for c in range(mu[T]):
-                yid = f"2:{base[T] + c}"
-                for x in T:
-                    covers.add((f"1:{x}", yid))
+            base = 1 + a4 + len(mid)
+            mid.extend([tuple(1 + x for x in T)] * mu[T])
             for k, c in assignment:
-                covers.add((f"2:{base[T] + c}", f"3:{k}"))
-        return GradedPoset(levels, frozenset(covers))
+                coatoms[k].append(base + c)
+        top = range(1 + a4 + len(mid), 1 + 2 * a4 + len(mid))
+        down = [(), *[(0,)] * a4, *mid, *coatoms, top]
+        return _from_down(grid_ids((1, a4, len(mid), a4, 1)), down)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from binposet.cli import main
@@ -301,6 +301,7 @@ junk_documents = (
     json_values
     | st.fixed_dictionaries({"height": json_values, "levels": json_values, "covers": json_values})
     | st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=30)
+    | st.binary(max_size=30)
 )
 commands = st.sampled_from(
     [["verify"], ["classify"], ["intervals", "--length", "1"], ["export-dot"]]
@@ -309,7 +310,10 @@ commands = st.sampled_from(
 
 def run_on_file(tmp_path_factory, doc, command) -> int:
     path = tmp_path_factory.mktemp("doc") / "poset.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     argv = [command[0], str(path), *command[1:]]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return main(argv)
@@ -319,12 +323,32 @@ class TestArbitraryInput:
     """Whatever a poset file holds, each command ends with an exit code."""
 
     @given(doc=junk_documents, command=commands)
+    @example(doc=b"\xff\xfe{}", command=["verify"])
     def test_junk(self, tmp_path_factory, doc, command):
         assert run_on_file(tmp_path_factory, doc, command) in {0, 1, 2, 3}
 
     @given(doc=small_posets() | small_binomial_posets(), command=commands)
     def test_small_posets(self, tmp_path_factory, doc, command):
         assert run_on_file(tmp_path_factory, doc, command) in {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "m-interval", "--m", "3", "--out", "{missing}"],
+        ["build", "m-interval", "--m", "3", "--dot", "{missing}"],
+        ["decide", "1,2,6", "--out", "{missing}"],
+        ["search-extension", "{base}", "--target", "1,2,2,2", "--out", "{missing}"],
+        ["export-dot", "{base}", "--out", "{missing}"],
+    ],
+    ids=["build --out", "build --dot", "decide --out", "search-extension --out", "export-dot --out"],
+)
+def test_output_into_a_missing_directory(capsys, tmp_path, butterfly_file, argv):
+    missing = tmp_path / "no-such-dir" / "out"
+    code, _, err = run(capsys, *(a.format(missing=missing, base=butterfly_file) for a in argv))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and str(missing) in err
+    assert not missing.parent.exists()
 
 
 class TestTopLevel:

@@ -122,6 +122,12 @@ class TestFactorialProfile:
         with pytest.raises(PosetError):
             prof.W(4, 2)
 
+    def test_long_lengths_need_no_recursion(self):
+        # a fresh profile asked for a length past the recursion limit
+        prof = FactorialProfile(AtomicSequence((1,), 2))
+        assert prof.W(1200, 3) == 2
+        assert prof.B(1200) == 2**1199
+
 
 class TestBuildPoset:
     def test_duplicate_id_rejected(self):
@@ -320,6 +326,39 @@ class TestDifferentialOracle:
                 if rep.witness is not None:
                     witness_lengths.add(int(rep.detail.split()[0].split("-")[1]))
         assert {3, 4} <= witness_lengths
+
+
+class TestIntervalOracle:
+    """``interval`` equals the induced subdiagram built by definition."""
+
+    @staticmethod
+    def check(p: GradedPoset) -> int:
+        pairs = 0
+        for b in p.elements:
+            for t in p.elements:
+                if not p.le(b, t):
+                    continue
+                keep = {x for x in p.elements if p.le(b, x) and p.le(x, t)}
+                levels = tuple(
+                    tuple(x for x in p.levels[r] if x in keep)
+                    for r in range(p.rank(b), p.rank(t) + 1)
+                )
+                covers = frozenset((x, y) for x, y in p.covers if x in keep and y in keep)
+                assert interval(p, b, t).poset == GradedPoset(levels, covers), (b, t)
+                pairs += 1
+        return pairs
+
+    def test_random_raw_posets(self):
+        rng = random.Random(2005)
+        assert sum(self.check(_random_raw_poset(rng)) for _ in range(250)) > 10_000
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: poset_from_string("12112"), lambda: divisible_poset((1, 2, 4), 4)],
+        ids=["word 12112", "divisible 1,2,4 height 4"],
+    )
+    def test_named_posets(self, build):
+        self.check(build())
 
 
 class TestRankSizes:

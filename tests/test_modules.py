@@ -1,4 +1,4 @@
-"""Package layout: every module exports only what it defines."""
+"""Package layout: every module exports only what it defines, and only core builds diagrams."""
 
 import ast
 import importlib
@@ -47,3 +47,15 @@ def test_no_module_level_state(name):
         assert not isinstance(value, (dict, list, set)), f"{mod.__name__}.{attr}"
     for attr, value in vars(mod).items():
         assert not hasattr(value, "cache_info"), f"{mod.__name__}.{attr} is a cache"
+
+
+@pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "core"])
+def test_only_core_builds_diagrams(name):
+    # one path from integer cover lists to a GradedPoset: other modules go
+    # through build_poset or core's builder instead of the raw constructor
+    mod = binposet if name == "__init__" else importlib.import_module(f"binposet.{name}")
+    for node in ast.walk(ast.parse(inspect.getsource(mod))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            assert called != "GradedPoset", f"{mod.__name__} line {node.lineno}"
