@@ -154,6 +154,10 @@ PINNED = {
         lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 34, 1, "",
     ),
     "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 57, 2, ""),
+    # the deepest rank-3 prune a pinned case reaches
+    "136 levelwise": (
+        lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 9028, 7, "",
+    ),
     "124 without dedup": (
         lambda: enumerate_intervals((1, 2, 4), use_iso_dedup=False), "found", 61, 2, "",
     ),
