@@ -143,6 +143,17 @@ def _as_sequence(seq: AtomicSequence | str | Iterable[int]) -> AtomicSequence:
         raise PosetError(f"atom counts expected, got {seq!r}") from None
 
 
+def _whole(value, what: str, least: int = 0) -> int:
+    """``value`` as an integer of at least ``least``, else a PosetError."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = None
+    if n is None or n < least:
+        raise PosetError(f"{what} must be an integer >= {least}, got {value!r}")
+    return n
+
+
 class FactorialProfile:
     """B(n), generalized binomial coefficients, and interval rank sizes
     derived from an atom-count sequence, all exact."""
@@ -670,6 +681,7 @@ def predicted_rank_size(seq: AtomicSequence, i: int) -> Fraction:
     """Level width a^i / B(i) predicted for an eventually constant sequence."""
     if seq.tail is None:
         raise PosetError("width prediction needs an eventually constant sequence")
+    i = _whole(i, "rank index")
     return Fraction(seq.tail**i, seq.B(i))
 
 
@@ -723,12 +735,12 @@ def poset_from_json(text: str) -> GradedPoset:
     return build_poset(levels, [(lo, hi) for lo, hi in covers])
 
 
-def poset_to_dot(p: GradedPoset, name: str = "poset") -> str:
+def poset_to_dot(p: GradedPoset) -> str:
     """DOT rendering: edges point upward, one rank=same group per level."""
     def quote(x: str) -> str:
         return '"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    out = [f"digraph {name} {{", "  rankdir=BT;", "  node [shape=box];"]
+    out = ["digraph poset {", "  rankdir=BT;", "  node [shape=box];"]
     for lv in p.levels:
         row = " ".join(f"{quote(x)};" for x in lv)
         out.append("  { rank=same; " + row + " }")

@@ -5,10 +5,11 @@ unless a resource cap interrupts):
 
 * levelwise: build the diagram one rank at a time, one element at a
   time.  Cover sets are generated in non-decreasing order within a
-  level; every new element must have the exact chain count and the exact
-  per-rank census toward each element below it, and up-degrees are
-  tracked against their forced values.  Completed partial diagrams are
-  deduplicated by canonical certificate.
+  level; every element x at distance d >= 2 below a new element must
+  have exactly a_d upper covers below it, and up-degrees are tracked
+  against their forced values.  As in ``verify_binomial``, exact atom
+  counts force exact chain counts and level widths in every interval.
+  Completed partial diagrams are deduplicated by canonical certificate.
 
 * rank-4 assembly: enumerate rank-3 classes first, then choose which
   rank-3 interval sits under each coatom (an atom set plus a wiring
@@ -36,6 +37,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
+from numbers import Real
 from typing import Callable, Iterable, Sequence
 
 from .core import (
@@ -46,7 +48,9 @@ from .core import (
     grid_ids,
     verify_binomial,
     _as_sequence,
+    _bits,
     _from_down,
+    _whole,
 )
 from .iso import CanonicalizationCapError, canonical_form
 
@@ -62,6 +66,12 @@ __all__ = [
 class SearchLimits:
     max_nodes: int = 2_000_000
     max_seconds: float | None = None
+
+    def __post_init__(self) -> None:
+        _whole(self.max_nodes, "max_nodes")
+        secs = self.max_seconds
+        if secs is not None and not (isinstance(secs, Real) and secs >= 0):
+            raise PosetError(f"max_seconds must be None or a number >= 0, got {secs!r}")
 
 
 @dataclass(frozen=True)
@@ -185,43 +195,33 @@ class _Levelwise:
         self.anchor = anchor
         self.out = out
         prof = FactorialProfile(seq)
-        self.Wtab = [[prof.W(d, r) for r in range(d + 1)] for d in range(self.N + 1)]
-        self.Bval = [prof.B(d) for d in range(self.N + 1)]
+        self.widths = [prof.W(self.N, j) for j in range(self.N + 1)]
         # element state, indexed in creation order; index 0 is the bottom
         self.level_of = [0]
         self.down_mask = [1]
-        self.up_mask = [0]
+        self.upcov_mask = [0]
         self.covers_of: list[tuple[int, ...]] = [()]
-        self.chains: list[dict[int, int]] = [{0: 1}]
         self.updeg = [0]
-        self.level_members: list[list[int]] = [[0]]
-        self.level_mask = [1]
         self.seen: dict[int, set[bytes]] = {}
 
     def run(self) -> None:
         self._fill(1)
 
     def _fill(self, j: int) -> None:
-        if j > self.N:
-            self._emit()
-            return
-        prev = self.level_members[j - 1]
-        cands = list(combinations(range(len(prev)), self.seq.a(j)))
-        self.level_members.append([])
-        self.level_mask.append(0)
-        self._slots(j, 0, 0, cands, prev)
-        self.level_members.pop()
-        self.level_mask.pop()
+        # levels are built in turn, so level j-1 is the last elements created
+        end = len(self.level_of)
+        prev = range(end - self.widths[j - 1], end)
+        self._slots(j, 0, 0, list(combinations(prev, self.seq.a(j))), prev)
 
     def _slots(self, j: int, s: int, min_ci: int, cands, prev) -> None:
-        width = self.Wtab[self.N][j]
+        width = self.widths[j]
         if s == width:
             self._level_done(j)
             return
         cap = self.seq.a(self.N - j + 1)  # forced up-degree at rank j-1
         rem = width - s - 1
         for ci in range(min_ci, len(cands)):
-            C = tuple(prev[t] for t in cands[ci])
+            C = cands[ci]
             if not _room(self.updeg, prev, C, cap, rem):
                 continue
             self.core.spend()
@@ -231,39 +231,27 @@ class _Levelwise:
                 self._destroy(e, C)
 
     def _create(self, j: int, C: tuple[int, ...]) -> int | None:
-        e = len(self.level_of)
-        mask = 1 << e
-        down = mask
-        ch: dict[int, int] = {}
+        down = 0
         for c in C:
             down |= self.down_mask[c]
-            for x, cnt in self.chains[c].items():
-                ch[x] = ch.get(x, 0) + cnt
-        level_of = self.level_of
-        for x, cnt in ch.items():
+        # [x, e] must have a_d atoms; every element below e passed the same
+        # check when it was created, so chain counts follow as in
+        # verify_binomial
+        level_of, upcov_mask, a = self.level_of, self.upcov_mask, self.seq.a
+        for x in _bits(down):
             d = j - level_of[x]
-            if cnt != self.Bval[d]:
+            if d >= 2 and (upcov_mask[x] & down).bit_count() != a(d):
                 return None
-            if d >= 2:
-                between = self.up_mask[x] & down
-                for r in range(1, d):
-                    got = (between & self.level_mask[level_of[x] + r]).bit_count()
-                    if got != self.Wtab[d][r]:
-                        return None
-        ch[e] = 1
+        e = len(level_of)
+        mask = 1 << e
         level_of.append(j)
-        self.down_mask.append(down)
-        self.up_mask.append(0)
+        self.down_mask.append(down | mask)
+        upcov_mask.append(0)
         self.covers_of.append(C)
-        self.chains.append(ch)
         self.updeg.append(0)
         for u in C:
             self.updeg[u] += 1
-        for x in ch:
-            if x != e:
-                self.up_mask[x] |= mask
-        self.level_members[j].append(e)
-        self.level_mask[j] |= mask
+            upcov_mask[u] |= mask
         if self.anchor is not None and j == self.anchor[1]:
             if not self._anchored(e):
                 self._destroy(e, C)
@@ -272,25 +260,19 @@ class _Levelwise:
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
-        cert = self.core.certify(self._diagram(sorted(self.chains[e])), "anchor check")
+        cert = self.core.certify(self._diagram(_bits(self.down_mask[e])), "anchor check")
         return cert == self.anchor[0]
 
     def _destroy(self, e: int, C: tuple[int, ...]) -> None:
-        mask = 1 << e
-        j = self.level_of[e]
+        mask = ~(1 << e)
         for u in C:
             self.updeg[u] -= 1
-        for x in self.chains[e]:
-            if x != e:
-                self.up_mask[x] &= ~mask
+            self.upcov_mask[u] &= mask
         self.level_of.pop()
         self.down_mask.pop()
-        self.up_mask.pop()
+        self.upcov_mask.pop()
         self.covers_of.pop()
-        self.chains.pop()
         self.updeg.pop()
-        self.level_members[j].pop()
-        self.level_mask[j] &= ~mask
 
     def _level_done(self, j: int) -> None:
         if j == self.N:
@@ -318,8 +300,8 @@ class _Levelwise:
     def _emit(self) -> None:
         p = self._built()
         if not self.core.classify(p, self.seq.head, self.out):
-            # the exact chain counts and census checks at every added
-            # element make every completed candidate binomial
+            # the atom count checked for every pair at every added element
+            # makes every completed candidate binomial (see verify_binomial)
             rep = verify_binomial(p)
             raise AssertionError(
                 f"levelwise search completed a candidate that fails its own "
@@ -594,8 +576,7 @@ def extension_search(
     The base is anchored: every rank-``base.height`` lower interval of a
     candidate must be isomorphic to it.  "exhausted" means no such
     extension exists; "capped" means a resource limit cut the search."""
-    if extra_ranks < 1:
-        raise PosetError("extra_ranks must be at least 1")
+    extra_ranks = _whole(extra_ranks, "extra_ranks", 1)
     target = _as_sequence(target)
     rep = verify_binomial(base)
     if not rep.ok:

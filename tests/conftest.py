@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import pytest
@@ -156,6 +157,42 @@ def brute_isomorphic(p: GradedPoset, q: GradedPoset) -> bool:
         if all((mapping[a], mapping[b]) in q_covers for a, b in p.covers):
             return True
     return False
+
+
+def brute_classes(head: tuple[int, ...]) -> list[GradedPoset]:
+    """One poset per isomorphism class of bounded poset that passes
+    :func:`brute_binomial_report` with atom counts ``head``.
+
+    In a bounded binomial poset of rank n, level j has
+    W(n, j) = B(n) / (B(j) B(n - j)) elements, B(j) the product of the
+    first j atom counts, and each element of level j covers a_j elements
+    and is covered by a_(n - j) (the atoms of its lower and upper
+    intervals).  Every wiring of every level pair with those degrees is
+    tried, with no symmetry reduction, so keep the targets tiny."""
+    n = len(head)
+    B = [math.prod(head[:j]) for j in range(n + 1)]
+    widths = [B[n] // (B[j] * B[n - j]) for j in range(n + 1)]
+    levels = [[f"{j}:{i}" for i in range(w)] for j, w in enumerate(widths)]
+    wirings = []
+    for j in range(1, n + 1):
+        lower, upper = levels[j - 1], levels[j]
+        pair = []
+        for below in itertools.product(
+            itertools.combinations(lower, head[j - 1]), repeat=len(upper)
+        ):
+            degree = Counter(itertools.chain.from_iterable(below))
+            if all(degree[x] == head[n - j] for x in lower):
+                pair.append([(x, y) for y, xs in zip(upper, below) for x in xs])
+        wirings.append(pair)
+    reps: list[GradedPoset] = []
+    for parts in itertools.product(*wirings):
+        p = build_poset(levels, [c for part in parts for c in part])
+        rep = brute_binomial_report(p)
+        if not rep.ok or rep.atoms.head != head:
+            continue
+        if not any(brute_isomorphic(p, q) for q in reps):
+            reps.append(p)
+    return reps
 
 
 def brute_ratio_ok(values: list[int], i: int, j: int) -> bool:

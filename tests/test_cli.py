@@ -233,6 +233,14 @@ class TestSearchExtension:
         assert rows(out)["verdict"] == "capped"
         assert "budget" in err
 
+    def test_negative_node_budget(self, capsys, butterfly_file):
+        code, out, err = run(
+            capsys, "search-extension", butterfly_file,
+            "--target", "1,2,2,2", "--max-nodes", "-1",
+        )
+        assert code == 2 and not out
+        assert "max_nodes" in err
+
     def test_target_mismatch(self, capsys, cube_file):
         code, _, err = run(
             capsys, "search-extension", cube_file, "--target", "1,2,4,8"

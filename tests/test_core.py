@@ -25,7 +25,7 @@ from binposet.core import (
     sup_rank_size,
     verify_binomial,
 )
-from binposet.search import enumerate_intervals, extension_search
+from binposet.search import SearchLimits, enumerate_intervals, extension_search
 from binposet.seqcheck import check_compatibility, decide_family, lcm_extension
 from conftest import brute_atomic_report, brute_binomial_report, brute_chain_count
 
@@ -83,8 +83,10 @@ class TestAtomicSequence:
         assert t.prefix(n) == s.prefix(n) and t.finite == s.finite
 
 
-# Atom counts are integers: every entry point turns anything else into a
-# PosetError instead of truncating it or leaking a TypeError/ValueError.
+# Atom counts, and the sizes around them (search budgets, ranks, rank
+# indices), are numbers of the right kind: every entry point turns anything
+# else into a PosetError instead of truncating it or leaking a
+# TypeError/ValueError.
 JUNK_ATOMS = {
     "float entry": lambda: AtomicSequence((1.5,)),
     "string entry": lambda: AtomicSequence(("x",)),
@@ -97,6 +99,14 @@ JUNK_ATOMS = {
     "enumerate_intervals, string": lambda: enumerate_intervals("1,2,x"),
     "enumerate_intervals, float": lambda: enumerate_intervals((1, 2.0, 4)),
     "extension_search": lambda: extension_search(m_interval(3), [1, 3, "x", 6]),
+    "max_nodes None": lambda: enumerate_intervals(
+        (1, 2), limits=SearchLimits(max_nodes=None)
+    ),
+    "max_seconds string": lambda: SearchLimits(max_seconds="1"),
+    "extra_ranks float": lambda: extension_search(m_interval(3), "1,3,4,6", extra_ranks=1.5),
+    "predicted_rank_size, negative index": lambda: predicted_rank_size(
+        AtomicSequence((1,), 2), -1
+    ),
 }
 
 
@@ -422,6 +432,6 @@ class TestSerialization:
 
     def test_dot_output(self, diamond):
         dot = poset_to_dot(diamond)
-        assert dot.startswith("digraph")
+        assert dot.startswith("digraph poset {\n")
         assert "rankdir=BT" in dot
         assert '"0" -> "x"' in dot

@@ -1,10 +1,19 @@
+from itertools import product
+
 import pytest
 
 from binposet import search
 from binposet.construct import debruijn_poset, m_interval, stripped_boolean_interval
-from binposet.core import AtomicSequence, BinomialReport, PosetError, verify_binomial
+from binposet.core import (
+    AtomicSequence,
+    BinomialReport,
+    PosetError,
+    build_poset,
+    verify_binomial,
+)
 from binposet.iso import are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
+from conftest import brute_classes
 
 
 class TestEnumerate:
@@ -177,6 +186,80 @@ def test_search_counters_are_pinned(case):
     assert (res.verdict, res.nodes, len(res.classes), res.detail) == (
         verdict, nodes, classes, detail
     )
+
+
+def _partitions(n: int, least: int = 2) -> int:
+    """Partitions of n into parts of at least ``least``."""
+    if n == 0:
+        return 1
+    return sum(_partitions(n - k, k) for k in range(least, n + 1))
+
+
+def _rank3_count(a: int, b: int) -> int | None:
+    """The class count of atoms (1, a, b), where a closed form gives it.
+
+    A length-3 interval with these atoms is an a-regular bipartite graph
+    with b vertices on each side, up to isomorphisms that keep the sides:
+    a perfect matching, its complement and the complete graph are unique,
+    and a 2-regular graph is a union of even cycles, one part >= 2 of b
+    per cycle."""
+    if a in (1, b - 1, b):
+        return 1
+    if a == 2:
+        return _partitions(b)
+    return None
+
+
+def _middle_complement(p):
+    """The poset whose atom-coatom covers are the non-covers of ``p``."""
+    bottom, atoms, coatoms, top = p.levels
+    covers = set(p.covers)
+    middle = [(x, y) for x in atoms for y in coatoms if (x, y) not in covers]
+    ends = [c for c in p.covers if c[0] in bottom or c[1] in top]
+    return build_poset(p.levels, ends + middle)
+
+
+class TestCompleteness:
+    def test_rank_three_closed_forms(self):
+        # b = 7 only where a closed form gives the count; the rest run far longer
+        assert [_partitions(b) for b in range(2, 8)] == [1, 1, 2, 2, 4, 4]
+        classes, certs = {}, {}
+        for b in range(1, 8):
+            for a in range(1, b + 1):
+                if b == 7 and _rank3_count(a, b) is None:
+                    continue
+                res = enumerate_intervals((1, a, b))
+                assert res.verdict == "found", (a, b)
+                classes[a, b] = res.classes
+                certs[a, b] = {canonical_form(p) for p in res.classes}
+                if _rank3_count(a, b) is not None:
+                    assert len(res.classes) == _rank3_count(a, b), (a, b)
+                if b <= 5:
+                    slow = enumerate_intervals((1, a, b), use_iso_dedup=False)
+                    assert {canonical_form(p) for p in slow.classes} == certs[a, b]
+        for b in range(2, 7):
+            for a in range(1, b):
+                flipped = {canonical_form(_middle_complement(p)) for p in classes[a, b]}
+                assert flipped <= certs[b - a, b], (a, b)
+                assert len(certs[a, b]) == len(certs[b - a, b]), (a, b)
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            (1, 1, 2), (1, 1, 3), (1, 2, 2), (1, 2, 3), (1, 3, 3), (1, 2, 4), (1, 3, 4),
+            (1, 1, 1, 1), (1, 1, 1, 2), (1, 1, 2, 1), (1, 1, 2, 2), (1, 2, 2, 2),
+        ],
+    )
+    def test_search_finds_every_brute_force_class(self, head):
+        oracle = brute_classes(head)
+        certs = {canonical_form(p) for p in oracle}
+        assert len(certs) == len(oracle)
+        strategies = ("levelwise", "assembly") if len(head) == 4 else ("levelwise",)
+        for strategy, dedup in product(strategies, (True, False)):
+            res = enumerate_intervals(head, strategy=strategy, use_iso_dedup=dedup)
+            assert res.verdict == ("found" if oracle else "exhausted"), (strategy, dedup)
+            assert {canonical_form(p) for p in res.classes} == certs, (strategy, dedup)
+            assert len(res.classes) == len(oracle), (strategy, dedup)
 
 
 class TestExtension:
