@@ -87,9 +87,8 @@ class AtomicSequence:
         return self.tail is None
 
     def a(self, i: int) -> int:
-        """Value a_i, 1-indexed."""
-        if i < 1:
-            raise IndexError(f"a_{i} undefined: indices start at 1")
+        """Value a_i, 1-indexed; IndexError past the head of a finite sequence."""
+        i = _whole(i, "atom index", 1)
         if i <= len(self.head):
             return self.head[i - 1]
         if self.tail is None:
@@ -98,10 +97,10 @@ class AtomicSequence:
 
     def B(self, n: int) -> int:
         """Factorial-like product a_1 * ... * a_n (1 when n = 0)."""
-        return prod(self.a(i) for i in range(1, n + 1))
+        return prod(self.a(i) for i in range(1, _whole(n, "length") + 1))
 
     def prefix(self, n: int) -> tuple[int, ...]:
-        return tuple(self.a(i) for i in range(1, n + 1))
+        return tuple(self.a(i) for i in range(1, _whole(n, "length") + 1))
 
     @classmethod
     def parse(cls, text: str) -> AtomicSequence:
@@ -163,8 +162,7 @@ class FactorialProfile:
         self._B = [1]  # _B[n] = B(n), extended on demand
 
     def B(self, n: int) -> int:
-        if n < 0:
-            raise IndexError("negative length")
+        n = _whole(n, "length")
         B = self._B
         while len(B) <= n:
             B.append(B[-1] * self.source.a(len(B)))
@@ -172,8 +170,8 @@ class FactorialProfile:
 
     def coefficient(self, n: int, j: int) -> Fraction:
         """B(n) / (B(j) B(n-j)) as an exact rational."""
-        if not 0 <= j <= n:
-            raise IndexError(f"coefficient ({n}, {j}) out of range")
+        if _whole(j, "rank") > _whole(n, "length"):
+            raise PosetError(f"coefficient ({n}, {j}) out of range")
         return Fraction(self.B(n), self.B(j) * self.B(n - j))
 
     def W(self, n: int, j: int) -> int:

@@ -17,6 +17,29 @@ unless a resource cap interrupts):
   concrete mid-level elements.  This tames the very wide middle level
   that defeats the levelwise order at rank 4.
 
+Both break the symmetry of the atoms before any certificate is computed,
+dedup on or off.  Until a block (assembly) or a rank-2 element
+(levelwise) covers an atom, it covers only the bottom, so any
+permutation of the unused atoms is an automorphism of the partial state
+that fixes everything else.  A new block's atom set S, or a new rank-2
+element's cover set, may therefore take unused atoms only as the lowest
+unused ones.  The used atoms then always form a prefix, those below
+``used``, and the test is ``S[-1] < used + #{x in S : x >= used}``.
+
+Nothing is lost.  Both strategies take these sets as combinations in
+non-decreasing lexicographic order.  Let a generation path first break
+the rule at S, and relabel the whole diagram by the permutation of the
+unused atoms that replaces the unused part of S by the lowest unused
+atoms, in order; it fixes every set chosen so far.  Compare the image
+of S, or of any later set, with the last chosen set at their first
+differing position.  That position either lies in the used part, which
+is unchanged, or holds an unused atom, which is larger than every used
+one.  Either way the image is not smaller than the last chosen set.  So
+the relabelled remainder, sorted again, extends the same prefix, and its
+first set is at most the image of S, which is smaller than S.  The sets
+are finitely many, so repeating this ends on a path that keeps the rule
+throughout, to an isomorphic diagram.
+
 Both run on one core, ``_Core``: the node and deadline budget, the
 dedup switch and the certificate check behind it, the translation of a
 canonicalization cap into a "capped" verdict, and ``classify``, which
@@ -211,9 +234,9 @@ class _Levelwise:
         # levels are built in turn, so level j-1 is the last elements created
         end = len(self.level_of)
         prev = range(end - self.widths[j - 1], end)
-        self._slots(j, 0, 0, list(combinations(prev, self.seq.a(j))), prev)
+        self._slots(j, 0, 0, list(combinations(prev, self.seq.a(j))), prev, prev.start)
 
-    def _slots(self, j: int, s: int, min_ci: int, cands, prev) -> None:
+    def _slots(self, j: int, s: int, min_ci: int, cands, prev, used: int) -> None:
         width = self.widths[j]
         if s == width:
             self._level_done(j)
@@ -222,12 +245,16 @@ class _Levelwise:
         rem = width - s - 1
         for ci in range(min_ci, len(cands)):
             C = cands[ci]
+            # rank 2 takes unused atoms lowest-first: the atoms below
+            # ``used`` are exactly those covered so far
+            if j == 2 and C[-1] >= used + sum(c >= used for c in C):
+                continue
             if not _room(self.updeg, prev, C, cap, rem):
                 continue
             self.core.spend()
             e = self._create(j, C)
             if e is not None:
-                self._slots(j, s + 1, ci, cands, prev)
+                self._slots(j, s + 1, ci, cands, prev, max(used, C[-1] + 1))
                 self._destroy(e, C)
 
     def _create(self, j: int, C: tuple[int, ...]) -> int | None:
@@ -237,10 +264,10 @@ class _Levelwise:
         # [x, e] must have a_d atoms; every element below e passed the same
         # check when it was created, so chain counts follow as in
         # verify_binomial
-        level_of, upcov_mask, a = self.level_of, self.upcov_mask, self.seq.a
+        level_of, upcov_mask, head = self.level_of, self.upcov_mask, self.seq.head
         for x in _bits(down):
             d = j - level_of[x]
-            if d >= 2 and (upcov_mask[x] & down).bit_count() != a(d):
+            if d >= 2 and (upcov_mask[x] & down).bit_count() != head[d - 1]:
                 return None
         e = len(level_of)
         mask = 1 << e
@@ -362,9 +389,9 @@ class _Assembly:
         self.demand: dict[tuple[int, ...], int] = {}
         self.distinct_through = [0] * self.a4
         self.chosen: list[int] = []
-        self._slots(0)
+        self._slots(0, 0)
 
-    def _slots(self, min_pl: int) -> None:
+    def _slots(self, min_pl: int, used: int) -> None:
         if len(self.chosen) == self.a4:
             self._match()
             return
@@ -372,6 +399,10 @@ class _Assembly:
         cap = self.a3
         for pl in range(min_pl, len(self.placements)):
             S, rows = self.placements[pl]
+            # unused atoms are taken lowest-first: atoms below ``used``
+            # are exactly those in the blocks chosen so far
+            if S[-1] >= used + sum(x >= used for x in S):
+                continue
             # each later block passes over an atom at most once
             if not _room(self.count, range(self.a4), S, cap, rem):
                 continue
@@ -402,7 +433,7 @@ class _Assembly:
                 for T, d in self.demand.items()
             )
             if not stuck and not self.core.repeats(self.seen, self._state):
-                self._slots(pl)
+                self._slots(pl, max(used, S[-1] + 1))
             self.chosen.pop()
             for row in rows:
                 self.demand[row] -= 1

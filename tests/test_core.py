@@ -107,6 +107,16 @@ JUNK_ATOMS = {
     "predicted_rank_size, negative index": lambda: predicted_rank_size(
         AtomicSequence((1,), 2), -1
     ),
+    "a, float index": lambda: AtomicSequence((1, 2, 4)).a(1.0),
+    "a, zero index": lambda: AtomicSequence((1, 2, 4)).a(0),
+    "B, negative length": lambda: AtomicSequence((1, 2, 4)).B(-1),
+    "B, float length": lambda: AtomicSequence((1, 2, 4)).B(1.5),
+    "prefix, negative length": lambda: AtomicSequence((1, 2, 4)).prefix(-2),
+    "prefix, float length": lambda: AtomicSequence((1, 2, 4)).prefix(2.0),
+    "W, float length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2.0, 1),
+    "W, negative rank": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, -1),
+    "W, rank past the length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, 3),
+    "profile B, negative length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).B(-1),
 }
 
 

@@ -56,12 +56,15 @@ class TestEnumerate:
         assert certs == sorted(certs) and len(set(certs)) == 2
 
     def test_strategies_agree_at_rank_four(self):
-        by_level = enumerate_intervals((1, 2, 3, 4), strategy="levelwise")
-        by_blocks = enumerate_intervals((1, 2, 3, 4), strategy="assembly")
-        assert by_level.verdict == by_blocks.verdict == "found"
-        level_certs = sorted(canonical_form(p) for p in by_level.classes)
-        block_certs = sorted(canonical_form(p) for p in by_blocks.classes)
-        assert level_certs == block_certs
+        # the atom rule sits in _Levelwise._slots at rank 2 and in
+        # _Assembly._slots per block, so each strategy checks the other
+        for head in (1, 2, 3, 4), (1, 2, 2, 4), (1, 2, 4, 4):
+            by_level = enumerate_intervals(head, strategy="levelwise")
+            by_blocks = enumerate_intervals(head, strategy="assembly")
+            assert by_level.verdict == by_blocks.verdict == "found", head
+            level_certs = sorted(canonical_form(p) for p in by_level.classes)
+            block_certs = sorted(canonical_form(p) for p in by_blocks.classes)
+            assert level_certs == block_certs, head
 
     def test_dedup_toggle_changes_nothing_but_work(self):
         fast = enumerate_intervals((1, 2, 4))
@@ -123,17 +126,20 @@ _BUDGET = "node budget of {} exhausted"
 PINNED = {
     "criterion 7": (
         lambda: extension_search(stripped_boolean_interval(4, 1), (1, 2, 3, 4, 4)),
-        "exhausted", 3429, 0, "",
+        "exhausted", 3067, 0, "",
     ),
     "m3 to a4=6": (
-        lambda: extension_search(m_interval(3), (1, 3, 4, 6)), "exhausted", 36, 0, "",
+        lambda: extension_search(m_interval(3), (1, 3, 4, 6)), "exhausted", 15, 0, "",
     ),
     "m3 to a4=9": (
-        lambda: extension_search(m_interval(3), (1, 3, 4, 9)), "exhausted", 168, 0, "",
+        lambda: extension_search(m_interval(3), (1, 3, 4, 9)), "exhausted", 24, 0, "",
+    ),
+    "m3 to a4=12": (
+        lambda: extension_search(m_interval(3), (1, 3, 4, 12)), "exhausted", 42, 0, "",
     ),
     "1349 assembly over m3": (
         lambda: enumerate_intervals((1, 3, 4, 9), base=m_interval(3), strategy="assembly"),
-        "exhausted", 168, 0, "",
+        "exhausted", 24, 0, "",
     ),
     "1349 levelwise capped": (
         lambda: enumerate_intervals(
@@ -142,13 +148,13 @@ PINNED = {
         "capped", 2001, 0, _BUDGET.format(2000),
     ),
     "1238 assembly": (
-        lambda: enumerate_intervals((1, 2, 3, 8), strategy="assembly"), "found", 205, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 8), strategy="assembly"), "found", 87, 1, "",
     ),
     "1248 assembly capped": (
         lambda: enumerate_intervals(
             (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
         ),
-        "capped", 301, 2, _BUDGET.format(300),
+        "capped", 301, 6, _BUDGET.format(300),
     ),
     "1248 levelwise capped": (
         lambda: enumerate_intervals(
@@ -157,18 +163,18 @@ PINNED = {
         "capped", 301, 6, _BUDGET.format(300),
     ),
     "1234 levelwise": (
-        lambda: enumerate_intervals((1, 2, 3, 4), strategy="levelwise"), "found", 312, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="levelwise"), "found", 177, 1, "",
     ),
     "1234 assembly": (
-        lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 34, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 28, 1, "",
     ),
-    "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 57, 2, ""),
+    "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 18, 2, ""),
     # the deepest rank-3 prune a pinned case reaches
     "136 levelwise": (
-        lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 9028, 7, "",
+        lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 555, 7, "",
     ),
     "124 without dedup": (
-        lambda: enumerate_intervals((1, 2, 4), use_iso_dedup=False), "found", 61, 2, "",
+        lambda: enumerate_intervals((1, 2, 4), use_iso_dedup=False), "found", 18, 2, "",
     ),
     # the rank-3 partials of the inner levelwise run and the assembly block
     # states are the same 1+1+1 diagram: one dedup set for both stages
@@ -242,6 +248,20 @@ class TestCompleteness:
                 flipped = {canonical_form(_middle_complement(p)) for p in classes[a, b]}
                 assert flipped <= certs[b - a, b], (a, b)
                 assert len(certs[a, b]) == len(certs[b - a, b]), (a, b)
+
+    def test_rank_three_frontier(self):
+        # sizes within reach only because unused atoms are taken
+        # lowest-first: without that, (1,2,8) alone takes 207,236 nodes
+        assert [_partitions(b) for b in range(8, 13)] == [7, 8, 12, 14, 21]
+        for b in range(8, 13):
+            res = enumerate_intervals((1, 2, b))
+            assert res.verdict == "found", b
+            assert len(res.classes) == _partitions(b), b
+        three, four = enumerate_intervals((1, 3, 7)), enumerate_intervals((1, 4, 7))
+        assert three.verdict == four.verdict == "found"
+        assert len(three.classes) == len(four.classes)
+        flipped = {canonical_form(_middle_complement(p)) for p in three.classes}
+        assert flipped == {canonical_form(p) for p in four.classes}
 
     @pytest.mark.parametrize(
         "head",
