@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -5,6 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from binposet.classify import enumerate_interval_classes
+from binposet.construct import (
+    debruijn_poset,
+    divisible_poset,
+    m_interval,
+    poset_from_string,
+    stripped_boolean_interval,
+    versal_string,
+)
 from binposet.core import GradedPoset, build_poset, dual, grid_ids
 from binposet.iso import (
     CanonicalizationCapError,
@@ -13,6 +23,7 @@ from binposet.iso import (
     isomorphism,
 )
 from conftest import brute_isomorphic
+from test_search import PINNED
 
 
 def relabel(p: GradedPoset, rng: random.Random) -> GradedPoset:
@@ -100,6 +111,37 @@ def test_certificates_of_cycle_unions_follow_their_lengths():
     for shape, cert in zip(shapes, certs):
         for _ in range(4):
             assert canonical_form(relabel(cycle_union(shape), rng)) == cert
+
+
+def pinned_corpus_certificates() -> list[bytes]:
+    """Certificates of a fixed corpus: the constructions, the classes of
+    the pinned searches, and a versal word poset with its interval census
+    up to length 12 (the longer lengths take seconds)."""
+    word = poset_from_string(versal_string(3))
+    posets = [
+        word,
+        stripped_boolean_interval(4, 2),
+        stripped_boolean_interval(3, 2),
+        poset_from_string("121"),
+        m_interval(3),
+        debruijn_poset(3, 3, 7),
+        divisible_poset((1, 2, 4, 8), 4),
+    ]
+    for run, *_ in PINNED.values():
+        posets += run().classes
+    certs = [canonical_form(p) for p in posets]
+    for n in range(13):
+        certs += [c.certificate for c in enumerate_interval_classes(word, n).classes]
+    return sorted(certs)
+
+
+def test_certificate_bytes_are_pinned():
+    # A faster search may change how a certificate is found, never its
+    # bytes: the least encoding over the same search tree stays the least.
+    certs = pinned_corpus_certificates()
+    assert (len(certs), len(set(certs))) == (125, 115)
+    digest = hashlib.sha256(b"\n".join(c.hex().encode() for c in certs)).hexdigest()
+    assert digest == "2999e522dd7aeab85f985d47c56131103661b2452aca5af0bcf0a6b44fd52fdf"
 
 
 class TestAreIsomorphic:
