@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, interval, verify_binomial
-from .core import _bits, _induced_down, _pairs_of_length
+from .core import _bits, _induced_down, _pairs_of_length, _whole
 from .iso import canonical_form
 
 __all__ = [
@@ -202,7 +202,8 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     level order.  An interval is keyed by its cover lists in the order of
     ``p``'s elements; equal keys are the same labelled diagram, so only
     the first interval with a key is built and canonicalized."""
-    if not 0 <= n <= p.height:
+    n = _whole(n, "interval length")
+    if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els = p.elements
     up_mask, down_mask = p._up_mask, p._down_mask

@@ -16,7 +16,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import AtomicSequence, GradedPoset, PosetError, build_poset, grid_ids
+from .core import AtomicSequence, GradedPoset, PosetError, _whole, build_poset, grid_ids
 
 __all__ = [
     "validate_string",
@@ -43,8 +43,7 @@ def validate_string(word: str) -> bool:
 
 def valid_words(length: int) -> Iterator[str]:
     """All valid words of the given length, lexicographically."""
-    if length < 0:
-        raise PosetError("length must be non-negative")
+    length = _whole(length, "length")
     if length == 0:
         yield ""
         return
@@ -60,8 +59,7 @@ def valid_words(length: int) -> Iterator[str]:
 
 def count_valid_words(length: int) -> int:
     """Number of valid words of the given length: c(L) = c(L-1) + c(L-2)."""
-    if length < 0:
-        raise PosetError("length must be non-negative")
+    length = _whole(length, "length")
     a, b = 1, 2  # c(0), c(1)
     for _ in range(length):
         a, b = b, a + b
@@ -71,8 +69,7 @@ def count_valid_words(length: int) -> int:
 def versal_string(max_length: int) -> str:
     """A valid word containing every valid word of length <= max_length as
     a contiguous substring: the words in (length, lex) order, joined by 1s."""
-    if max_length < 1:
-        raise PosetError("max_length must be at least 1")
+    max_length = _whole(max_length, "max_length", 1)
     words = [w for n in range(1, max_length + 1) for w in valid_words(n)]
     return "1".join(words)
 
@@ -147,8 +144,7 @@ def debruijn_poset(m: int, n: int, height: int) -> GradedPoset:
     Rank-i elements are the words in [n]^min(i, m); a word covers another
     when dropping its last letter leaves a suffix of the lower word.
     Realizes the atom sequence (1^m, n, n, ...)."""
-    if m < 0 or n < 1 or height < 0:
-        raise PosetError("need m >= 0, n >= 1, height >= 0")
+    m, n, height = _whole(m, "m"), _whole(n, "n", 1), _whole(height, "height")
     level_words = [
         sorted(product(range(n), repeat=min(i, m))) for i in range(height + 1)
     ]
@@ -173,8 +169,7 @@ def stripped_boolean_interval(n: int, k: int) -> GradedPoset:
     The proper part of each copy is kept disjoint; a fresh bottom sits
     under every copy's atoms and a fresh top over every copy's
     coatoms.  Realizes the atom sequence (1, 2, ..., n-1, kn)."""
-    if n < 2 or k < 1:
-        raise PosetError("need n >= 2, k >= 1")
+    n, k = _whole(n, "n", 2), _whole(k, "k", 1)
     subsets = [list(combinations(range(n), j)) for j in range(n + 1)]
     widths = [1] + [k * comb(n, j) for j in range(1, n)] + [1]
     levels = grid_ids(widths)
@@ -202,8 +197,7 @@ def m_interval(m: int) -> GradedPoset:
 
     Two middle levels of m+1 elements each, with x_i below y_j exactly
     when i != j."""
-    if m < 1:
-        raise PosetError("need m >= 1")
+    m = _whole(m, "m", 1)
     levels = grid_ids((1, m + 1, m + 1, 1))
     covers: list[tuple[str, str]] = []
     for i in range(m + 1):
@@ -224,8 +218,7 @@ def divisible_poset(seq: AtomicSequence | Sequence[int], height: int) -> GradedP
     x_j in range(r_j); its upper covers are the tuples
     (y, x_1 mod r_2, ..., x_i mod r_(i+1)) for y in range(r_1).
     """
-    if height < 0:
-        raise PosetError("need height >= 0")
+    height = _whole(height, "height")
     if not isinstance(seq, AtomicSequence):
         seq = AtomicSequence(tuple(seq))
     if height == 0:

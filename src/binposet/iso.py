@@ -22,14 +22,27 @@ need:
   element queues only its singleton cell.
 
 * Search.  A node individualizes each member of its first smallest
-  non-singleton cell in turn; a discrete partition is a leaf, and
-  ``lab`` is its element order.  Leaves that encode equally to the first
-  leaf or to the best one yield automorphisms, stored sparsely (moved
-  points only), and send the search back to the node where the two paths
-  part.  A node keeps the automorphisms that fix its path
-  pointwise; those map its target cell onto itself, so a member already
-  in the closure of the explored members under them roots a subtree
-  equivalent to one explored, and is skipped.
+  cell that holds more than one twin class (see Twins) in turn; a node
+  without such a cell is a leaf, and ``lab`` is its element order.
+  Leaves that encode equally to the first leaf or to the best one yield
+  automorphisms, stored sparsely (moved points only), and send the
+  search back to the node where the two paths part.  A node keeps the
+  automorphisms that fix its path pointwise; those map its target cell
+  onto itself, so a member already in the closure of the explored
+  members under them roots a subtree equivalent to one explored, and is
+  skipped.
+
+* Twins.  Elements of one level with the same upper and the same lower
+  covers are twins.  Swapping two twins is an automorphism known before
+  the search starts, so each swap of consecutive members of a twin class
+  is a generator from the root on, and the search explores one twin per
+  class of a target cell.  A cell whose members are all twins is never a
+  target: no refinement splits it, and individualizing one of its members
+  splits nothing else, so the discrete partitions below a node with only
+  singleton and twin-only cells differ only in the order inside those
+  cells, and all encode like the node's ``lab``.  The certificate is thus
+  the least encoding over the discrete partitions of the tree that
+  branches on every non-singleton cell.
 
 * Cache.  A poset keeps its last complete run (certificate, element
   order, node count) in its own ``__dict__``, as ``cached_property``
@@ -47,7 +60,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Sequence
 
-from .core import GradedPoset, PosetError
+from .core import GradedPoset, PosetError, _whole
 
 __all__ = [
     "CanonicalizationCapError",
@@ -120,6 +133,16 @@ class _Canonicalizer:
         self.first_path: tuple[int, ...] = ()
         self.gens: list[dict[int, int]] = []
         self.path: list[int] = []
+        # Twins share a level, upper covers and lower covers.  A twin class
+        # is named by its first member, and the swap of two consecutive
+        # members is an automorphism known before the search starts.
+        names: dict[tuple, int] = {}
+        self.twin = [names.setdefault(key, v) for v, key in enumerate(zip(p._level_of, up, down))]
+        last: dict[int, int] = {}
+        for v, t in enumerate(self.twin):
+            if t in last:
+                self.gens.append({last[t]: v, v: last[t]})
+            last[t] = v
 
     def run(self) -> tuple[bytes, list[int]]:
         # the seed partition: one cell per level, in element order
@@ -129,7 +152,7 @@ class _Canonicalizer:
         for s, e in zip(starts, self.p._level_start[1:]):
             end[s] = e
             cell[s:e] = [s] * (e - s)
-        self._walk(list(range(n)), cell, end, len(starts), starts, [])
+        self._walk(list(range(n)), cell, end, len(starts), starts, list(self.gens))
         assert self.best is not None
         return self.best, self.best_order
 
@@ -200,15 +223,18 @@ class _Canonicalizer:
                 f"canonical labeling exceeded {self.cap} nodes"
             )
         ncells = self._refine(lab, cell, end, ncells, queue)
-        if ncells == self.n:
-            return self._leaf(lab)
+        # a twin-only cell is never a target: every order of its members
+        # encodes alike (see Twins in the module docstring)
+        twin = self.twin
         target, size = -1, self.n + 1
         s = 0
         while s < self.n:
             e = end[s]
-            if 1 < e - s < size:
+            if 1 < e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1 : e]):
                 target, size = s, e - s
             s = e
+        if target < 0:
+            return self._leaf(lab)
         # Automorphisms fixing the path fix this partition, so the closure
         # of explored members under them stays inside the target cell.
         reached: set[int] = set()
@@ -293,11 +319,12 @@ def canonical_form(p: GradedPoset, node_cap: int = DEFAULT_NODE_CAP) -> bytes:
 
     Render with ``.hex()`` for display; the bytes are stable only within
     a version."""
-    return _canonical(p, node_cap)[0]
+    return _canonical(p, _whole(node_cap, "node_cap", 1))[0]
 
 
 def are_isomorphic(p: GradedPoset, q: GradedPoset, node_cap: int = DEFAULT_NODE_CAP) -> bool:
     """Rank-preserving isomorphism test."""
+    node_cap = _whole(node_cap, "node_cap", 1)
     if p.widths != q.widths or len(p.covers) != len(q.covers):
         return False
     return canonical_form(p, node_cap) == canonical_form(q, node_cap)
@@ -309,6 +336,7 @@ def isomorphism(
     """A rank-preserving isomorphism as an id map, or None.
 
     Deterministic: composes the two canonical labelings."""
+    node_cap = _whole(node_cap, "node_cap", 1)
     if p.widths != q.widths or len(p.covers) != len(q.covers):
         return None
     cert_p, order_p = _canonical(p, node_cap)

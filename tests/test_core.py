@@ -6,7 +6,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binposet.construct import debruijn_poset, divisible_poset, m_interval, poset_from_string
+from binposet.classify import enumerate_interval_classes
+from binposet.construct import (
+    count_valid_words,
+    debruijn_poset,
+    divisible_poset,
+    m_interval,
+    poset_from_string,
+    stripped_boolean_interval,
+    valid_words,
+    versal_string,
+)
 from binposet.core import (
     AtomicSequence,
     BinomialReport,
@@ -84,9 +94,9 @@ class TestAtomicSequence:
 
 
 # Atom counts, and the sizes around them (search budgets, ranks, rank
-# indices), are numbers of the right kind: every entry point turns anything
-# else into a PosetError instead of truncating it or leaking a
-# TypeError/ValueError.
+# indices, construction and census sizes), are numbers of the right kind:
+# every entry point turns anything else into a PosetError instead of
+# truncating it or leaking a TypeError/ValueError.
 JUNK_ATOMS = {
     "float entry": lambda: AtomicSequence((1.5,)),
     "string entry": lambda: AtomicSequence(("x",)),
@@ -117,6 +127,14 @@ JUNK_ATOMS = {
     "W, negative rank": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, -1),
     "W, rank past the length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, 3),
     "profile B, negative length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).B(-1),
+    "m_interval, float": lambda: m_interval(2.5),
+    "debruijn_poset, float window": lambda: debruijn_poset(2.0, 2, 3),
+    "divisible_poset, float height": lambda: divisible_poset((1, 2), 1.5),
+    "stripped_boolean_interval, float": lambda: stripped_boolean_interval(3.0, 1),
+    "versal_string, string": lambda: versal_string("3"),
+    "valid_words, float": lambda: next(valid_words(2.5)),
+    "count_valid_words, float": lambda: count_valid_words(2.5),
+    "interval census, float length": lambda: enumerate_interval_classes(m_interval(2), 1.5),
 }
 
 

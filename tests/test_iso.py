@@ -15,9 +15,11 @@ from binposet.construct import (
     stripped_boolean_interval,
     versal_string,
 )
-from binposet.core import GradedPoset, build_poset, dual, grid_ids
+from binposet.core import GradedPoset, PosetError, build_poset, dual, grid_ids
 from binposet.iso import (
+    DEFAULT_NODE_CAP,
     CanonicalizationCapError,
+    _Canonicalizer,
     are_isomorphic,
     canonical_form,
     isomorphism,
@@ -76,6 +78,18 @@ class TestCanonicalForm:
     def test_node_cap(self, cube):
         with pytest.raises(CanonicalizationCapError):
             canonical_form(cube, node_cap=2)
+
+    @pytest.mark.parametrize("cap", [-1, 0, 0.5, None, "x"])
+    def test_junk_node_cap_is_not_a_cap_hit(self, cap, cube, chain3):
+        calls = (
+            lambda: canonical_form(cube, node_cap=cap),
+            lambda: are_isomorphic(cube, chain3, node_cap=cap),
+            lambda: isomorphism(cube, chain3, node_cap=cap),
+        )
+        for call in calls:
+            with pytest.raises(PosetError, match="node_cap") as info:
+                call()
+            assert not isinstance(info.value, CanonicalizationCapError)
 
 
 def cycle_union(lengths: tuple[int, ...]) -> GradedPoset:
@@ -214,6 +228,121 @@ class TestInstanceCache:
         assert kept_run(twin) is not kept_run(cube)
 
 
+def twin_atoms(k: int) -> GradedPoset:
+    """A bottom, k atoms and a top: the k atoms are twins."""
+    levels = grid_ids((1, k, 1))
+    atoms = levels[1]
+    return build_poset(levels, [("0:0", a) for a in atoms] + [(a, "2:0") for a in atoms])
+
+
+class TestCanonicalNodes:
+    """Known twin swaps prune the search, and twin-only cells end it."""
+
+    def test_twin_atoms_take_one_node(self):
+        # one twin class and no other non-singleton cell: the root is a leaf
+        for k in range(2, 21):
+            p = twin_atoms(k)
+            canonical_form(p)
+            assert kept_run(p)[2] == 1, k
+
+    def test_divisible_poset_fits_a_thousand_nodes(self):
+        # each element of ranks 1-3 has one twin, and the 64 of rank 4 fall
+        # into eight twin classes of eight
+        p = divisible_poset((1, 2, 4, 8), 4)
+        q = relabel(p, random.Random(8))
+        assert canonical_form(p, node_cap=1000) == canonical_form(q, node_cap=1000)
+        assert kept_run(p)[2] == 91
+
+
+def blow_up(p: GradedPoset, mult: dict[str, int]) -> GradedPoset:
+    """Each element x of ``p`` becomes ``mult[x]`` twins, each covered as
+    x is."""
+    levels = tuple(tuple(f"{x}.{i}" for x in lv for i in range(mult[x])) for lv in p.levels)
+    covers = {
+        (f"{a}.{i}", f"{b}.{j}")
+        for a, b in p.covers
+        for i in range(mult[a])
+        for j in range(mult[b])
+    }
+    return GradedPoset(levels, frozenset(covers))
+
+
+def twin_heavy(rng: random.Random, widths: list[int]) -> tuple[GradedPoset, GradedPoset | None]:
+    """A random blow-up with 1-3 twins per element, and the blow-up with
+    two multiplicities of one level swapped (None if no level has two
+    that differ).  The last element of the first and of the last level
+    has no covers, so twins without covers sit on two levels."""
+    levels = grid_ids(widths)
+    lonely = {levels[0][-1], levels[-1][-1]}
+    covers = {
+        (a, b)
+        for r in range(len(levels) - 1)
+        for a in levels[r]
+        for b in levels[r + 1]
+        if a not in lonely and b not in lonely and rng.random() < 0.5
+    }
+    base = GradedPoset(levels, frozenset(covers))
+    mult = {x: rng.randint(1, 3) for x in base.elements}
+    swaps = [
+        (x, y) for lv in levels for x, y in itertools.combinations(lv, 2) if mult[x] != mult[y]
+    ]
+    if not swaps:
+        return blow_up(base, mult), None
+    x, y = rng.choice(swaps)
+    return blow_up(base, mult), blow_up(base, {**mult, x: mult[y], y: mult[x]})
+
+
+def check_twin_heavy(p: GradedPoset, q: GradedPoset | None, rng: random.Random, oracle):
+    """Certificates of ``p`` and a relabelled copy agree, the isomorphism
+    between them maps covers to covers, and certificates of ``p`` and
+    ``q`` agree exactly when ``oracle`` says they are isomorphic."""
+    copy = relabel(p, rng)
+    assert canonical_form(copy) == canonical_form(p)
+    m = isomorphism(p, copy)
+    assert m is not None and {(m[a], m[b]) for a, b in p.covers} == set(copy.covers)
+    if q is None:
+        return None
+    same = oracle(p, q)
+    assert (canonical_form(p) == canonical_form(q)) == same
+    return same
+
+
+def test_twin_heavy_diagrams_match_brute_force():
+    rng = random.Random(41)
+    verdicts = set()
+    for _ in range(150):
+        widths = [rng.randint(1, 2) for _ in range(rng.randint(2, 3))]
+        p, q = twin_heavy(rng, widths)
+        if max(p.widths + (q.widths if q else ())) > 4:
+            continue
+        verdicts.add(check_twin_heavy(p, q, rng, brute_isomorphic))
+    assert {True, False} <= verdicts
+
+
+def test_twin_heavy_diagrams_match_vf2():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(43)
+    verdicts = set()
+    for _ in range(60):
+        widths = [rng.randint(2, 5) for _ in range(rng.randint(3, 5))]
+        verdicts.add(check_twin_heavy(*twin_heavy(rng, widths), rng, lambda p, q: vf2(nx, p, q)))
+    assert {True, False} <= verdicts
+
+
+def test_every_recorded_generator_is_an_automorphism():
+    # twin swaps included: elements without covers on two levels are not
+    # twins, as a swap between them would not keep ranks
+    rng = random.Random(47)
+    for _ in range(40):
+        p, _ = twin_heavy(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 4))])
+        search = _Canonicalizer(p, DEFAULT_NODE_CAP)
+        search.run()
+        level, covers = p._level_of, {(p._index[a], p._index[b]) for a, b in p.covers}
+        for g in search.gens:
+            assert all(level[g[x]] == level[x] for x in g)
+            assert {(g.get(a, a), g.get(b, b)) for a, b in covers} == covers
+
+
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)
 
 
@@ -297,8 +426,8 @@ def near_twin(p: GradedPoset, rng: random.Random) -> GradedPoset | None:
     return GradedPoset(p.levels, (p.covers - {(lo, hi)}) | {rng.choice(free)})
 
 
-def test_certificate_equality_matches_vf2():
-    nx = pytest.importorskip("networkx")
+def vf2(nx, p: GradedPoset, q: GradedPoset) -> bool:
+    """Rank-preserving isomorphism by networkx VF2."""
 
     def graph(p: GradedPoset):
         g = nx.Graph()
@@ -308,6 +437,11 @@ def test_certificate_equality_matches_vf2():
         return g
 
     match = nx.algorithms.isomorphism.categorical_node_match("rank", None)
+    return nx.is_isomorphic(graph(p), graph(q), node_match=match)
+
+
+def test_certificate_equality_matches_vf2():
+    nx = pytest.importorskip("networkx")
     rng = random.Random(2024)
     verdicts = []
     for _ in range(60):
@@ -317,7 +451,7 @@ def test_certificate_equality_matches_vf2():
         if twin is not None:
             pairs.append(relabel(twin, rng))
         for q in pairs:
-            want = nx.is_isomorphic(graph(p), graph(q), node_match=match)
+            want = vf2(nx, p, q)
             assert (canonical_form(p) == canonical_form(q)) == want
             verdicts.append(want)
     assert True in verdicts and False in verdicts
