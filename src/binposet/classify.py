@@ -43,7 +43,8 @@ class SectionGraph:
 
 def section_graph(p: GradedPoset, i: int) -> SectionGraph:
     """Section between levels i+1 and i+2 (the i-th section, 1-indexed)."""
-    if i < 0 or i + 2 > p.height:
+    i = _whole(i, "section index")
+    if i + 2 > p.height:
         raise PosetError(f"section {i} needs levels {i + 1} and {i + 2}")
     lo, hi = p.levels[i + 1], p.levels[i + 2]
     if len(lo) != 4 or len(hi) != 4:
@@ -121,6 +122,7 @@ def _partitions_from_blocks(level: tuple[str, ...], blocks: set[frozenset[str]])
 def cover_partitions(p: GradedPoset, i: int) -> set[Partition]:
     """Partitions of level i+1 whose blocks are lower-cover sets of
     level-(i+2) elements (induced from above)."""
+    i = _whole(i, "partition index")
     if i + 2 > p.height:
         raise PosetError(f"cover partitions at level {i + 1} need level {i + 2}")
     level = p.levels[i + 1]
@@ -133,7 +135,8 @@ def cover_partitions(p: GradedPoset, i: int) -> set[Partition]:
 def co_cover_partitions(p: GradedPoset, i: int) -> set[Partition]:
     """Partitions of level i+1 whose blocks are upper-cover sets of
     level-i elements (induced from below)."""
-    if i < 0 or i + 1 > p.height:
+    i = _whole(i, "partition index")
+    if i + 1 > p.height:
         raise PosetError(f"co-cover partitions at level {i + 1} need level {i}")
     level = p.levels[i + 1]
     if len(level) != 4:

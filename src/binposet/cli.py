@@ -52,10 +52,15 @@ def _read(path: str) -> str:
         raise _Exit(2, f"cannot read {path}: {e}") from None
 
 
-def _write(path: str, text: str) -> None:
+def _put(path: str | None, text: str) -> None:
+    """Print ``text`` if ``path`` is None or "-", else write it to ``path``
+    ending in a newline."""
+    if path is None or path == "-":
+        print(text)
+        return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text if text.endswith("\n") else text + "\n")
     except OSError as e:
         raise _Exit(2, f"cannot write {path}: {e}") from None
 
@@ -70,17 +75,9 @@ def _emit(rows: Sequence[tuple[str, object]]) -> None:
 
 
 def _write_out(p: GradedPoset, out: str | None, dot: str | None) -> None:
-    text = poset_to_json(p)
-    if out is None or out == "-":
-        print(text)
-    else:
-        _write(out, text + "\n")
+    _put(out, poset_to_json(p))
     if dot is not None:
-        rendered = poset_to_dot(p)
-        if dot == "-":
-            print(rendered)
-        else:
-            _write(dot, rendered)
+        _put(dot, poset_to_dot(p))
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -178,17 +175,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_search_extension(args: argparse.Namespace) -> int:
     base = _load_poset(args.base)
     target = AtomicSequence.parse(args.target)
-    limits = SearchLimits(
-        max_nodes=args.max_nodes,
-        max_seconds=args.max_seconds,
-    )
-    res = extension_search(
-        base,
-        target,
-        extra_ranks=args.extra_ranks,
-        limits=limits,
-        use_iso_dedup=not args.no_dedup,
-    )
+    limits = SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
+    res = extension_search(base, target, extra_ranks=args.extra_ranks, limits=limits)
     _emit([("verdict", res.verdict), ("nodes", res.nodes), ("classes", len(res.classes))])
     if res.detail:
         print(res.detail, file=sys.stderr)
@@ -202,11 +190,7 @@ def _cmd_search_extension(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    rendered = poset_to_dot(_load_poset(args.poset))
-    if args.out is None or args.out == "-":
-        print(rendered)
-    else:
-        _write(args.out, rendered)
+    _put(args.out, poset_to_dot(_load_poset(args.poset)))
     return 0
 
 
@@ -262,7 +246,6 @@ def _parser() -> argparse.ArgumentParser:
     x.add_argument("--extra-ranks", type=int, default=1)
     x.add_argument("--max-nodes", type=int, default=SearchLimits().max_nodes)
     x.add_argument("--max-seconds", type=float, default=None)
-    x.add_argument("--no-dedup", action="store_true", help="disable certificate pruning")
     x.add_argument("--out", help="write the least-certificate witness JSON here")
     x.set_defaults(func=_cmd_search_extension)
 

@@ -16,7 +16,8 @@ from itertools import combinations, product
 from math import comb
 from typing import Iterator, Sequence
 
-from .core import AtomicSequence, GradedPoset, PosetError, _whole, build_poset, grid_ids
+from .core import AtomicSequence, GradedPoset, PosetError, build_poset, grid_ids
+from .core import _as_sequence, _whole
 
 __all__ = [
     "validate_string",
@@ -209,7 +210,7 @@ def m_interval(m: int) -> GradedPoset:
     return build_poset(levels, covers)
 
 
-def divisible_poset(seq: AtomicSequence | Sequence[int], height: int) -> GradedPoset:
+def divisible_poset(seq: AtomicSequence | str | Sequence[int], height: int) -> GradedPoset:
     """Mixed-modulus shift register realizing a divisible atom sequence.
 
     Requires a_i | a_(i+1) along the sequence (a finite head is extended
@@ -219,8 +220,7 @@ def divisible_poset(seq: AtomicSequence | Sequence[int], height: int) -> GradedP
     (y, x_1 mod r_2, ..., x_i mod r_(i+1)) for y in range(r_1).
     """
     height = _whole(height, "height")
-    if not isinstance(seq, AtomicSequence):
-        seq = AtomicSequence(tuple(seq))
+    seq = _as_sequence(seq)
     if height == 0:
         return build_poset((("0:0",),), ())
     if not seq.head and seq.tail is None:

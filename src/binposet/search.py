@@ -17,14 +17,14 @@ unless a resource cap interrupts):
   concrete mid-level elements.  This tames the very wide middle level
   that defeats the levelwise order at rank 4.
 
-Both break the symmetry of the atoms before any certificate is computed,
-dedup on or off.  Until a block (assembly) or a rank-2 element
-(levelwise) covers an atom, it covers only the bottom, so any
-permutation of the unused atoms is an automorphism of the partial state
-that fixes everything else.  A new block's atom set S, or a new rank-2
-element's cover set, may therefore take unused atoms only as the lowest
-unused ones.  The used atoms then always form a prefix, those below
-``used``, and the test is ``S[-1] < used + #{x in S : x >= used}``.
+Both break the symmetry of the atoms before any certificate is computed.
+Until a block (assembly) or a rank-2 element (levelwise) covers an atom,
+it covers only the bottom, so any permutation of the unused atoms is an
+automorphism of the partial state that fixes everything else.  A new
+block's atom set S, or a new rank-2 element's cover set, may therefore
+take unused atoms only as the lowest unused ones.  The used atoms then
+always form a prefix, those below ``used``, and the test is
+``S[-1] < used + #{x in S : x >= used}``.
 
 Nothing is lost.  Both strategies take these sets as combinations in
 non-decreasing lexicographic order.  Let a generation path first break
@@ -41,14 +41,14 @@ are finitely many, so repeating this ends on a path that keeps the rule
 throughout, to an isomorphic diagram.
 
 Both run on one core, ``_Core``: the node and deadline budget, the
-dedup switch and the certificate check behind it, the translation of a
-canonicalization cap into a "capped" verdict, and ``classify``, which
-verifies a completed candidate, checks its atom head, canonicalizes it
-and stores it.  A strategy supplies only the candidate generator: its
-recursion and prunes, a ``spend()`` per branch it opens, the diagrams it
-dedups on and a dedup set per stage.  The sets are never shared between
-stages or runs, because the partial states of two stages can be the
-same diagram and would then prune each other.
+certificate check behind dedup, the translation of a canonicalization
+cap into a "capped" verdict, and ``classify``, which verifies a
+completed candidate, checks its atom head, canonicalizes it and stores
+it.  A strategy supplies only the candidate generator: its recursion and
+prunes, a ``spend()`` per branch it opens, the diagrams it dedups on and
+a dedup set per stage.  The sets are never shared between stages or
+runs, because the partial states of two stages can be the same diagram
+and would then prune each other.
 
 Strategies hand integer cover lists to ``core``, which names the elements.
 
@@ -61,7 +61,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from numbers import Real
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .core import (
     AtomicSequence,
@@ -122,15 +122,14 @@ class _Capped(Exception):
 class _Core:
     """The budget, dedup and classification shared by every strategy."""
 
-    __slots__ = ("max_nodes", "deadline", "nodes", "dedup")
+    __slots__ = ("max_nodes", "deadline", "nodes")
 
-    def __init__(self, limits: SearchLimits, dedup: bool):
+    def __init__(self, limits: SearchLimits):
         self.max_nodes = limits.max_nodes
         self.deadline = (
             None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         )
         self.nodes = 0
-        self.dedup = dedup
 
     def spend(self) -> None:
         self.nodes += 1
@@ -147,14 +146,12 @@ class _Core:
         except CanonicalizationCapError as exc:
             raise _Capped(f"{what} hit the canonicalization cap: {exc}") from None
 
-    def repeats(self, seen: set[bytes], build: Callable[[], GradedPoset]) -> bool:
-        """Is the diagram ``build()`` isomorphic to one already in ``seen``?
-        Records it if not.  Always False with dedup off, and when the
-        canonicalization cap is hit: searching on is still sound."""
-        if not self.dedup:
-            return False
+    def repeats(self, seen: set[bytes], p: GradedPoset) -> bool:
+        """Is the diagram ``p`` isomorphic to one already in ``seen``?
+        Records it if not.  Always False when the canonicalization cap is
+        hit: searching on is still sound."""
         try:
-            cert = canonical_form(build())
+            cert = canonical_form(p)
         except CanonicalizationCapError:
             return False
         if cert in seen:
@@ -305,7 +302,7 @@ class _Levelwise:
         if j == self.N:
             self._emit()
             return
-        if self.core.repeats(self.seen.setdefault(j, set()), self._built):
+        if self.core.repeats(self.seen.setdefault(j, set()), self._built()):
             return
         self._fill(j + 1)
 
@@ -432,7 +429,7 @@ class _Assembly:
                 d % self.a2 and any(self.count[x] >= cap for x in T)
                 for T, d in self.demand.items()
             )
-            if not stuck and not self.core.repeats(self.seen, self._state):
+            if not stuck and not self.core.repeats(self.seen, self._state()):
                 self._slots(pl, max(used, S[-1] + 1))
             self.chosen.pop()
             for row in rows:
@@ -557,7 +554,6 @@ def enumerate_intervals(
     *,
     base: GradedPoset | None = None,
     limits: SearchLimits | None = None,
-    use_iso_dedup: bool = True,
     strategy: str = "auto",
 ) -> SearchResult:
     """Every isomorphism class of bounded poset passing verify_binomial
@@ -583,7 +579,7 @@ def enumerate_intervals(
     strategies = {"assembly": _Assembly, "levelwise": _Levelwise}
     if strategy not in strategies:
         raise PosetError(f"unknown strategy {strategy!r}")
-    core = _Core(limits or SearchLimits(), use_iso_dedup)
+    core = _Core(limits or SearchLimits())
     out: dict[bytes, GradedPoset] = {}
     try:
         strategies[strategy](seq, core, anchor, out).run()
@@ -599,7 +595,6 @@ def extension_search(
     target,
     extra_ranks: int = 1,
     limits: SearchLimits | None = None,
-    use_iso_dedup: bool = True,
 ) -> SearchResult:
     """Search for bounded binomial posets extending ``base`` upward by
     ``extra_ranks`` ranks along the ``target`` atom sequence.
@@ -626,9 +621,4 @@ def extension_search(
         raise PosetError(
             f"base atoms {rep.atoms.format()} do not match the target prefix"
         )
-    return enumerate_intervals(
-        AtomicSequence(head),
-        base=base,
-        limits=limits,
-        use_iso_dedup=use_iso_dedup,
-    )
+    return enumerate_intervals(AtomicSequence(head), base=base, limits=limits)

@@ -29,6 +29,7 @@ from .core import (
     PosetError,
     atomic_numbers,
     _as_sequence,
+    _whole,
 )
 
 __all__ = [
@@ -67,8 +68,7 @@ def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
     seq = _as_sequence(seq)
     k = len(seq.head)
     if horizon is not None:
-        if horizon < 0:
-            raise PosetError("horizon must be non-negative")
+        horizon = _whole(horizon, "horizon")
         if seq.finite and horizon > k:
             raise PosetError(f"sequence defines {k} values, horizon is {horizon}")
         top = horizon

@@ -100,6 +100,12 @@ class TestPartitions:
         with pytest.raises(PosetError, match="width 4"):
             cover_partitions(cube, 0)
 
+    @pytest.mark.parametrize("find", [section_graph, cover_partitions, co_cover_partitions])
+    def test_negative_index(self, find):
+        # a negative index must not wrap round to the top levels
+        with pytest.raises(PosetError, match="index"):
+            find(poset_from_string("1212"), -3)
+
 
 class TestAvoidance:
     @pytest.mark.parametrize("word", small_words(4))

@@ -141,6 +141,10 @@ class TestDivisible:
         p = divisible_poset(AtomicSequence((1, 2), tail=4), 4)
         assert measured_atoms(p) == (1, 2, 4, 4)
 
+    def test_string_atoms_are_parsed(self):
+        assert divisible_poset("1,2,4", 3) == divisible_poset((1, 2, 4), 3)
+        assert divisible_poset("1,2...", 3) == divisible_poset(AtomicSequence((1,), 2), 3)
+
     def test_divisibility_required(self):
         with pytest.raises(PosetError, match="multiple"):
             divisible_poset((1, 2, 3), 3)

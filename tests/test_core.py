@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from binposet.classify import enumerate_interval_classes
+from binposet.classify import (
+    co_cover_partitions,
+    cover_partitions,
+    enumerate_interval_classes,
+    section_graph,
+)
 from binposet.construct import (
     count_valid_words,
     debruijn_poset,
@@ -104,6 +109,10 @@ JUNK_ATOMS = {
     "not iterable": lambda: AtomicSequence(5),
     "check_compatibility": lambda: check_compatibility([1, "a"]),
     "check_compatibility, not iterable": lambda: check_compatibility(5),
+    "check_compatibility, float horizon": lambda: check_compatibility(
+        (1, 2, 4), horizon=2.5
+    ),
+    "check_compatibility, string horizon": lambda: check_compatibility((1, 2), horizon="3"),
     "lcm_extension": lambda: lcm_extension([1, None]),
     "decide_family": lambda: decide_family([1, 2.5]),
     "enumerate_intervals, string": lambda: enumerate_intervals("1,2,x"),
@@ -130,11 +139,17 @@ JUNK_ATOMS = {
     "m_interval, float": lambda: m_interval(2.5),
     "debruijn_poset, float window": lambda: debruijn_poset(2.0, 2, 3),
     "divisible_poset, float height": lambda: divisible_poset((1, 2), 1.5),
+    "divisible_poset, not iterable": lambda: divisible_poset(5, 3),
     "stripped_boolean_interval, float": lambda: stripped_boolean_interval(3.0, 1),
     "versal_string, string": lambda: versal_string("3"),
     "valid_words, float": lambda: next(valid_words(2.5)),
     "count_valid_words, float": lambda: count_valid_words(2.5),
     "interval census, float length": lambda: enumerate_interval_classes(m_interval(2), 1.5),
+    "section_graph, float index": lambda: section_graph(poset_from_string("1212"), 1.5),
+    "cover_partitions, float index": lambda: cover_partitions(poset_from_string("1212"), 1.5),
+    "co_cover_partitions, float index": lambda: co_cover_partitions(
+        poset_from_string("1212"), 1.5
+    ),
 }
 
 

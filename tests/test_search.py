@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import product
 
 import pytest
@@ -9,11 +10,32 @@ from binposet.core import (
     BinomialReport,
     PosetError,
     build_poset,
+    interval,
     verify_binomial,
 )
 from binposet.iso import are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
 from conftest import brute_classes
+
+
+def without_dedup(*args, **kwargs):
+    """``enumerate_intervals`` with no partial diagram pruned as a repeat:
+    the reference that each strategy's dedup stages are checked against."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search._Core, "repeats", lambda self, seen, p: False)
+        return enumerate_intervals(*args, **kwargs)
+
+
+def lower_classes(p, rank):
+    """The certificates of the lower intervals of ``p`` at ``rank``."""
+    bottom = p.levels[0][0]
+    return {canonical_form(interval(p, bottom, x).poset) for x in p.levels[rank]}
+
+
+@cache
+def unanchored(head, strategy):
+    """One unanchored run per head and strategy, shared by the tests."""
+    return enumerate_intervals(head, strategy=strategy)
 
 
 class TestEnumerate:
@@ -59,16 +81,36 @@ class TestEnumerate:
         # the atom rule sits in _Levelwise._slots at rank 2 and in
         # _Assembly._slots per block, so each strategy checks the other
         for head in (1, 2, 3, 4), (1, 2, 2, 4), (1, 2, 4, 4):
-            by_level = enumerate_intervals(head, strategy="levelwise")
-            by_blocks = enumerate_intervals(head, strategy="assembly")
+            by_level = unanchored(head, "levelwise")
+            by_blocks = unanchored(head, "assembly")
             assert by_level.verdict == by_blocks.verdict == "found", head
             level_certs = sorted(canonical_form(p) for p in by_level.classes)
             block_certs = sorted(canonical_form(p) for p in by_blocks.classes)
             assert level_certs == block_certs, head
 
+    def test_strategies_agree_at_the_anchor_rank(self, cube):
+        # anchored levelwise checks each new rank-3 element's lower set
+        # against the base (_Levelwise._anchored); assembly keeps only the
+        # base's rank-3 class; filtering the unanchored classes by their
+        # rank-3 lower intervals is the reference for both
+        over_124 = enumerate_intervals((1, 2, 4)).classes[0]
+        for head, base, count in ((1, 2, 3, 4), cube, 1), ((1, 2, 4, 4), over_124, 10):
+            want = {canonical_form(base)}
+            kept = {
+                canonical_form(p)
+                for p in unanchored(head, "assembly").classes
+                if lower_classes(p, 3) == want
+            }
+            assert len(kept) == count, head
+            for strategy in "levelwise", "assembly":
+                res = enumerate_intervals(head, base=base, strategy=strategy)
+                assert res.verdict == "found", (head, strategy)
+                assert {canonical_form(p) for p in res.classes} == kept, (head, strategy)
+                assert len(res.classes) == count, (head, strategy)
+
     def test_dedup_toggle_changes_nothing_but_work(self):
         fast = enumerate_intervals((1, 2, 4))
-        slow = enumerate_intervals((1, 2, 4), use_iso_dedup=False)
+        slow = without_dedup((1, 2, 4))
         assert fast.verdict == slow.verdict == "found"
         assert [canonical_form(p) for p in fast.classes] == [
             canonical_form(p) for p in slow.classes
@@ -174,7 +216,7 @@ PINNED = {
         lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 555, 7, "",
     ),
     "124 without dedup": (
-        lambda: enumerate_intervals((1, 2, 4), use_iso_dedup=False), "found", 18, 2, "",
+        lambda: without_dedup((1, 2, 4)), "found", 18, 2, "",
     ),
     # the rank-3 partials of the inner levelwise run and the assembly block
     # states are the same 1+1+1 diagram: one dedup set for both stages
@@ -241,7 +283,7 @@ class TestCompleteness:
                 if _rank3_count(a, b) is not None:
                     assert len(res.classes) == _rank3_count(a, b), (a, b)
                 if b <= 5:
-                    slow = enumerate_intervals((1, a, b), use_iso_dedup=False)
+                    slow = without_dedup((1, a, b))
                     assert {canonical_form(p) for p in slow.classes} == certs[a, b]
         for b in range(2, 7):
             for a in range(1, b):
@@ -275,11 +317,12 @@ class TestCompleteness:
         certs = {canonical_form(p) for p in oracle}
         assert len(certs) == len(oracle)
         strategies = ("levelwise", "assembly") if len(head) == 4 else ("levelwise",)
-        for strategy, dedup in product(strategies, (True, False)):
-            res = enumerate_intervals(head, strategy=strategy, use_iso_dedup=dedup)
-            assert res.verdict == ("found" if oracle else "exhausted"), (strategy, dedup)
-            assert {canonical_form(p) for p in res.classes} == certs, (strategy, dedup)
-            assert len(res.classes) == len(oracle), (strategy, dedup)
+        for strategy, run in product(strategies, (enumerate_intervals, without_dedup)):
+            why = (strategy, run.__name__)
+            res = run(head, strategy=strategy)
+            assert res.verdict == ("found" if oracle else "exhausted"), why
+            assert {canonical_form(p) for p in res.classes} == certs, why
+            assert len(res.classes) == len(oracle), why
 
 
 class TestExtension:
