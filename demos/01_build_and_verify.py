@@ -9,7 +9,6 @@ how the chain counts follow the factorial law B(n) = a_1 a_2 ... a_n.
 
 from binposet import (
     AtomicSequence,
-    FactorialProfile,
     debruijn_poset,
     divisible_poset,
     m_interval,
@@ -42,8 +41,7 @@ for name, p in posets.items():
 # the chain counts are forced by the atom counts alone
 p = debruijn_poset(2, 2, 5)
 rep = verify_binomial(p)
-profile = FactorialProfile(AtomicSequence(rep.atoms.head))
-assert all(rep.counts[d] == profile.B(d) for d in rep.counts)
+assert all(rep.counts[d] == rep.atoms.B(d) for d in rep.counts)
 print("\nchain counts equal the products B(n) of the atom counts: yes")
 
 # for an eventually constant atom sequence the level widths stabilize

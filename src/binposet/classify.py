@@ -52,8 +52,7 @@ def section_graph(p: GradedPoset, i: int) -> SectionGraph:
             f"section needs width 4 at levels {i + 1} and {i + 2}, "
             f"got {len(lo)} and {len(hi)}"
         )
-    los = set(lo)
-    edges = tuple(sorted((a, b) for a, b in p.covers if a in los and p.rank(b) == i + 2))
+    edges = tuple(sorted((a, b) for a in lo for b in p.upper_covers(a)))
     return SectionGraph(tuple(lo), tuple(hi), edges)
 
 

@@ -37,6 +37,8 @@ __all__ = [
 
 def validate_string(word: str) -> bool:
     """True iff the word is over {1,2} with no two adjacent 2s."""
+    if not isinstance(word, str):
+        raise PosetError(f"section word must be a string, got {word!r}")
     if any(ch not in "12" for ch in word):
         raise PosetError(f"bad section word {word!r}: letters must be 1 or 2")
     return "22" not in word

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "PosetError",
     "AtomicSequence",
-    "FactorialProfile",
     "GradedPoset",
     "Interval",
     "BinomialReport",
@@ -99,6 +98,19 @@ class AtomicSequence:
         """Factorial-like product a_1 * ... * a_n (1 when n = 0)."""
         return prod(self.a(i) for i in range(1, _whole(n, "length") + 1))
 
+    def coefficient(self, n: int, j: int) -> Fraction:
+        """B(n) / (B(j) B(n-j)) as an exact rational."""
+        if _whole(j, "rank") > _whole(n, "length"):
+            raise PosetError(f"coefficient ({n}, {j}) out of range")
+        return Fraction(self.B(n), self.B(j) * self.B(n - j))
+
+    def W(self, n: int, j: int) -> int:
+        """Number of rank-j elements inside any length-n interval."""
+        c = self.coefficient(n, j)
+        if c.denominator != 1:
+            raise PosetError(f"B({n})/(B({j})B({n - j})) = {c} is not an integer")
+        return c.numerator
+
     def prefix(self, n: int) -> tuple[int, ...]:
         return tuple(self.a(i) for i in range(1, _whole(n, "length") + 1))
 
@@ -153,33 +165,17 @@ def _whole(value, what: str, least: int = 0) -> int:
     return n
 
 
-class FactorialProfile:
-    """B(n), generalized binomial coefficients, and interval rank sizes
-    derived from an atom-count sequence, all exact."""
-
-    def __init__(self, source: AtomicSequence):
-        self.source = source
-        self._B = [1]  # _B[n] = B(n), extended on demand
-
-    def B(self, n: int) -> int:
-        n = _whole(n, "length")
-        B = self._B
-        while len(B) <= n:
-            B.append(B[-1] * self.source.a(len(B)))
-        return B[n]
-
-    def coefficient(self, n: int, j: int) -> Fraction:
-        """B(n) / (B(j) B(n-j)) as an exact rational."""
-        if _whole(j, "rank") > _whole(n, "length"):
-            raise PosetError(f"coefficient ({n}, {j}) out of range")
-        return Fraction(self.B(n), self.B(j) * self.B(n - j))
-
-    def W(self, n: int, j: int) -> int:
-        """Number of rank-j elements inside any length-n interval."""
-        c = self.coefficient(n, j)
-        if c.denominator != 1:
-            raise PosetError(f"B({n})/(B({j})B({n - j})) = {c} is not an integer")
-        return c.numerator
+def _ratio_failure(seq: AtomicSequence, top: int) -> tuple[int, int, Fraction] | None:
+    """The first non-integral B(i+j) / (B(i) B(j)) over 1 <= i <= j with
+    i + j <= top, as ``(i, j, value)``, taking the pairs by i + j and then
+    by i; None when all are integers."""
+    B = list(accumulate(seq.prefix(top), operator.mul, initial=1))
+    for n in range(2, top + 1):
+        for i in range(1, n // 2 + 1):
+            below = B[i] * B[n - i]
+            if B[n] % below:
+                return i, n - i, Fraction(B[n], below)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,6 @@ from typing import Iterable, Sequence
 
 from .core import (
     AtomicSequence,
-    FactorialProfile,
     GradedPoset,
     PosetError,
     grid_ids,
@@ -73,6 +72,7 @@ from .core import (
     _as_sequence,
     _bits,
     _from_down,
+    _ratio_failure,
     _whole,
 )
 from .iso import CanonicalizationCapError, canonical_form
@@ -185,18 +185,6 @@ def _room(
     return True
 
 
-def _check_widths(seq: AtomicSequence, rank: int) -> str | None:
-    """None if every sub-interval rank census is integral, else why not."""
-    prof = FactorialProfile(seq)
-    try:
-        for d in range(rank + 1):
-            for r in range(d + 1):
-                prof.W(d, r)
-    except PosetError as exc:
-        return str(exc)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # levelwise strategy
 
@@ -214,8 +202,7 @@ class _Levelwise:
         self.core = core
         self.anchor = anchor
         self.out = out
-        prof = FactorialProfile(seq)
-        self.widths = [prof.W(self.N, j) for j in range(self.N + 1)]
+        self.widths = [seq.W(self.N, j) for j in range(self.N + 1)]
         # element state, indexed in creation order; index 0 is the bottom
         self.level_of = [0]
         self.down_mask = [1]
@@ -365,7 +352,7 @@ class _Assembly:
         self.anchor = anchor
         self.out = out
         self.a2, self.a3, self.a4 = seq.a(2), seq.a(3), seq.a(4)
-        self.W2 = FactorialProfile(seq).W(4, 2)
+        self.W2 = seq.W(4, 2)
         self.seen: set[bytes] = set()
 
     def run(self) -> None:
@@ -563,9 +550,11 @@ def enumerate_intervals(
     intervals are isomorphic to ``base`` are enumerated."""
     seq = _as_finite_sequence(atoms)
     rank = len(seq.head)
-    bad = _check_widths(seq, rank)
+    bad = _ratio_failure(seq, rank)
     if bad is not None:
-        return SearchResult("exhausted", (), 0, f"impossible level census: {bad}")
+        i, j, value = bad
+        detail = f"impossible level census: B({i + j})/(B({i})B({j})) = {value} is not an integer"
+        return SearchResult("exhausted", (), 0, detail)
     anchor = None
     if base is not None:
         if base.widths[0] != 1 or base.widths[-1] != 1:

@@ -23,12 +23,12 @@ from .construct import (
 )
 from .core import (
     AtomicSequence,
-    FactorialProfile,
     GradedPoset,
     Interval,
     PosetError,
     atomic_numbers,
     _as_sequence,
+    _ratio_failure,
     _whole,
 )
 
@@ -60,11 +60,16 @@ class CompatibilityReport:
 def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
     """Check a_1 = 1 <= a_2 <= ... and integrality of B(i+j)/(B(i)B(j)).
 
-    With a horizon, pairs with i + j <= horizon are checked.  Without
-    one, a finite sequence is checked up to its length, and an eventually
-    constant sequence is checked completely: with k explicit values and
-    constant tail L, every ratio with j > k collapses to L^i / B(i),
-    which the pairs (i, k+1) for i <= k + 1 already cover."""
+    The pairs are taken with i <= j, by i + j and then by i.  With a
+    horizon, those with i + j <= horizon are checked.  Without one, a
+    finite sequence is checked up to its length, and an eventually
+    constant sequence, with k explicit values and constant tail L, is
+    checked completely by the pairs with i + j <= 2k + 2.  For j >= k the
+    factors a_{j+1}, ..., a_{j+i} of B(i+j)/B(j) all equal L, so the
+    ratio is L^i / B(i), which is also the ratio of (min(i, k+1), k+1).
+    For j > k + 1 that pair comes earlier, so every pair past the bound
+    repeats an earlier one and the first failure is the same as over all
+    pairs."""
     seq = _as_sequence(seq)
     k = len(seq.head)
     if horizon is not None:
@@ -73,7 +78,7 @@ def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
             raise PosetError(f"sequence defines {k} values, horizon is {horizon}")
         top = horizon
     else:
-        top = k if seq.finite else k + 2
+        top = k if seq.finite else 2 * k + 2
     for i in range(1, top):
         lo, hi = seq.a(i), seq.a(i + 1)
         if hi < lo:
@@ -83,29 +88,16 @@ def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
                 witness=(i, i + 1),
                 detail=f"a_{i + 1} = {hi} is below a_{i} = {lo}",
             )
-    prof = FactorialProfile(seq)
-    if horizon is not None or seq.finite:
-        pairs = [
-            (i, j)
-            for n in range(2, top + 1)
-            for i in range(1, n // 2 + 1)
-            for j in (n - i,)
-        ]
-    else:
-        pairs = sorted(
-            {(i, j) for j in range(1, k + 2) for i in range(1, j + 1)},
-            key=lambda ij: (ij[0] + ij[1], ij[0]),
+    bad = _ratio_failure(seq, top)
+    if bad is not None:
+        i, j, value = bad
+        return CompatibilityReport(
+            ok=False,
+            kind="ratio",
+            witness=(i, j),
+            value=value,
+            detail=f"B({i + j}) / (B({i}) B({j})) = {value} is not an integer",
         )
-    for i, j in pairs:
-        value = prof.coefficient(i + j, i)
-        if value.denominator != 1:
-            return CompatibilityReport(
-                ok=False,
-                kind="ratio",
-                witness=(i, j),
-                value=value,
-                detail=f"B({i + j}) / (B({i}) B({j})) = {value} is not an integer",
-            )
     return CompatibilityReport(ok=True)
 
 
@@ -151,6 +143,8 @@ def decide_family(seq, witness_height: int | None = None) -> FamilyDecision:
     Witnesses for unbounded families are truncated at ``witness_height``
     (default: the head length, plus two when a tail is present)."""
     seq = _as_sequence(seq)
+    if witness_height is not None:
+        witness_height = _whole(witness_height, "witness_height")
     if not seq.head and seq.tail is not None:
         seq = AtomicSequence((seq.tail,), seq.tail)
     comp = check_compatibility(seq)

@@ -11,7 +11,6 @@ from fractions import Fraction
 import conftest
 from binposet import (
     AtomicSequence,
-    FactorialProfile,
     are_isomorphic,
     atomic_numbers,
     canonical_form,
@@ -134,9 +133,8 @@ def test_criterion_05_chain_counts_follow_the_factorial_law():
         for p in doubling + others:
             rep = verify_binomial(p)
             assert rep.ok
-            profile = FactorialProfile(AtomicSequence(rep.atoms.head))
             for d, got in rep.counts.items():
-                assert got == profile.B(d)
+                assert got == rep.atoms.B(d)
         for p in doubling:
             counts = verify_binomial(p).counts
             assert all(counts[d] == max(1, 2 ** (d - 2)) for d in counts)

@@ -20,12 +20,12 @@ from binposet.construct import (
     poset_from_string,
     stripped_boolean_interval,
     valid_words,
+    validate_string,
     versal_string,
 )
 from binposet.core import (
     AtomicSequence,
     BinomialReport,
-    FactorialProfile,
     GradedPoset,
     PosetError,
     atomic_numbers,
@@ -81,6 +81,9 @@ class TestAtomicSequence:
         s = AtomicSequence((1, 2, 6))
         assert [s.B(n) for n in range(4)] == [1, 1, 2, 12]
 
+    def test_str_is_the_text_form(self):
+        assert str(AtomicSequence((1, 1), 2)) == "1,1,2..."
+
     def test_prefix(self):
         assert AtomicSequence((1, 1), tail=2).prefix(4) == (1, 1, 2, 2)
 
@@ -115,6 +118,12 @@ JUNK_ATOMS = {
     "check_compatibility, string horizon": lambda: check_compatibility((1, 2), horizon="3"),
     "lcm_extension": lambda: lcm_extension([1, None]),
     "decide_family": lambda: decide_family([1, 2.5]),
+    "decide_family, negative witness height": lambda: decide_family(
+        (1, 1, 2), witness_height=-1
+    ),
+    "decide_family, float witness height": lambda: decide_family(
+        (1, 1, 2), witness_height=2.5
+    ),
     "enumerate_intervals, string": lambda: enumerate_intervals("1,2,x"),
     "enumerate_intervals, float": lambda: enumerate_intervals((1, 2.0, 4)),
     "extension_search": lambda: extension_search(m_interval(3), [1, 3, "x", 6]),
@@ -132,16 +141,19 @@ JUNK_ATOMS = {
     "B, float length": lambda: AtomicSequence((1, 2, 4)).B(1.5),
     "prefix, negative length": lambda: AtomicSequence((1, 2, 4)).prefix(-2),
     "prefix, float length": lambda: AtomicSequence((1, 2, 4)).prefix(2.0),
-    "W, float length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2.0, 1),
-    "W, negative rank": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, -1),
-    "W, rank past the length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).W(2, 3),
-    "profile B, negative length": lambda: FactorialProfile(AtomicSequence((1, 2, 4))).B(-1),
+    "W, float length": lambda: AtomicSequence((1, 2, 4)).W(2.0, 1),
+    "W, negative rank": lambda: AtomicSequence((1, 2, 4)).W(2, -1),
+    "W, rank past the length": lambda: AtomicSequence((1, 2, 4)).W(2, 3),
+    "coefficient, negative length": lambda: AtomicSequence((1, 2, 4)).coefficient(-1, 0),
     "m_interval, float": lambda: m_interval(2.5),
     "debruijn_poset, float window": lambda: debruijn_poset(2.0, 2, 3),
     "divisible_poset, float height": lambda: divisible_poset((1, 2), 1.5),
     "divisible_poset, not iterable": lambda: divisible_poset(5, 3),
     "stripped_boolean_interval, float": lambda: stripped_boolean_interval(3.0, 1),
     "versal_string, string": lambda: versal_string("3"),
+    "validate_string, None": lambda: validate_string(None),
+    "poset_from_string, int": lambda: poset_from_string(12),
+    "poset_from_string, list of letters": lambda: poset_from_string(["1", "2"]),
     "valid_words, float": lambda: next(valid_words(2.5)),
     "count_valid_words, float": lambda: count_valid_words(2.5),
     "interval census, float length": lambda: enumerate_interval_classes(m_interval(2), 1.5),
@@ -160,29 +172,34 @@ def test_junk_atom_counts_raise_poset_error(case):
 
 
 class TestFactorialProfile:
+    """B, the coefficients B(n)/(B(j)B(n-j)) and the widths W of a sequence."""
+
     def test_interval_widths(self):
         # subset-lattice profile: a_i = i, so widths are the usual
         # binomial coefficients
-        prof = FactorialProfile(AtomicSequence((1, 2, 3, 4)))
-        assert [prof.W(4, j) for j in range(5)] == [1, 4, 6, 4, 1]
+        seq = AtomicSequence((1, 2, 3, 4))
+        assert [seq.W(4, j) for j in range(5)] == [1, 4, 6, 4, 1]
 
     def test_coefficient_is_exact(self):
-        prof = FactorialProfile(AtomicSequence((1, 2, 2)))
-        assert prof.coefficient(3, 1) == Fraction(2, 1)
+        assert AtomicSequence((1, 2, 2)).coefficient(3, 1) == Fraction(2, 1)
 
     def test_non_integral_width_raises(self):
-        prof = FactorialProfile(AtomicSequence((1, 2, 3, 3)))
         with pytest.raises(PosetError):
-            prof.W(4, 2)
+            AtomicSequence((1, 2, 3, 3)).W(4, 2)
 
     def test_long_lengths_need_no_recursion(self):
-        # a fresh profile asked for a length past the recursion limit
-        prof = FactorialProfile(AtomicSequence((1,), 2))
-        assert prof.W(1200, 3) == 2
-        assert prof.B(1200) == 2**1199
+        # a length past the recursion limit
+        seq = AtomicSequence((1,), 2)
+        assert seq.W(1200, 3) == 2
+        assert seq.B(1200) == 2**1199
 
 
 class TestBuildPoset:
+    def test_membership(self):
+        p = build_poset([["a"], ["b"]], [("a", "b")])
+        assert "a" in p and "b" in p
+        assert "z" not in p
+
     def test_duplicate_id_rejected(self):
         with pytest.raises(PosetError, match="duplicate"):
             build_poset([["a"], ["a"]], [("a", "a")])

@@ -59,3 +59,15 @@ def test_only_core_builds_diagrams(name):
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             assert called != "GradedPoset", f"{mod.__name__} line {node.lineno}"
+
+
+def test_package_exports_are_the_module_exports():
+    # the package list and the module lists are kept by hand, so a name
+    # dropped from one of them only shows here
+    exported = binposet.__all__
+    assert len(exported) == len(set(exported))
+    union = {"__version__"}
+    for name in MODULES:
+        if name != "cli":
+            union.update(importlib.import_module(f"binposet.{name}").__all__)
+    assert set(exported) == union
