@@ -6,124 +6,16 @@ type-(1,1,2,2,...) family, constructions for the recognized realizable
 families, atom-sequence admissibility, and exhaustive extension search.
 """
 
-from .classify import (
-    AvoidanceReport,
-    IntervalClass,
-    IntervalClassification,
-    SectionGraph,
-    check_partition_avoidance,
-    co_cover_partitions,
-    cover_partitions,
-    enumerate_interval_classes,
-    phi,
-    section_graph,
-    section_type,
-)
-from .construct import (
-    count_valid_words,
-    debruijn_poset,
-    divisible_poset,
-    m_interval,
-    poset_from_string,
-    stripped_boolean_interval,
-    valid_words,
-    validate_string,
-    versal_string,
-)
-from .core import (
-    AtomicNumbersReport,
-    AtomicSequence,
-    BinomialReport,
-    GradedPoset,
-    Interval,
-    PosetError,
-    atomic_numbers,
-    build_poset,
-    count_maximal_chains,
-    dual,
-    grid_ids,
-    interval,
-    poset_from_json,
-    poset_to_dot,
-    poset_to_json,
-    predicted_rank_size,
-    sup_rank_size,
-    verify_binomial,
-)
-from .iso import (
-    DEFAULT_NODE_CAP,
-    CanonicalizationCapError,
-    are_isomorphic,
-    canonical_form,
-    isomorphism,
-)
-from .search import SearchLimits, SearchResult, enumerate_intervals, extension_search
-from .seqcheck import (
-    CompatibilityReport,
-    FamilyDecision,
-    RClassReport,
-    check_R_equivalence,
-    check_compatibility,
-    decide_family,
-    lcm_extension,
-)
+from . import classify, construct, core, iso, search, seqcheck
+from .classify import *
+from .construct import *
+from .core import *
+from .iso import *
+from .search import *
+from .seqcheck import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomicNumbersReport",
-    "AtomicSequence",
-    "AvoidanceReport",
-    "BinomialReport",
-    "CanonicalizationCapError",
-    "CompatibilityReport",
-    "DEFAULT_NODE_CAP",
-    "FamilyDecision",
-    "GradedPoset",
-    "Interval",
-    "IntervalClass",
-    "IntervalClassification",
-    "PosetError",
-    "RClassReport",
-    "SearchLimits",
-    "SearchResult",
-    "SectionGraph",
-    "are_isomorphic",
-    "atomic_numbers",
-    "build_poset",
-    "canonical_form",
-    "check_R_equivalence",
-    "check_compatibility",
-    "check_partition_avoidance",
-    "co_cover_partitions",
-    "count_maximal_chains",
-    "count_valid_words",
-    "cover_partitions",
-    "debruijn_poset",
-    "decide_family",
-    "divisible_poset",
-    "dual",
-    "enumerate_interval_classes",
-    "enumerate_intervals",
-    "extension_search",
-    "grid_ids",
-    "interval",
-    "isomorphism",
-    "lcm_extension",
-    "m_interval",
-    "phi",
-    "poset_from_json",
-    "poset_from_string",
-    "poset_to_dot",
-    "poset_to_json",
-    "predicted_rank_size",
-    "section_graph",
-    "section_type",
-    "stripped_boolean_interval",
-    "sup_rank_size",
-    "valid_words",
-    "validate_string",
-    "verify_binomial",
-    "versal_string",
-    "__version__",
-]
+__all__ = sorted(
+    {name for mod in (classify, construct, core, iso, search, seqcheck) for name in mod.__all__}
+) + ["__version__"]

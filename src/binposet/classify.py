@@ -215,7 +215,7 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
         key = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
         cert = seen.get(key)
         if cert is None:
-            cert = seen[key] = canonical_form(interval(p, els[s], els[t]).poset)
+            cert = seen[key] = canonical_form(interval(p, els[s], els[t]))
         found.setdefault(cert, []).append((els[s], els[t]))
     classes = tuple(
         IntervalClass(cert, members[0][0], members[0][1], len(members))

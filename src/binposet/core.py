@@ -21,7 +21,6 @@ __all__ = [
     "PosetError",
     "AtomicSequence",
     "GradedPoset",
-    "Interval",
     "BinomialReport",
     "AtomicNumbersReport",
     "build_poset",
@@ -365,20 +364,9 @@ def _from_down(levels: Sequence[Sequence[str]], down: Sequence[Iterable[int]]) -
 # intervals and chain counting
 
 
-@dataclass(frozen=True)
-class Interval:
-    """The induced subposet {z : bottom <= z <= top}, re-ranked from 0."""
-
-    poset: GradedPoset
-    bottom: str
-    top: str
-
-    @property
-    def length(self) -> int:
-        return self.poset.height
-
-
-def interval(p: GradedPoset, bottom: str, top: str) -> Interval:
+def interval(p: GradedPoset, bottom: str, top: str) -> GradedPoset:
+    """The induced subposet {z : bottom <= z <= top}, re-ranked from 0;
+    its elements keep their ids."""
     ib, it = p._require(bottom), p._require(top)
     if not p._down_mask[it] >> ib & 1:
         raise PosetError(f"not comparable: {bottom!r} is not below {top!r}")
@@ -388,7 +376,7 @@ def interval(p: GradedPoset, bottom: str, top: str) -> Interval:
     lv: list[list[str]] = [[] for _ in range(p._level_of[it] - lo + 1)]
     for i in order:
         lv[p._level_of[i] - lo].append(els[i])
-    return Interval(_from_down(lv, _induced_down(p, order)), bottom, top)
+    return _from_down(lv, _induced_down(p, order))
 
 
 def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
@@ -401,24 +389,24 @@ def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...]
     return tuple([tuple([pos[k] for k in down[e] if k in pos]) for e in order])
 
 
-def count_maximal_chains(iv: Interval) -> int:
-    """Exact number of saturated chains from bottom to top.
+def count_maximal_chains(p: GradedPoset) -> int:
+    """Exact number of saturated chains from the bottom to the top of a
+    bounded poset.
 
     Element order is topological (levels are stored bottom-up), so one
     forward sweep from the bottom adds each element's count into its
     upper covers before they are reached."""
-    sub = iv.poset
-    src = sub._require(iv.bottom)
-    dst = sub._require(iv.top)
-    up = sub._up
+    if p.widths[0] != 1 or p.widths[-1] != 1:
+        raise PosetError("need a bounded poset: one bottom and one top")
+    up = p._up
     f = [0] * len(up)
-    f[src] = 1
-    for j in range(src, dst):
+    f[0] = 1
+    for j in range(len(up) - 1):
         c = f[j]
         if c:
             for k in up[j]:
                 f[k] += c
-    return f[dst]
+    return f[-1]
 
 
 # ---------------------------------------------------------------------------

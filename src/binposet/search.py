@@ -352,7 +352,6 @@ class _Assembly:
         self.anchor = anchor
         self.out = out
         self.a2, self.a3, self.a4 = seq.a(2), seq.a(3), seq.a(4)
-        self.W2 = seq.W(4, 2)
         self.seen: set[bytes] = set()
 
     def run(self) -> None:
@@ -391,11 +390,11 @@ class _Assembly:
             if not _room(self.count, range(self.a4), S, cap, rem):
                 continue
             # every row with positive demand becomes a mid atom-set in the
-            # finished diagram, so the distinct rows are capped globally by
-            # the mid count and per atom by the atom's upper degree
+            # finished diagram, so an atom lies in at most a3 distinct rows
+            # (its upper degree).  That also caps the distinct rows at the
+            # mid count: each row has a2 atoms, so there are at most
+            # a4 * a3 / a2 = W(4,2) of them
             fresh = {row for row in rows if not self.demand.get(row)}
-            if len(self.demand) + len(fresh) > self.W2:
-                continue
             if any(
                 self.distinct_through[x] + sum(1 for row in fresh if x in row)
                 > self.a3
@@ -442,15 +441,10 @@ class _Assembly:
         return _from_down(grid_ids((a4, len(mid), len(blocks))), down)
 
     def _match(self) -> None:
-        if any(c != self.a3 for c in self.count):
-            return
-        mu: dict[tuple[int, ...], int] = {}
-        for T, d in self.demand.items():
-            if d % self.a2:
-                return
-            mu[T] = d // self.a2
-        if sum(mu.values()) != self.W2:
-            return
+        # every atom is in a3 blocks (``_room`` with no picks left), every
+        # row demand is a multiple of a2 (``stuck`` drops the rest), and so
+        # the copies sum to a4 * a3 / a2 = W(4,2); classify verifies anyway
+        mu = {T: d // self.a2 for T, d in self.demand.items()}
         rows_T = sorted(mu)
         options: list[list[tuple[tuple[int, int], ...]]] = []
         for T in rows_T:

@@ -24,7 +24,6 @@ from .construct import (
 from .core import (
     AtomicSequence,
     GradedPoset,
-    Interval,
     PosetError,
     atomic_numbers,
     _as_sequence,
@@ -241,14 +240,13 @@ class RClassReport:
     detail: str = ""
 
 
-def check_R_equivalence(iv: Interval | GradedPoset) -> RClassReport:
+def check_R_equivalence(p: GradedPoset) -> RClassReport:
     """Group the atoms of an interval by shared rank-2 upper bounds.
 
     Precondition: the interval's measured atom counts follow the
     counting-up pattern (1, 2, ..., n-1, a_n).  When the relation is an
     equivalence with classes of size n, their number k satisfies
     a_n = k n."""
-    p = iv.poset if isinstance(iv, Interval) else iv
     if p.widths[0] != 1 or p.widths[-1] != 1:
         raise PosetError("need a bounded interval")
     n = p.height

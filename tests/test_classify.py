@@ -194,7 +194,7 @@ def census_by_definition(p: GradedPoset, n: int) -> list[tuple[bytes, str, str, 
     for b in p.elements:
         for t in p.elements:
             if p.rank(t) - p.rank(b) == n and p.le(b, t):
-                cert = canonical_form(interval(p, b, t).poset)
+                cert = canonical_form(interval(p, b, t))
                 found.setdefault(cert, []).append((b, t))
     return [(cert, m[0][0], m[0][1], len(m)) for cert, m in sorted(found.items())]
 

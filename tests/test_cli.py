@@ -72,6 +72,29 @@ class TestBuild:
         )
         assert code == 2 and "multiple" in err
 
+    @pytest.mark.parametrize(
+        "kind, line",
+        [
+            ("debruijn", "build debruijn needs --m, --n, and --height"),
+            ("boolean-strip", "build boolean-strip needs --n and --k"),
+            ("m-interval", "build m-interval needs --m"),
+            ("divisible", "build divisible needs --seq and --height"),
+        ],
+    )
+    def test_each_kind_names_its_missing_flags(self, capsys, kind, line):
+        code, out, err = run(capsys, "build", kind)
+        assert (code, out, err) == (2, "", line + "\n")
+
+    def test_boolean_strip_verifies(self, capsys, tmp_path):
+        path = tmp_path / "strip.json"
+        code, _, _ = run(
+            capsys, "build", "boolean-strip", "--n", "3", "--k", "2", "--out", str(path)
+        )
+        assert code == 0
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 0
+        assert rows(out)["atoms"] == "1,2,6"
+
     def test_debruijn(self, capsys):
         code, out, _ = run(
             capsys, "build", "debruijn", "--m", "1", "--n", "2", "--height", "3"

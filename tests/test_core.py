@@ -7,10 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binposet.classify import (
+    SectionGraph,
     co_cover_partitions,
     cover_partitions,
     enumerate_interval_classes,
     section_graph,
+    section_type,
 )
 from binposet.construct import (
     count_valid_words,
@@ -41,7 +43,12 @@ from binposet.core import (
     verify_binomial,
 )
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
-from binposet.seqcheck import check_compatibility, decide_family, lcm_extension
+from binposet.seqcheck import (
+    check_compatibility,
+    check_R_equivalence,
+    decide_family,
+    lcm_extension,
+)
 from conftest import brute_atomic_report, brute_binomial_report, brute_chain_count
 
 heads = st.lists(st.integers(1, 9), min_size=0, max_size=6).map(
@@ -162,6 +169,41 @@ JUNK_ATOMS = {
     "co_cover_partitions, float index": lambda: co_cover_partitions(
         poset_from_string("1212"), 1.5
     ),
+    "zero entry": lambda: AtomicSequence((1, 0)),
+    "zero tail": lambda: AtomicSequence((1,), 0),
+    "rank, unknown id": lambda: stripped_boolean_interval(3, 1).rank("zz"),
+    "upper_covers, unknown id": lambda: stripped_boolean_interval(3, 1).upper_covers("zz"),
+    "build_poset, no upper cover": lambda: build_poset(
+        [["0"], ["a", "b"], ["t"]], [("0", "a"), ("0", "b"), ("a", "t")]
+    ),
+    "predicted_rank_size, finite sequence": lambda: predicted_rank_size(
+        AtomicSequence((1, 2)), 1
+    ),
+    "lcm_extension, empty": lambda: lcm_extension(()),
+    "divisible_poset, empty": lambda: divisible_poset((), 3),
+    "check_R_equivalence, height 1": lambda: check_R_equivalence(
+        build_poset([["0"], ["1"]], [("0", "1")])
+    ),
+    "check_R_equivalence, unequal atom counts": lambda: check_R_equivalence(
+        build_poset(
+            [["0"], ["a", "b"], ["x", "y"], ["t"]],
+            [("0", "a"), ("0", "b"), ("a", "x"), ("b", "x"), ("a", "y"), ("x", "t"), ("y", "t")],
+        )
+    ),
+    "cover_partitions, past the top": lambda: cover_partitions(poset_from_string("11"), 3),
+    "co_cover_partitions, past the top": lambda: co_cover_partitions(
+        poset_from_string("11"), 4
+    ),
+    "co_cover_partitions, width 2": lambda: co_cover_partitions(poset_from_string("11"), 0),
+    "section_type, repeated vertex": lambda: section_type(
+        SectionGraph(("a", "a", "b", "c"), ("w", "x", "y", "z"), ())
+    ),
+    "section_type, edge leaves": lambda: section_type(
+        SectionGraph(("a", "b", "c", "d"), ("w", "x", "y", "z"), (("a", "q"),))
+    ),
+    "section_type, not 2-regular": lambda: section_type(
+        SectionGraph(("a", "b", "c", "d"), ("w", "x", "y", "z"), ())
+    ),
 }
 
 
@@ -254,15 +296,22 @@ class TestChainCounting:
 
     def test_subinterval(self, cube):
         iv = interval(cube, "a", "abc")
-        assert iv.length == 2
+        assert iv.height == 2
         assert count_maximal_chains(iv) == 2
+
+    def test_unbounded_raises(self):
+        # two maximal elements, and upside down two minimal ones
+        vee = build_poset([["0"], ["a", "b"]], [("0", "a"), ("0", "b")])
+        for p in (vee, dual(vee)):
+            with pytest.raises(PosetError, match="bounded"):
+                count_maximal_chains(p)
 
     def test_incomparable_raises(self, cube):
         with pytest.raises(PosetError, match="not comparable"):
             interval(cube, "a", "bc")
 
     def test_interval_induces_subdiagram(self, cube):
-        iv = interval(cube, "e", "ab").poset
+        iv = interval(cube, "e", "ab")
         assert iv.widths == (1, 2, 1)
         assert set(iv.elements) == {"e", "a", "b", "ab"}
 
@@ -414,7 +463,7 @@ class TestIntervalOracle:
                     for r in range(p.rank(b), p.rank(t) + 1)
                 )
                 covers = frozenset((x, y) for x, y in p.covers if x in keep and y in keep)
-                assert interval(p, b, t).poset == GradedPoset(levels, covers), (b, t)
+                assert interval(p, b, t) == GradedPoset(levels, covers), (b, t)
                 pairs += 1
         return pairs
 

@@ -187,6 +187,14 @@ class TestIsomorphism:
     def test_none_for_distinct_diagrams(self, eight_cycle, two_squares):
         assert isomorphism(eight_cycle, two_squares) is None
 
+    def test_none_for_different_widths(self, diamond):
+        # four covers each, so only the widths tell them apart
+        chain = build_poset(
+            [[str(r)] for r in range(5)], [(str(r), str(r + 1)) for r in range(4)]
+        )
+        assert len(chain.covers) == len(diamond.covers)
+        assert isomorphism(diamond, chain) is None
+
 
 def kept_run(p: GradedPoset):
     """The (certificate, order, nodes) run ``p`` keeps, or None."""

@@ -62,8 +62,8 @@ def test_only_core_builds_diagrams(name):
 
 
 def test_package_exports_are_the_module_exports():
-    # the package list and the module lists are kept by hand, so a name
-    # dropped from one of them only shows here
+    # the package list is derived from the module lists; this pins the
+    # derivation: no name twice, none missing, none extra, and cli left out
     exported = binposet.__all__
     assert len(exported) == len(set(exported))
     union = {"__version__"}
@@ -71,3 +71,16 @@ def test_package_exports_are_the_module_exports():
         if name != "cli":
             union.update(importlib.import_module(f"binposet.{name}").__all__)
     assert set(exported) == union
+
+
+def test_package_namespace_holds_only_exports_and_submodules():
+    # the package star-imports its modules, so a name that reaches it any
+    # other way (an import added to __init__, a star-import left out of
+    # the union) would be public without being exported
+    for attr, value in vars(binposet).items():
+        if attr.startswith("_"):
+            continue
+        if attr in MODULES:
+            assert value is importlib.import_module(f"binposet.{attr}"), attr
+        else:
+            assert attr in binposet.__all__, attr

@@ -13,7 +13,7 @@ from binposet.core import (
     interval,
     verify_binomial,
 )
-from binposet.iso import are_isomorphic, canonical_form
+from binposet.iso import CanonicalizationCapError, are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
 from conftest import brute_classes
 
@@ -29,7 +29,7 @@ def without_dedup(*args, **kwargs):
 def lower_classes(p, rank):
     """The certificates of the lower intervals of ``p`` at ``rank``."""
     bottom = p.levels[0][0]
-    return {canonical_form(interval(p, bottom, x).poset) for x in p.levels[rank]}
+    return {canonical_form(interval(p, bottom, x)) for x in p.levels[rank]}
 
 
 @cache
@@ -121,6 +121,38 @@ class TestEnumerate:
         assert res.verdict == "capped"
         assert "budget" in res.detail
         assert res.nodes > 5
+
+    @pytest.mark.parametrize("strategy, classes", [("assembly", 0), ("levelwise", 6)])
+    def test_time_budget(self, strategy, classes):
+        # the clock is read every 256 nodes, so a zero budget stops at the first reading
+        res = enumerate_intervals(
+            (1, 2, 4, 8), strategy=strategy, limits=SearchLimits(max_seconds=0)
+        )
+        assert (res.verdict, res.nodes, res.detail) == ("capped", 256, "time budget exhausted")
+        assert len(res.classes) == classes
+
+    def test_canonicalization_cap_while_classifying_caps_the_search(self, monkeypatch):
+        def capped(p):
+            raise CanonicalizationCapError("forced cap")
+
+        monkeypatch.setattr(search, "canonical_form", capped)
+        res = enumerate_intervals((1, 2, 4))
+        assert (res.verdict, res.nodes) == ("capped", 9)
+        assert res.detail.startswith("classifying a candidate hit the canonicalization cap")
+
+    def test_canonicalization_cap_on_a_partial_diagram_skips_dedup(self, monkeypatch):
+        def partial_capped(p):
+            if p.widths[-1] != 1:
+                raise CanonicalizationCapError("forced cap")
+            return canonical_form(p)
+
+        uncapped, reference = enumerate_intervals((1, 2, 4)), without_dedup((1, 2, 4))
+        monkeypatch.setattr(search, "canonical_form", partial_capped)
+        res = enumerate_intervals((1, 2, 4))
+        assert (res.verdict, res.nodes) == ("found", reference.nodes)
+        assert [canonical_form(p) for p in res.classes] == [
+            canonical_form(p) for p in uncapped.classes
+        ]
 
     def test_impossible_level_census_short_circuits(self):
         res = enumerate_intervals((1, 2, 3, 3))
