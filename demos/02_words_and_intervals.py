@@ -14,7 +14,6 @@ from binposet import (
     enumerate_interval_classes,
     phi,
     poset_from_string,
-    section_graph,
     section_type,
     valid_words,
     versal_string,
@@ -37,8 +36,7 @@ print(f"poset of '12' isomorphic to itself rebuilt? "
 # the letters name the two possible section shapes
 p = poset_from_string("121")
 for i in range(1, p.height - 1):
-    g = section_graph(p, i)
-    kind = "one 8-cycle" if section_type(g) == 2 else "two 4-cycles"
+    kind = "one 8-cycle" if section_type(p, i) == 2 else "two 4-cycles"
     print(f"section at level {i}: {kind}")
 
 # a word containing every valid word of length <= L as a substring

@@ -1,12 +1,13 @@
 """Section analysis of type-(1,1,2,2,...) poset truncations.
 
 Between two adjacent width-4 levels the cover relation is a 2-regular
-bipartite graph on 4+4 vertices, hence an 8-cycle or two 4-cycles.  The
-word of section types (2 for the 8-cycle, 1 for the pair of 4-cycles) is
-a complete isomorphism invariant for these truncations; this module
-measures it and classifies intervals.  The words themselves (which ones
-are valid, and how many) belong to :mod:`binposet.construct`, which
-builds a truncation from its word.
+bipartite graph on 4+4 vertices, hence an 8-cycle or two 4-cycles.  Its
+letter, 2 or 1, is the number of 2+2 partitions of the lower level that
+its covers induce from above.  The word of letters is a complete
+isomorphism invariant for these truncations; this module measures it
+and classifies intervals.  The words themselves (which ones are valid,
+and how many) belong to :mod:`binposet.construct`, which builds a
+truncation from its word.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from .core import _bits, _induced_down, _pairs_of_length, _whole
 from .iso import canonical_form
 
 __all__ = [
-    "SectionGraph",
-    "section_graph",
     "section_type",
     "phi",
     "cover_partitions",
@@ -32,17 +31,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SectionGraph:
-    """The induced cover graph between two consecutive width-4 levels."""
-
-    lower: tuple[str, str, str, str]
-    upper: tuple[str, str, str, str]
-    edges: tuple[tuple[str, str], ...]
-
-
-def section_graph(p: GradedPoset, i: int) -> SectionGraph:
-    """Section between levels i+1 and i+2 (the i-th section, 1-indexed)."""
+def section_type(p: GradedPoset, i: int) -> int:
+    """Letter of the i-th section (levels i+1 and i+2): its number of cover
+    partitions.  Two 4-cycles repeat two complementary pairs: one partition.
+    An 8-cycle's four pairs are two opposite couples: both partitions."""
     i = _whole(i, "section index")
     if i + 2 > p.height:
         raise PosetError(f"section {i} needs levels {i + 1} and {i + 2}")
@@ -52,33 +44,10 @@ def section_graph(p: GradedPoset, i: int) -> SectionGraph:
             f"section needs width 4 at levels {i + 1} and {i + 2}, "
             f"got {len(lo)} and {len(hi)}"
         )
-    edges = tuple(sorted((a, b) for a in lo for b in p.upper_covers(a)))
-    return SectionGraph(tuple(lo), tuple(hi), edges)
-
-
-def section_type(g: SectionGraph) -> int:
-    """2 for a connected section (8-cycle), 1 for two 4-cycles."""
-    verts = list(g.lower) + list(g.upper)
-    if len(set(verts)) != 8:
-        raise PosetError("section must have 4+4 distinct vertices")
-    deg: dict[str, list[str]] = {v: [] for v in verts}
-    for a, b in g.edges:
-        if a not in deg or b not in deg:
-            raise PosetError(f"section edge ({a!r}, {b!r}) leaves the section")
-        deg[a].append(b)
-        deg[b].append(a)
-    if any(len(nbrs) != 2 for nbrs in deg.values()):
+    blocks = [frozenset(p.lower_covers(u)) for u in hi]
+    if any(len(b) != 2 for b in blocks) or any(sum(x in b for b in blocks) != 2 for x in lo):
         raise PosetError("section must be 2-regular")
-    seen = {verts[0]}
-    frontier = [verts[0]]
-    while frontier:
-        v = frontier.pop()
-        for w in deg[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    components = 1 if len(seen) == 8 else 2
-    return 3 - components
+    return len(_partitions_from_blocks(lo, set(blocks)))
 
 
 def phi(p: GradedPoset) -> str:
@@ -98,7 +67,7 @@ def phi(p: GradedPoset) -> str:
         raise PosetError(
             f"phi needs atom sequence (1,1,2,...,2), got {rep.atoms.format()}"
         )
-    return "".join(str(section_type(section_graph(p, i))) for i in range(1, p.height - 1))
+    return "".join(str(section_type(p, i)) for i in range(1, p.height - 1))
 
 
 # ---------------------------------------------------------------------------

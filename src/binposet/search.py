@@ -24,7 +24,9 @@ automorphism of the partial state that fixes everything else.  A new
 block's atom set S, or a new rank-2 element's cover set, may therefore
 take unused atoms only as the lowest unused ones.  The used atoms then
 always form a prefix, those below ``used``, and the test is
-``S[-1] < used + #{x in S : x >= used}``.
+``S[-1] < used + #{x in S : x >= used}``.  Each strategy states it in its
+own code on purpose: ``test_strategies_agree_at_rank_four`` compares
+their classes, and a shared helper would let one wrong rule pass in both.
 
 Nothing is lost.  Both strategies take these sets as combinations in
 non-decreasing lexicographic order.  Let a generation path first break
@@ -474,8 +476,8 @@ class _Assembly:
 
         def rec(i: int, used: int) -> None:
             if i == len(occs):
-                if all(ld == a2 for ld in load):
-                    res.append(tuple(cur))
+                # all copies are full: loads sum to len(occs) = copies * a2, none > a2
+                res.append(tuple(cur))
                 return
             self.core.spend()
             floor = cur[-1][1] + 1 if cur and cur[-1][0] == occs[i] else 0

@@ -200,9 +200,9 @@ def decide_family(seq, witness_height: int | None = None) -> FamilyDecision:
     while ones < k and vals[ones] == 1:
         ones += 1
     rest = set(vals[ones:]) | ({seq.tail} if not seq.finite else set())
-    if ones and len(rest) <= 1:
+    if len(rest) <= 1:  # a_1 = 1, so ones >= 1
         n = rest.pop() if rest else 1
-        m = ones if n > 1 else max(ones, 1)
+        m = ones
         return FamilyDecision(
             "realizable",
             f"the window-{m} shift register over {n} letters realizes (1^{m}, {n}, ...)",

@@ -10,7 +10,6 @@ from binposet.classify import (
     cover_partitions,
     enumerate_interval_classes,
     phi,
-    section_graph,
     section_type,
 )
 from binposet.core import GradedPoset, PosetError, build_poset, interval, verify_binomial
@@ -31,6 +30,37 @@ def small_words(max_len: int) -> list[str]:
     return [w for n in range(1, max_len + 1) for w in valid_words(n)]
 
 
+def section_components(p: GradedPoset, i: int) -> int:
+    """Connected components of the cover graph between levels i+1 and
+    i+2, by union-find over its edges."""
+    parent = {x: x for x in p.levels[i + 1] + p.levels[i + 2]}
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a in p.levels[i + 1]:
+        for b in p.upper_covers(a):
+            parent[root(a)] = root(b)
+    return len({root(x) for x in parent})
+
+
+def random_section(rng: random.Random) -> GradedPoset:
+    """0 | a b c d | w x y z | t with a random 2-regular middle: the
+    union of two permutations that disagree everywhere."""
+    lo, hi = ["a", "b", "c", "d"], ["w", "x", "y", "z"]
+    while True:
+        s, t = rng.sample(hi, 4), rng.sample(hi, 4)
+        if all(u != v for u, v in zip(s, t)):
+            break
+    covers = [("0", a) for a in lo] + [(u, "t") for u in hi]
+    covers += [(a, u) for a, u in zip(lo, s)] + [(a, u) for a, u in zip(lo, t)]
+    rng.shuffle(lo)
+    rng.shuffle(hi)
+    return build_poset([["0"], lo, hi, ["t"]], covers)
+
+
 @pytest.fixture
 def avoidance_violator() -> GradedPoset:
     """poset_from_string("1") rewired so level 1 induces the same 2+2
@@ -44,20 +74,34 @@ def avoidance_violator() -> GradedPoset:
 
 class TestSections:
     def test_letter_two_is_connected(self):
-        g = section_graph(poset_from_string("2"), 1)
-        assert section_type(g) == 2
+        assert section_type(poset_from_string("2"), 1) == 2
 
     def test_letter_one_is_two_squares(self):
-        g = section_graph(poset_from_string("1"), 1)
-        assert section_type(g) == 1
+        assert section_type(poset_from_string("1"), 1) == 1
 
     def test_needs_width_four(self, cube):
         with pytest.raises(PosetError, match="width 4"):
-            section_graph(cube, 0)
+            section_type(cube, 0)
 
     def test_section_index_range(self):
         with pytest.raises(PosetError):
-            section_graph(poset_from_string("1"), 5)
+            section_type(poset_from_string("1"), 5)
+
+    def test_random_sections_match_their_component_count(self):
+        rng = random.Random(14)
+        seen = set()
+        for _ in range(1000):
+            p = random_section(rng)
+            letter = section_type(p, 0)
+            assert letter == 3 - section_components(p, 0)
+            seen.add(letter)
+        assert seen == {1, 2}
+
+    def test_word_sections_match_their_component_count(self):
+        for word in small_words(8):
+            p = poset_from_string(word)
+            for i in range(1, p.height - 1):
+                assert section_type(p, i) == 3 - section_components(p, i), (word, i)
 
 
 class TestPhi:
@@ -100,7 +144,7 @@ class TestPartitions:
         with pytest.raises(PosetError, match="width 4"):
             cover_partitions(cube, 0)
 
-    @pytest.mark.parametrize("find", [section_graph, cover_partitions, co_cover_partitions])
+    @pytest.mark.parametrize("find", [section_type, cover_partitions, co_cover_partitions])
     def test_negative_index(self, find):
         # a negative index must not wrap round to the top levels
         with pytest.raises(PosetError, match="index"):

@@ -7,11 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binposet.classify import (
-    SectionGraph,
     co_cover_partitions,
     cover_partitions,
     enumerate_interval_classes,
-    section_graph,
     section_type,
 )
 from binposet.construct import (
@@ -108,6 +106,19 @@ class TestAtomicSequence:
         assert t.prefix(n) == s.prefix(n) and t.finite == s.finite
 
 
+def section_poset(middle) -> GradedPoset:
+    """0 | a b c d | w x y z | t with the given covers between a-d and w-z."""
+    lo, hi = ["a", "b", "c", "d"], ["w", "x", "y", "z"]
+    covers = [("0", a) for a in lo] + list(middle) + [(u, "t") for u in hi]
+    return build_poset([["0"], lo, hi, ["t"]], covers)
+
+
+# a has three upper covers, so x and y have one lower cover each
+LOPSIDED = [("a", "w"), ("a", "x"), ("a", "y"), ("b", "w"), ("b", "z"), ("c", "z"), ("d", "z")]
+# every upper element has two lower covers, but a has three upper covers and d one
+UNEVEN = [("a", "w"), ("b", "w"), ("a", "x"), ("b", "x"), ("a", "y"), ("c", "y"), ("c", "z"), ("d", "z")]
+
+
 # Atom counts, and the sizes around them (search budgets, ranks, rank
 # indices, construction and census sizes), are numbers of the right kind:
 # every entry point turns anything else into a PosetError instead of
@@ -164,7 +175,7 @@ JUNK_ATOMS = {
     "valid_words, float": lambda: next(valid_words(2.5)),
     "count_valid_words, float": lambda: count_valid_words(2.5),
     "interval census, float length": lambda: enumerate_interval_classes(m_interval(2), 1.5),
-    "section_graph, float index": lambda: section_graph(poset_from_string("1212"), 1.5),
+    "section_type, float index": lambda: section_type(poset_from_string("1212"), 1.5),
     "cover_partitions, float index": lambda: cover_partitions(poset_from_string("1212"), 1.5),
     "co_cover_partitions, float index": lambda: co_cover_partitions(
         poset_from_string("1212"), 1.5
@@ -173,6 +184,7 @@ JUNK_ATOMS = {
     "zero tail": lambda: AtomicSequence((1,), 0),
     "rank, unknown id": lambda: stripped_boolean_interval(3, 1).rank("zz"),
     "upper_covers, unknown id": lambda: stripped_boolean_interval(3, 1).upper_covers("zz"),
+    "build_poset, no levels": lambda: build_poset([], []),
     "build_poset, no upper cover": lambda: build_poset(
         [["0"], ["a", "b"], ["t"]], [("0", "a"), ("0", "b"), ("a", "t")]
     ),
@@ -195,15 +207,7 @@ JUNK_ATOMS = {
         poset_from_string("11"), 4
     ),
     "co_cover_partitions, width 2": lambda: co_cover_partitions(poset_from_string("11"), 0),
-    "section_type, repeated vertex": lambda: section_type(
-        SectionGraph(("a", "a", "b", "c"), ("w", "x", "y", "z"), ())
-    ),
-    "section_type, edge leaves": lambda: section_type(
-        SectionGraph(("a", "b", "c", "d"), ("w", "x", "y", "z"), (("a", "q"),))
-    ),
-    "section_type, not 2-regular": lambda: section_type(
-        SectionGraph(("a", "b", "c", "d"), ("w", "x", "y", "z"), ())
-    ),
+    "section_type, not 2-regular": lambda: section_type(section_poset(LOPSIDED), 0),
 }
 
 
@@ -211,6 +215,12 @@ JUNK_ATOMS = {
 def test_junk_atom_counts_raise_poset_error(case):
     with pytest.raises(PosetError):
         JUNK_ATOMS[case]()
+
+
+@pytest.mark.parametrize("middle", [LOPSIDED, UNEVEN], ids=["lopsided", "uneven"])
+def test_section_that_is_not_2_regular(middle):
+    with pytest.raises(PosetError, match="section must be 2-regular"):
+        section_type(section_poset(middle), 0)
 
 
 class TestFactorialProfile:

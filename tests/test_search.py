@@ -185,6 +185,14 @@ class TestEnumerate:
         with pytest.raises(PosetError, match="rank 4"):
             enumerate_intervals((1, 2, 2), strategy="assembly")
 
+    def test_assembly_anchors_at_rank_three_only(self, diamond):
+        with pytest.raises(PosetError, match="anchors at rank 3 only"):
+            enumerate_intervals((1, 2, 2, 4), base=diamond, strategy="assembly")
+
+    def test_base_must_be_bounded(self):
+        with pytest.raises(PosetError, match="base must be a bounded interval"):
+            enumerate_intervals((1, 2, 2), base=debruijn_poset(1, 2, 2))
+
     def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
         def fails(p):
             return BinomialReport(ok=False, detail="forced failure")

@@ -203,6 +203,10 @@ class TestDecideFamily:
         d = decide_family(AtomicSequence((), tail=1))
         assert d.verdict == "realizable"
 
+    def test_empty_sequence_is_unknown(self):
+        d = decide_family(AtomicSequence(()))
+        assert (d.verdict, d.reason) == ("unknown", "no values to decide on")
+
 
 class TestREquivalence:
     def test_single_lattice(self, cube):
