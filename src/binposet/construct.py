@@ -5,19 +5,19 @@ A section word is a word over {1, 2} with no two adjacent 2s.  The word
 language validates, enumerates and counts these words, and builds a
 versal word that contains every one of them up to a given length.
 
-Every builder returns a :class:`~binposet.core.GradedPoset` with uniform
-"rank:index" element ids.  Ids are for debugging only; nothing downstream
-depends on them.
+Every builder lists each element's lower covers as integer positions,
+counted level by level, and hands them to core, which names the elements
+with uniform "rank:index" ids and validates the diagram.  Ids are for
+debugging only; nothing downstream depends on them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
-from typing import Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import AtomicSequence, GradedPoset, PosetError, build_poset, grid_ids
-from .core import _as_sequence, _whole
+from .core import AtomicSequence, GradedPoset, PosetError, grid_ids
+from .core import _as_sequence, _from_down, _validated, _whole
 
 __all__ = [
     "validate_string",
@@ -80,6 +80,21 @@ def versal_string(max_length: int) -> str:
 # ---------------------------------------------------------------------------
 # constructions
 
+def _diagram(widths: Sequence[int], down: Sequence[Iterable[int]]) -> GradedPoset:
+    """The validated diagram with these level widths whose i-th element,
+    counted level by level, has the lower covers ``down[i]``."""
+    return _validated(_from_down(grid_ids(widths), down))
+
+
+def _word_diagram(level_words: list[list[tuple]], lower: Callable) -> GradedPoset:
+    """The validated diagram whose rank-i elements are ``level_words[i]``,
+    in that order, a rank-i word t covering the words ``lower(i, t)``."""
+    keys = [(i, w) for i, words in enumerate(level_words) for w in words]
+    pos = dict(zip(keys, range(len(keys))))
+    down = [[pos[i - 1, s] for s in lower(i, t)] if i else [] for i, t in keys]
+    return _diagram([len(words) for words in level_words], down)
+
+
 # The three 2+2 partitions of positions {0,1,2,3}, in lexicographic order.
 _PARTS = (
     ((0, 1), (2, 3)),
@@ -111,34 +126,25 @@ def poset_from_string(word: str, height: int | None = None) -> GradedPoset:
         height = want
     if height != want:
         raise PosetError(f"word of length {len(word)} forces height {want}, got {height}")
-    widths = (1, 2) + (4,) * (height - 1)
-    levels = grid_ids(widths)
-    covers: list[tuple[str, str]] = [("0:0", "1:0"), ("0:0", "1:1")]
     # Width 2 -> 4: each bottom-level element gets both elements of one
     # parity class, making the up-sets {0,2} and {1,3}.
-    for mu in range(4):
-        covers.append((f"1:{mu % 2}", f"2:{mu}"))
+    down: list[tuple[int, ...]] = [(), (0,), (0,), (1,), (2,), (1,), (2,)]
     forbidden = {_PARTS[1]}
     for j, letter in enumerate(word):
-        lo = [f"{j + 2}:{t}" for t in range(4)]
-        hi = [f"{j + 3}:{t}" for t in range(4)]
+        lo = 3 + 4 * j  # position of the first element of level j + 2
         if letter == "1":
             part = next(pp for pp in _PARTS if pp not in forbidden)
-            (a0, a1), (b0, b1) = part
-            for t, (u, v) in enumerate(((a0, a1), (a0, a1), (b0, b1), (b0, b1))):
-                covers.append((lo[u], hi[t]))
-                covers.append((lo[v], hi[t]))
+            pairs = (part[0], part[0], part[1], part[1])
             forbidden = {_PARTS[0]}
         else:
             if len(forbidden) != 1:
                 raise PosetError("adjacent 2s slipped through validation")
             ((p0, q0), (r0, s0)) = next(iter(forbidden))
             cycle = (p0, r0, q0, s0)
-            for t in range(4):
-                covers.append((lo[cycle[t]], hi[t]))
-                covers.append((lo[cycle[(t + 1) % 4]], hi[t]))
+            pairs = tuple((cycle[t], cycle[(t + 1) % 4]) for t in range(4))
             forbidden = {_PARTS[0], _PARTS[2]}
-    return build_poset(levels, covers)
+        down.extend((lo + u, lo + v) for u, v in pairs)
+    return _diagram((1, 2) + (4,) * (height - 1), down)
 
 
 def debruijn_poset(m: int, n: int, height: int) -> GradedPoset:
@@ -148,22 +154,14 @@ def debruijn_poset(m: int, n: int, height: int) -> GradedPoset:
     when dropping its last letter leaves a suffix of the lower word.
     Realizes the atom sequence (1^m, n, n, ...)."""
     m, n, height = _whole(m, "m"), _whole(n, "n", 1), _whole(height, "height")
-    level_words = [
-        sorted(product(range(n), repeat=min(i, m))) for i in range(height + 1)
-    ]
-    ids = [
-        {w: f"{i}:{k}" for k, w in enumerate(words)}
-        for i, words in enumerate(level_words)
-    ]
-    covers: list[tuple[str, str]] = []
-    for i in range(height):
-        for s in level_words[i]:
-            for t in level_words[i + 1]:
-                head = t[:-1] if t else ()
-                if not head or s[len(s) - len(head):] == head:
-                    covers.append((ids[i][s], ids[i + 1][t]))
-    levels = tuple(tuple(ids[i][w] for w in level_words[i]) for i in range(height + 1))
-    return build_poset(levels, covers)
+    levels = [list(product(range(n), repeat=min(i, m))) for i in range(height + 1)]
+
+    def lower(i: int, t: tuple) -> list[tuple]:
+        # below the window: the head itself; at the window: the head behind each letter
+        head = t[:-1]
+        return [head] if len(head) == min(i - 1, m) else [(x,) + head for x in range(n)]
+
+    return _word_diagram(levels, lower)
 
 
 def stripped_boolean_interval(n: int, k: int) -> GradedPoset:
@@ -173,26 +171,17 @@ def stripped_boolean_interval(n: int, k: int) -> GradedPoset:
     under every copy's atoms and a fresh top over every copy's
     coatoms.  Realizes the atom sequence (1, 2, ..., n-1, kn)."""
     n, k = _whole(n, "n", 2), _whole(k, "k", 1)
-    subsets = [list(combinations(range(n), j)) for j in range(n + 1)]
-    widths = [1] + [k * comb(n, j) for j in range(1, n)] + [1]
-    levels = grid_ids(widths)
+    levels = [[(copy, s) for copy in range(k) for s in combinations(range(n), j)]
+              for j in range(n + 1)]
+    levels[0] = levels[n] = [()]
 
-    def sid(copy: int, j: int, s: tuple[int, ...]) -> str:
-        return f"{j}:{copy * len(subsets[j]) + subsets[j].index(s)}"
+    def lower(j: int, t: tuple) -> list[tuple]:
+        if j in (1, n):  # the shared bottom, or every copy's coatoms
+            return levels[j - 1]
+        copy, s = t
+        return [(copy, s[:c] + s[c + 1:]) for c in range(j)]
 
-    covers: list[tuple[str, str]] = []
-    for copy in range(k):
-        for s in subsets[1]:
-            covers.append(("0:0", sid(copy, 1, s)))
-        for j in range(1, n - 1):
-            for s in subsets[j]:
-                for extra in range(n):
-                    if extra not in s:
-                        t = tuple(sorted(s + (extra,)))
-                        covers.append((sid(copy, j, s), sid(copy, j + 1, t)))
-        for s in subsets[n - 1]:
-            covers.append((sid(copy, n - 1, s), f"{n}:0"))
-    return build_poset(levels, covers)
+    return _word_diagram(levels, lower)
 
 
 def m_interval(m: int) -> GradedPoset:
@@ -201,15 +190,10 @@ def m_interval(m: int) -> GradedPoset:
     Two middle levels of m+1 elements each, with x_i below y_j exactly
     when i != j."""
     m = _whole(m, "m", 1)
-    levels = grid_ids((1, m + 1, m + 1, 1))
-    covers: list[tuple[str, str]] = []
-    for i in range(m + 1):
-        covers.append(("0:0", f"1:{i}"))
-        covers.append((f"2:{i}", "3:0"))
-        for jj in range(m + 1):
-            if i != jj:
-                covers.append((f"1:{i}", f"2:{jj}"))
-    return build_poset(levels, covers)
+    down = [()] + [(0,)] * (m + 1)
+    down += [tuple(1 + i for i in range(m + 1) if i != j) for j in range(m + 1)]
+    down.append(tuple(range(m + 2, 2 * m + 3)))
+    return _diagram((1, m + 1, m + 1, 1), down)
 
 
 def divisible_poset(seq: AtomicSequence | str | Sequence[int], height: int) -> GradedPoset:
@@ -224,28 +208,20 @@ def divisible_poset(seq: AtomicSequence | str | Sequence[int], height: int) -> G
     height = _whole(height, "height")
     seq = _as_sequence(seq)
     if height == 0:
-        return build_poset((("0:0",),), ())
+        return _diagram((1,), [()])
     if not seq.head and seq.tail is None:
         raise PosetError("empty sequence")
-    vals = [seq.a(i) if i <= len(seq.head) or seq.tail is not None else seq.a(len(seq.head))
-            for i in range(1, height + 1)]
+    vals = [seq.a(min(i, len(seq.head)) if seq.finite else i) for i in range(1, height + 1)]
     for i in range(len(vals) - 1):
         if vals[i + 1] % vals[i]:
             raise PosetError(
                 f"a_{i + 2} = {vals[i + 1]} is not a multiple of a_{i + 1} = {vals[i]}"
             )
-    a = vals[-1]
-    radii = [a // v for v in vals]
-    level_words = [sorted(product(*(range(r) for r in radii[:i]))) for i in range(height + 1)]
-    ids = [
-        {w: f"{i}:{k}" for k, w in enumerate(words)}
-        for i, words in enumerate(level_words)
-    ]
-    covers: list[tuple[str, str]] = []
-    for i in range(height):
-        for x in level_words[i]:
-            shifted = tuple(x[j] % radii[j + 1] for j in range(i))
-            for y in range(radii[0]):
-                covers.append((ids[i][x], ids[i + 1][(y,) + shifted]))
-    levels = tuple(tuple(ids[i][w] for w in level_words[i]) for i in range(height + 1))
-    return build_poset(levels, covers)
+    radii = [vals[-1] // v for v in vals]
+    levels = [list(product(*(range(r) for r in radii[:i]))) for i in range(height + 1)]
+
+    def lower(i: int, t: tuple) -> Iterable[tuple]:
+        # the rank-(i-1) words x with x_j = t_(j+1) mod r_(j+1)
+        return product(*(range(z, radii[j], radii[j + 1]) for j, z in enumerate(t[1:])))
+
+    return _word_diagram(levels, lower)

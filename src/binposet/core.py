@@ -132,8 +132,8 @@ class AtomicSequence:
         body = ",".join(str(a) for a in self.head)
         if self.tail is None:
             return body
-        if self.head and self.tail == self.head[-1]:
-            return body + "..."
+        if not self.head or self.tail == self.head[-1]:
+            return f"{body or self.tail}..."
         return f"{body},{self.tail}..."
 
     def __str__(self) -> str:
@@ -323,13 +323,17 @@ def build_poset(
     """Validate and freeze a leveled diagram.
 
     Beyond the structural checks of the raw constructor, this enforces a
-    unique bottom element and forbids dangling elements: everything above
-    level 0 has a lower cover, everything below the top has an upper one.
+    unique bottom element and forbids dangling elements (:func:`_validated`).
     """
-    p = GradedPoset(
+    return _validated(GradedPoset(
         tuple(tuple(lv) for lv in levels),
         frozenset((lo, hi) for lo, hi in covers),
-    )
+    ))
+
+
+def _validated(p: GradedPoset) -> GradedPoset:
+    """``p``, once it has one bottom element, a lower cover for everything
+    above level 0 and an upper cover for everything below the top."""
     if len(p.levels[0]) != 1:
         raise PosetError(f"want exactly one bottom element, got {len(p.levels[0])}")
     up, down = p._adjacency

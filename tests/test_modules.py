@@ -49,16 +49,33 @@ def test_no_module_level_state(name):
         assert not hasattr(value, "cache_info"), f"{mod.__name__}.{attr} is a cache"
 
 
-@pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "core"])
-def test_only_core_builds_diagrams(name):
-    # one path from integer cover lists to a GradedPoset: other modules go
-    # through build_poset or core's builder instead of the raw constructor
-    mod = binposet if name == "__init__" else importlib.import_module(f"binposet.{name}")
+def _called_names(mod) -> list[tuple[str | None, int]]:
+    """The bare or attribute name of every call in the module's source."""
+    calls = []
     for node in ast.walk(ast.parse(inspect.getsource(mod))):
         if isinstance(node, ast.Call):
             func = node.func
             called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            assert called != "GradedPoset", f"{mod.__name__} line {node.lineno}"
+            calls.append((called, node.lineno))
+    return calls
+
+
+@pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "core"])
+def test_only_core_builds_diagrams(name):
+    # one path from integer cover lists to a GradedPoset: other modules go
+    # through core's builders instead of the raw constructor
+    mod = binposet if name == "__init__" else importlib.import_module(f"binposet.{name}")
+    for called, line in _called_names(mod):
+        assert called != "GradedPoset", f"{mod.__name__} line {line}"
+
+
+@pytest.mark.parametrize("name", ["__init__"] + [m for m in MODULES if m != "core"])
+def test_only_core_calls_build_poset(name):
+    # element ids are core's to write: a module that builds a diagram hands
+    # core integer cover lists, never "rank:index" cover pairs
+    mod = binposet if name == "__init__" else importlib.import_module(f"binposet.{name}")
+    for called, line in _called_names(mod):
+        assert called != "build_poset", f"{mod.__name__} line {line}"
 
 
 def test_package_exports_are_the_module_exports():

@@ -10,6 +10,7 @@ from binposet.core import (
     BinomialReport,
     PosetError,
     build_poset,
+    dual,
     interval,
     verify_binomial,
 )
@@ -30,6 +31,13 @@ def lower_classes(p, rank):
     """The certificates of the lower intervals of ``p`` at ``rank``."""
     bottom = p.levels[0][0]
     return {canonical_form(interval(p, bottom, x)) for x in p.levels[rank]}
+
+
+def assert_closed_under_dual(classes):
+    """The class set of a complete search holds the dual of each class:
+    the dual of an interval is an interval with the same atom counts."""
+    certs = {canonical_form(p) for p in classes}
+    assert {canonical_form(dual(p)) for p in classes} == certs
 
 
 @cache
@@ -274,6 +282,8 @@ def test_search_counters_are_pinned(case):
     assert (res.verdict, res.nodes, len(res.classes), res.detail) == (
         verdict, nodes, classes, detail
     )
+    if verdict != "capped":
+        assert_closed_under_dual(res.classes)
 
 
 def _partitions(n: int, least: int = 2) -> int:
@@ -339,11 +349,21 @@ class TestCompleteness:
             res = enumerate_intervals((1, 2, b))
             assert res.verdict == "found", b
             assert len(res.classes) == _partitions(b), b
+            assert_closed_under_dual(res.classes)
         three, four = enumerate_intervals((1, 3, 7)), enumerate_intervals((1, 4, 7))
         assert three.verdict == four.verdict == "found"
         assert len(three.classes) == len(four.classes)
         flipped = {canonical_form(_middle_complement(p)) for p in three.classes}
         assert flipped == {canonical_form(p) for p in four.classes}
+        assert_closed_under_dual(three.classes)
+        assert_closed_under_dual(four.classes)
+
+    def test_rank_four_classes_are_closed_under_duality(self):
+        res = enumerate_intervals((1, 2, 4, 4), strategy="assembly")
+        assert res.verdict == "found" and len(res.classes) == 24
+        assert_closed_under_dual(res.classes)
+        self_dual = [p for p in res.classes if canonical_form(dual(p)) == canonical_form(p)]
+        assert len(self_dual) == 4
 
     @pytest.mark.parametrize(
         "head",
