@@ -207,10 +207,10 @@ def divisible_poset(seq: AtomicSequence | str | Sequence[int], height: int) -> G
     """
     height = _whole(height, "height")
     seq = _as_sequence(seq)
-    if height == 0:
-        return _diagram((1,), [()])
     if not seq.head and seq.tail is None:
         raise PosetError("empty sequence")
+    if height == 0:
+        return _diagram((1,), [()])
     vals = [seq.a(min(i, len(seq.head)) if seq.finite else i) for i in range(1, height + 1)]
     for i in range(len(vals) - 1):
         if vals[i + 1] % vals[i]:

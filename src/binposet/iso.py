@@ -23,14 +23,23 @@ need:
 
 * Search.  A node individualizes each member of its first smallest
   cell that holds more than one twin class (see Twins) in turn; a node
-  without such a cell is a leaf, and ``lab`` is its element order.
+  without such a cell is a leaf, and ``lab`` is its element order.  It
+  looks for that cell only inside its parent's non-singleton cells, as
+  a singleton cell is never split.
   Leaves that encode equally to the first leaf or to the best one yield
   automorphisms, stored sparsely (moved points only), and send the
   search back to the node where the two paths part.  A node keeps the
   automorphisms that fix its path pointwise; those map its target cell
   onto itself, so a member already in the closure of the explored
   members under them roots a subtree equivalent to one explored, and is
-  skipped.
+  skipped.  A node searches its first child in full; each later child is
+  refined once and the first child's ``lab`` mapped onto its ``lab``,
+  position by position (the cheap automorphisms of saucy: Darga,
+  Sakallah and Markov, DAC 2008).  If that map is an automorphism it is
+  recorded, and the later child's subtree, its image of the first
+  child's, is skipped; otherwise the search goes on below the child
+  from the partition already refined.  Each refined partition is one
+  node, a skipped child's included.
 
 * Twins.  Elements of one level with the same upper and the same lower
   covers are twins.  Swapping two twins is an automorphism known before
@@ -115,6 +124,18 @@ def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> N
                 start.append(y)
 
 
+def _preserves_covers(adj: list[list[int]], g: dict[int, int]) -> bool:
+    """Whether the rank-keeping bijection ``g`` (moved points only) maps
+    covers onto covers; ``adj`` lists each element's upper and lower covers.
+
+    Every cover with a moved endpoint v is checked from v, whichever end
+    of it v is, and a cover between two fixed points maps to itself.  So g
+    maps covers into covers, and as a bijection of a finite set it maps
+    them onto covers.  Checking only the covers among the moved points
+    would not do: a cover from a moved point to a fixed one could break."""
+    return all({g.get(w, w) for w in adj[v]} == set(adj[gv]) for v, gv in g.items())
+
+
 class _Canonicalizer:
     def __init__(self, p: GradedPoset, node_cap: int):
         self.p = p
@@ -146,20 +167,27 @@ class _Canonicalizer:
 
     def run(self) -> tuple[bytes, list[int]]:
         # the seed partition: one cell per level, in element order
-        n = self.n
-        starts = list(self.p._level_start[:-1])
-        cell, end = [0] * n, [0] * n
-        for s, e in zip(starts, self.p._level_start[1:]):
+        n, bounds = self.n, self.p._level_start
+        levels = list(zip(bounds, bounds[1:]))
+        lab, cell, end = list(range(n)), [0] * n, [0] * n
+        for s, e in levels:
             end[s] = e
             cell[s:e] = [s] * (e - s)
-        self._walk(list(range(n)), cell, end, len(starts), starts, list(self.gens))
+        ncells = self._refine(lab, cell, end, len(levels), [s for s, _ in levels])
+        self._walk(lab, cell, end, ncells, list(self.gens), levels)
         assert self.best is not None
         return self.best, self.best_order
 
     def _refine(
         self, lab: list[int], cell: list[int], end: list[int], ncells: int, queue: list[int]
     ) -> int:
-        """Refine in place to the coarsest equitable partition; the cell count."""
+        """Refine in place to the coarsest equitable partition; the cell count.
+
+        Each refined partition is one node of the search, counted here
+        against the cap."""
+        self.nodes += 1
+        if self.nodes > self.cap:
+            raise CanonicalizationCapError(f"canonical labeling exceeded {self.cap} nodes")
         adj, n = self.adj, self.n
         pending = deque(queue)
         queued = set(queue)
@@ -212,33 +240,35 @@ class _Canonicalizer:
         cell: list[int],
         end: list[int],
         ncells: int,
-        queue: list[int],
         fixing: list[dict[int, int]],
+        spans: list[tuple[int, int]],
     ) -> int:
-        """Search below the node of the current path; the depth to resume at."""
+        """Search below the node of the current path, whose partition is
+        already refined; the depth to resume at.  ``spans`` are the parent's
+        non-singleton cells as (start, stop) ranges of ``lab``: a singleton
+        is never split, so every other cell here is one too."""
         depth = len(self.path)
-        self.nodes += 1
-        if self.nodes > self.cap:
-            raise CanonicalizationCapError(
-                f"canonical labeling exceeded {self.cap} nodes"
-            )
-        ncells = self._refine(lab, cell, end, ncells, queue)
         # a twin-only cell is never a target: every order of its members
         # encodes alike (see Twins in the module docstring)
         twin = self.twin
+        wide = []
         target, size = -1, self.n + 1
-        s = 0
-        while s < self.n:
-            e = end[s]
-            if 1 < e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1 : e]):
-                target, size = s, e - s
-            s = e
+        for s, stop in spans:
+            while s < stop:
+                e = end[s]
+                if e - s > 1:
+                    wide.append((s, e))
+                    if e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1 : e]):
+                        target, size = s, e - s
+                s = e
         if target < 0:
             return self._leaf(lab)
         # Automorphisms fixing the path fix this partition, so the closure
         # of explored members under them stays inside the target cell.
         reached: set[int] = set()
         seen = len(self.gens)
+        ref: list[int] | None = None
+        ref_ncells = 0
         for m in lab[target : target + size]:
             if m in reached:
                 continue
@@ -252,17 +282,36 @@ class _Canonicalizer:
             child_end = list(end)
             child_end[target] = target + 1
             child_end[target + 1] = target + size
-            self.path.append(m)
-            resume = self._walk(
-                child, child_cell, child_end, ncells + 1, [target],
-                [g for g in fixing if m not in g],
-            )
-            self.path.pop()
-            if resume < depth:
-                return resume
+            child_ncells = self._refine(child, child_cell, child_end, ncells + 1, [target])
+            # Refinement never moves a singleton cell, so the map from the
+            # first child's partition onto this one, position by position,
+            # fixes the path and sends the first child's member to m; cells
+            # keep to one level, so it keeps ranks.  If it is an
+            # automorphism, m's subtree is its image of the first child's,
+            # already searched.  Automorphisms map refined partitions onto
+            # refined partitions, so differing cell counts rule one out.
+            aut = None
+            if ref is not None and child_ncells == ref_ncells:
+                aut = {a: b for a, b in zip(ref, child) if a != b}
+                if not _preserves_covers(self.adj, aut):
+                    aut = None
+            if aut is not None:
+                self.gens.append(aut)
+            else:
+                self.path.append(m)
+                resume = self._walk(
+                    child, child_cell, child_end, child_ncells,
+                    [g for g in fixing if m not in g], wide,
+                )
+                self.path.pop()
+                if resume < depth:
+                    return resume
+                if ref is None:
+                    ref, ref_ncells = child, child_ncells
             reached.add(m)
-            # Each automorphism recorded below sent the search back to the
-            # prefix it fixes, so those reaching this node fix its path.
+            # Each automorphism recorded since this node began fixes its
+            # path: a leaf's sent the search back to the prefix it fixes,
+            # and a skipped child's fixes the path of the node that found it.
             if seen < len(self.gens):
                 fixing = fixing + self.gens[seen:]
                 seen = len(self.gens)

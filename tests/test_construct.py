@@ -161,6 +161,11 @@ class TestDivisible:
     def test_height_zero(self):
         assert divisible_poset((1, 2), 0).widths == (1,)
 
+    @pytest.mark.parametrize("height", [0, 1])
+    def test_empty_sequence_is_refused_at_every_height(self, height):
+        with pytest.raises(PosetError, match="empty sequence"):
+            divisible_poset((), height)
+
     def test_chain_counts(self):
         p = divisible_poset((1, 2, 4), 4)
         seq = AtomicSequence((1, 2, 4), tail=4)

@@ -20,6 +20,7 @@ from binposet.iso import (
     DEFAULT_NODE_CAP,
     CanonicalizationCapError,
     _Canonicalizer,
+    _preserves_covers,
     are_isomorphic,
     canonical_form,
     isomorphism,
@@ -244,7 +245,9 @@ def twin_atoms(k: int) -> GradedPoset:
 
 
 class TestCanonicalNodes:
-    """Known twin swaps prune the search, and twin-only cells end it."""
+    """Known twin swaps prune the search, twin-only cells end it, and a
+    later child whose partition is an automorphic image of the first
+    child's is refined but not searched."""
 
     def test_twin_atoms_take_one_node(self):
         # one twin class and no other non-singleton cell: the root is a leaf
@@ -259,7 +262,23 @@ class TestCanonicalNodes:
         p = divisible_poset((1, 2, 4, 8), 4)
         q = relabel(p, random.Random(8))
         assert canonical_form(p, node_cap=1000) == canonical_form(q, node_cap=1000)
-        assert kept_run(p)[2] == 91
+        assert kept_run(p)[2] == 25
+
+    @pytest.mark.parametrize("k, nodes", [(3, 296), (4, 1289)])
+    def test_word_poset_nodes_are_pinned(self, k, nodes):
+        # word posets have no twins: the cheap automorphisms do the pruning
+        p = poset_from_string(versal_string(k))
+        canonical_form(p)
+        assert kept_run(p)[2] == nodes
+
+    def test_a_skipped_child_counts_against_the_cap(self):
+        # fresh posets, so the cap is met inside the search, not by the kept run
+        word = versal_string(3)
+        with pytest.raises(CanonicalizationCapError):
+            canonical_form(poset_from_string(word), node_cap=295)
+        p = poset_from_string(word)
+        canonical_form(p, node_cap=296)
+        assert kept_run(p)[2] == 296
 
 
 def blow_up(p: GradedPoset, mult: dict[str, int]) -> GradedPoset:
@@ -337,18 +356,42 @@ def test_twin_heavy_diagrams_match_vf2():
     assert {True, False} <= verdicts
 
 
+def recorded_generators(p: GradedPoset) -> list[dict[int, int]]:
+    """The generators one search of ``p`` records, each checked to keep
+    ranks and to map the covers onto the covers."""
+    search = _Canonicalizer(p, DEFAULT_NODE_CAP)
+    search.run()
+    level, covers = p._level_of, {(p._index[a], p._index[b]) for a, b in p.covers}
+    for g in search.gens:
+        assert all(level[g[x]] == level[x] for x in g)
+        assert {(g.get(a, a), g.get(b, b)) for a, b in covers} == covers
+    return search.gens
+
+
 def test_every_recorded_generator_is_an_automorphism():
     # twin swaps included: elements without covers on two levels are not
     # twins, as a swap between them would not keep ranks
     rng = random.Random(47)
     for _ in range(40):
-        p, _ = twin_heavy(rng, [rng.randint(1, 4) for _ in range(rng.randint(2, 4))])
-        search = _Canonicalizer(p, DEFAULT_NODE_CAP)
-        search.run()
-        level, covers = p._level_of, {(p._index[a], p._index[b]) for a, b in p.covers}
-        for g in search.gens:
-            assert all(level[g[x]] == level[x] for x in g)
-            assert {(g.get(a, a), g.get(b, b)) for a, b in covers} == covers
+        widths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        recorded_generators(twin_heavy(rng, widths)[0])
+    # the generators past the twin swaps come from leaves and skipped children
+    for p in (poset_from_string(versal_string(3)), debruijn_poset(3, 3, 7)):
+        assert recorded_generators(p)
+
+
+def test_cover_check_sees_a_broken_cover_to_a_fixed_point():
+    # swapping a<->b and c<->d keeps a<c and b<d, the covers among the
+    # moved points, but sends a<e to b<e with e fixed
+    p = build_poset(
+        [["0"], ["a", "b"], ["c", "d", "e"]],
+        [("0", "a"), ("0", "b"), ("a", "c"), ("b", "d"), ("a", "e")],
+    )
+    i = p._index
+    swap = {i["a"]: i["b"], i["b"]: i["a"], i["c"]: i["d"], i["d"]: i["c"]}
+    assert not _preserves_covers(_Canonicalizer(p, 1).adj, swap)
+    q = build_poset(p.levels, sorted(p.covers) + [("b", "e")])
+    assert _preserves_covers(_Canonicalizer(q, 1).adj, swap)
 
 
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,18 @@ class TestLcmExtension:
 
     def test_single_value(self):
         assert lcm_extension((1,)).tail == 1
+
+    def test_every_small_admissible_head_extends_admissibly(self):
+        # lcm_extension does not check its extension; its docstring argues why
+        heads = [
+            head
+            for k in range(1, 6)
+            for head in itertools.combinations_with_replacement(range(1, 9), k)
+            if head[0] == 1 and check_compatibility(head).ok
+        ]
+        assert len(heads) == 354
+        for head in heads:
+            assert check_compatibility(lcm_extension(head)).ok, head
 
 
 class TestDecideFamily:
