@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, interval, verify_binomial
 from .core import _bits, _induced_down, _pairs_of_length, _whole
-from .iso import canonical_form
+from .iso import DEFAULT_NODE_CAP, _canonical
 
 __all__ = [
     "section_type",
@@ -172,7 +172,9 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     Returns one representative (bottom, top) pair per class: the first in
     level order.  An interval is keyed by its cover lists in the order of
     ``p``'s elements; equal keys are the same labelled diagram, so only
-    the first interval with a key is built and canonicalized."""
+    the first interval with a key is built and canonicalized.  Its search
+    is handed the certificates found so far, and stops at the first leaf
+    that encodes to one of them."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
@@ -184,7 +186,8 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
         key = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
         cert = seen.get(key)
         if cert is None:
-            cert = seen[key] = canonical_form(interval(p, els[s], els[t]))
+            q = interval(p, els[s], els[t])
+            cert = seen[key] = _canonical(q, DEFAULT_NODE_CAP, found)[0]
         found.setdefault(cert, []).append((els[s], els[t]))
     classes = tuple(
         IntervalClass(cert, members[0][0], members[0][1], len(members))

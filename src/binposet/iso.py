@@ -53,21 +53,35 @@ need:
   the least encoding over the discrete partitions of the tree that
   branches on every non-singleton cell.
 
+* Known certificates.  A caller that already holds certificates (the
+  interval census, and the dedup, classification and anchor checks of
+  the searches) may hand them to the search.  A leaf whose encoding is one of them ends the
+  search, which returns that encoding.  Equal encodings are the same
+  labelled diagram, so the poset is isomorphic to the one that
+  certificate was issued for, and isomorphic posets have equal
+  certificates: the bytes are those a full search returns.  Most such
+  calls certify a class already met, and their first leaf is the
+  certificate, so the search skips the backtracking that proves it least.
+
 * Cache.  A poset keeps its last complete run (certificate, element
   order, node count) in its own ``__dict__``, as ``cached_property``
   keeps its adjacency, so asking the same object twice searches once.
   There is no state outside the poset: an equal poset built anew gets
   its own run.  A kept run whose node count exceeds the caller's cap
-  raises as a fresh run would, and a capped run is not kept.
+  raises as a fresh run would, and a capped run is not kept.  Nor is a
+  run stopped at a known certificate: its element order need not be the
+  canonical one and its node count is partial.
 
 A node cap guards against pathological inputs and is reported, never
-silently hit.
+silently hit.  A caller's deadline, read every 64 nodes, ends a search
+the same way.
 """
 
 from __future__ import annotations
 
+import time
 from collections import deque
-from typing import Sequence
+from typing import Container, Sequence
 
 from .core import GradedPoset, PosetError, _whole
 
@@ -84,6 +98,10 @@ DEFAULT_NODE_CAP = 200_000
 
 class CanonicalizationCapError(PosetError):
     """The canonical-labeling backtracking exceeded its node budget."""
+
+
+class _DeadlinePassed(Exception):
+    """The caller's deadline passed during a canonical search."""
 
 
 def _encode(p: GradedPoset, order: Sequence[int]) -> bytes:
@@ -137,9 +155,19 @@ def _preserves_covers(adj: list[list[int]], g: dict[int, int]) -> bool:
 
 
 class _Canonicalizer:
-    def __init__(self, p: GradedPoset, node_cap: int):
+    def __init__(
+        self,
+        p: GradedPoset,
+        node_cap: int,
+        known: Container[bytes] = (),
+        deadline: float | None = None,
+    ):
         self.p = p
         self.cap = node_cap
+        self.known = known
+        self.deadline = deadline
+        # set when a leaf encodes to a known certificate and ends the search
+        self.stopped = False
         self.nodes = 0
         self.n = len(p.elements)
         up, down = p._adjacency
@@ -188,6 +216,9 @@ class _Canonicalizer:
         self.nodes += 1
         if self.nodes > self.cap:
             raise CanonicalizationCapError(f"canonical labeling exceeded {self.cap} nodes")
+        if self.deadline is not None and not self.nodes % 64:
+            if time.monotonic() > self.deadline:
+                raise _DeadlinePassed
         adj, n = self.adj, self.n
         pending = deque(queue)
         queued = set(queue)
@@ -326,8 +357,13 @@ class _Canonicalizer:
         A leaf encoding like an earlier one yields an automorphism that
         fixes the common prefix of their paths and maps the earlier path's
         member there onto this one's, so the rest of this subtree repeats
-        one already searched: the search resumes at that prefix."""
+        one already searched: the search resumes at that prefix.  A leaf
+        encoding to a known certificate is the certificate (see Known
+        certificates in the module docstring): the search ends there."""
         enc = _encode(self.p, order)
+        if enc in self.known:
+            self.best, self.best_order, self.stopped = enc, order, True
+            return -1
         if self.first is None:
             self.first, self.first_order, self.first_path = enc, order, tuple(self.path)
         elif enc == self.first:
@@ -351,12 +387,24 @@ class _Canonicalizer:
         return k
 
 
-def _canonical(p: GradedPoset, node_cap: int) -> tuple[bytes, tuple[int, ...]]:
-    """Certificate and canonical element order, from the run ``p`` keeps."""
+def _canonical(
+    p: GradedPoset,
+    node_cap: int,
+    known: Container[bytes] = (),
+    deadline: float | None = None,
+) -> tuple[bytes, tuple[int, ...]]:
+    """Certificate and canonical element order, from the run ``p`` keeps.
+
+    ``known`` holds certificates only: a search that meets one at a leaf
+    stops and returns it, with that leaf's order, and is not kept.  Past
+    ``time.monotonic()`` value ``deadline``, a search raises
+    ``_DeadlinePassed``."""
     run = p.__dict__.get("_canonical_run")
     if run is None:
-        search = _Canonicalizer(p, node_cap)
+        search = _Canonicalizer(p, node_cap, known, deadline)
         cert, order = search.run()
+        if search.stopped:
+            return cert, tuple(order)
         run = p.__dict__["_canonical_run"] = (cert, tuple(order), search.nodes)
     if run[2] > node_cap:
         raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")

@@ -52,6 +52,13 @@ a dedup set per stage.  The sets are never shared between stages or
 runs, because the partial states of two stages can be the same diagram
 and would then prune each other.
 
+Every canonical search of the core is handed the certificates its
+caller already holds (see Known certificates in ``iso``): dedup passes
+its stage's set, ``classify`` the classes stored so far, and the
+levelwise anchor check the anchor's certificate.  A search that meets
+one of them stops at that leaf.  The deadline reaches these searches
+too: one that runs past it caps the search as ``spend()`` would.
+
 Strategies hand integer cover lists to ``core``, which names the elements.
 
 A search reports "exhausted" only when no branch was cut by a cap.
@@ -63,7 +70,7 @@ import time
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
 from numbers import Real
-from typing import Iterable, Sequence
+from typing import Container, Iterable, Sequence
 
 from .core import (
     AtomicSequence,
@@ -77,7 +84,13 @@ from .core import (
     _ratio_failure,
     _whole,
 )
-from .iso import CanonicalizationCapError, canonical_form
+from .iso import (
+    DEFAULT_NODE_CAP,
+    CanonicalizationCapError,
+    canonical_form,
+    _canonical,
+    _DeadlinePassed,
+)
 
 __all__ = [
     "SearchLimits",
@@ -141,10 +154,19 @@ class _Core:
             if time.monotonic() > self.deadline:
                 raise _Capped("time budget exhausted")
 
-    def certify(self, p: GradedPoset, what: str) -> bytes:
-        """The certificate of ``p``; a canonicalization cap caps the search."""
+    def _certificate(self, p: GradedPoset, known: Container[bytes]) -> bytes:
+        """The certificate of ``p``, the search stopping at a member of
+        ``known``; running past the deadline caps the search."""
         try:
-            return canonical_form(p)
+            return _canonical(p, DEFAULT_NODE_CAP, known, self.deadline)[0]
+        except _DeadlinePassed:
+            raise _Capped("time budget exhausted") from None
+
+    def certify(self, p: GradedPoset, what: str, known: Container[bytes]) -> bytes:
+        """The certificate of ``p``, given the certificates ``known``; a
+        canonicalization cap caps the search."""
+        try:
+            return self._certificate(p, known)
         except CanonicalizationCapError as exc:
             raise _Capped(f"{what} hit the canonicalization cap: {exc}") from None
 
@@ -153,7 +175,7 @@ class _Core:
         Records it if not.  Always False when the canonicalization cap is
         hit: searching on is still sound."""
         try:
-            cert = canonical_form(p)
+            cert = self._certificate(p, seen)
         except CanonicalizationCapError:
             return False
         if cert in seen:
@@ -169,7 +191,7 @@ class _Core:
         rep = verify_binomial(p)
         if not rep.ok or rep.atoms is None or rep.atoms.head != head:
             return False
-        out.setdefault(self.certify(p, "classifying a candidate"), p)
+        out.setdefault(self.certify(p, "classifying a candidate", out), p)
         return True
 
 
@@ -185,6 +207,18 @@ def _room(
         if cap - count[x] - (x in picked) > rem:
             return False
     return True
+
+
+def _combinations_from(first: tuple[int, ...], stop: int) -> Iterable[tuple[int, ...]]:
+    """The sorted tuples of ``len(first)`` integers below ``stop``, from
+    ``first`` on in lexicographic order, made one at a time.  A later
+    tuple keeps the first i members of ``first`` and continues above
+    ``first[i]``, for i from the longest prefix down."""
+    yield first
+    for i in range(len(first) - 1, -1, -1):
+        head = first[:i]
+        for rest in combinations(range(first[i] + 1, stop), len(first) - i):
+            yield head + rest
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +254,18 @@ class _Levelwise:
         # levels are built in turn, so level j-1 is the last elements created
         end = len(self.level_of)
         prev = range(end - self.widths[j - 1], end)
-        self._slots(j, 0, 0, list(combinations(prev, self.seq.a(j))), prev, prev.start)
+        a = self.seq.a(j)
+        if a <= len(prev):  # else level j-1 holds no set of a covers
+            self._slots(j, 0, tuple(prev[:a]), prev, prev.start)
 
-    def _slots(self, j: int, s: int, min_ci: int, cands, prev, used: int) -> None:
+    def _slots(self, j: int, s: int, first: tuple[int, ...], prev: range, used: int) -> None:
         width = self.widths[j]
         if s == width:
             self._level_done(j)
             return
         cap = self.seq.a(self.N - j + 1)  # forced up-degree at rank j-1
         rem = width - s - 1
-        for ci in range(min_ci, len(cands)):
-            C = cands[ci]
+        for C in _combinations_from(first, prev.stop):
             # rank 2 takes unused atoms lowest-first: the atoms below
             # ``used`` are exactly those covered so far
             if j == 2 and C[-1] >= used + sum(c >= used for c in C):
@@ -240,7 +275,7 @@ class _Levelwise:
             self.core.spend()
             e = self._create(j, C)
             if e is not None:
-                self._slots(j, s + 1, ci, cands, prev, max(used, C[-1] + 1))
+                self._slots(j, s + 1, C, prev, max(used, C[-1] + 1))
                 self._destroy(e, C)
 
     def _create(self, j: int, C: tuple[int, ...]) -> int | None:
@@ -273,8 +308,9 @@ class _Levelwise:
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
-        cert = self.core.certify(self._diagram(_bits(self.down_mask[e])), "anchor check")
-        return cert == self.anchor[0]
+        want = self.anchor[0]
+        cert = self.core.certify(self._diagram(_bits(self.down_mask[e])), "anchor check", (want,))
+        return cert == want
 
     def _destroy(self, e: int, C: tuple[int, ...]) -> None:
         mask = ~(1 << e)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -15,11 +16,21 @@ from binposet.construct import (
     stripped_boolean_interval,
     versal_string,
 )
-from binposet.core import GradedPoset, PosetError, build_poset, dual, grid_ids
+from binposet.core import (
+    GradedPoset,
+    PosetError,
+    build_poset,
+    dual,
+    grid_ids,
+    interval,
+    _pairs_of_length,
+)
 from binposet.iso import (
     DEFAULT_NODE_CAP,
     CanonicalizationCapError,
+    _canonical,
     _Canonicalizer,
+    _DeadlinePassed,
     _preserves_covers,
     are_isomorphic,
     canonical_form,
@@ -506,3 +517,102 @@ def test_certificate_equality_matches_vf2():
             assert (canonical_form(p) == canonical_form(q)) == want
             verdicts.append(want)
     assert True in verdicts and False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# known certificates and the deadline
+
+
+def known_run(p: GradedPoset, known) -> bytes:
+    """The certificate of ``p`` from a search given the certificates ``known``."""
+    return _canonical(p, DEFAULT_NODE_CAP, known)[0]
+
+
+def fresh(p: GradedPoset) -> GradedPoset:
+    """An equal poset that keeps no run."""
+    return GradedPoset(p.levels, p.covers)
+
+
+class TestKnownCertificates:
+    """A search that stops at a leaf encoding to a known certificate
+    returns the bytes a full search returns, and only for a poset
+    isomorphic to the one that certificate was issued for."""
+
+    def test_relabelled_pinned_classes(self):
+        rng = random.Random(53)
+        classes = [p for run, *_ in PINNED.values() for p in run().classes]
+        known = {canonical_form(p) for p in classes}
+        stopped = 0
+        for p in classes:
+            copy = relabel(p, rng)
+            cert = known_run(copy, known)
+            assert cert == canonical_form(fresh(copy))
+            stopped += kept_run(copy) is None
+            # without its own class the search runs in full and is kept
+            other = relabel(p, rng)
+            assert known_run(other, known - {cert}) == cert
+            assert kept_run(other) is not None
+        assert stopped
+
+    def test_census_intervals(self):
+        rng = random.Random(59)
+        word = poset_from_string(versal_string(3))
+        els = word.elements
+        for n in range(2, 9):
+            known = {c.certificate for c in enumerate_interval_classes(word, n).classes}
+            pairs = list(_pairs_of_length(word, n))
+            for s, t in rng.sample(pairs, min(30, len(pairs))):
+                q = relabel(interval(word, els[s], els[t]), rng)
+                cert = known_run(q, known)
+                assert cert in known
+                assert cert == canonical_form(fresh(q))
+
+    def test_random_diagrams_match_vf2(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(61)
+        verdicts = set()
+        for _ in range(60):
+            p = random_graded(rng)
+            others = [relabel(p, rng)]
+            twin = near_twin(p, rng)
+            if twin is not None:
+                others.append(relabel(twin, rng))
+            for q in others:
+                copy = relabel(p, rng)
+                cert = known_run(copy, {canonical_form(q)})
+                assert cert == canonical_form(fresh(copy))
+                same = vf2(nx, p, q)
+                assert (cert == canonical_form(q)) == same
+                verdicts.add(same)
+        assert verdicts == {True, False}
+
+    def test_stopped_run_is_not_kept(self, cube):
+        q = relabel(cube, random.Random(67))
+        cert = known_run(q, {canonical_form(cube)})
+        assert kept_run(q) is None
+        assert isomorphism(q, cube) == isomorphism(fresh(q), cube)
+        # a kept run answers before any search, known set or not
+        run = kept_run(q)
+        assert run is not None and run[0] == cert
+        assert known_run(q, {cert}) == cert and kept_run(q) is run
+
+
+@given(raw_diagrams(), raw_diagrams())
+def test_known_certificate_matches_brute_force(p, q):
+    cert = known_run(p, {canonical_form(q)})
+    assert cert == canonical_form(fresh(p))
+    assert (cert == canonical_form(q)) == brute_isomorphic(p, q)
+
+
+class TestDeadline:
+    def test_a_passed_deadline_ends_a_search(self):
+        p = poset_from_string(versal_string(3))
+        with pytest.raises(_DeadlinePassed):
+            _canonical(p, DEFAULT_NODE_CAP, (), time.monotonic() - 1)
+        assert kept_run(p) is None
+
+    def test_the_clock_is_read_every_64_nodes(self, cube):
+        canonical_form(cube)
+        assert kept_run(cube)[2] < 64
+        q = fresh(cube)
+        assert _canonical(q, DEFAULT_NODE_CAP, (), time.monotonic() - 1) == _canonical(cube, DEFAULT_NODE_CAP)

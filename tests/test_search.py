@@ -1,10 +1,17 @@
+import time
 from functools import cache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from binposet import search
-from binposet.construct import debruijn_poset, m_interval, stripped_boolean_interval
+from binposet.construct import (
+    debruijn_poset,
+    m_interval,
+    poset_from_string,
+    stripped_boolean_interval,
+    versal_string,
+)
 from binposet.core import (
     AtomicSequence,
     BinomialReport,
@@ -140,27 +147,49 @@ class TestEnumerate:
         assert len(res.classes) == classes
 
     def test_canonicalization_cap_while_classifying_caps_the_search(self, monkeypatch):
-        def capped(p):
+        def capped(p, *args):
             raise CanonicalizationCapError("forced cap")
 
-        monkeypatch.setattr(search, "canonical_form", capped)
+        monkeypatch.setattr(search, "_canonical", capped)
         res = enumerate_intervals((1, 2, 4))
         assert (res.verdict, res.nodes) == ("capped", 9)
         assert res.detail.startswith("classifying a candidate hit the canonicalization cap")
 
     def test_canonicalization_cap_on_a_partial_diagram_skips_dedup(self, monkeypatch):
-        def partial_capped(p):
+        real = search._canonical
+
+        def partial_capped(p, *args):
             if p.widths[-1] != 1:
                 raise CanonicalizationCapError("forced cap")
-            return canonical_form(p)
+            return real(p, *args)
 
         uncapped, reference = enumerate_intervals((1, 2, 4)), without_dedup((1, 2, 4))
-        monkeypatch.setattr(search, "canonical_form", partial_capped)
+        monkeypatch.setattr(search, "_canonical", partial_capped)
         res = enumerate_intervals((1, 2, 4))
         assert (res.verdict, res.nodes) == ("found", reference.nodes)
         assert [canonical_form(p) for p in res.classes] == [
             canonical_form(p) for p in uncapped.classes
         ]
+
+    @pytest.mark.parametrize("stage", ["partial", "complete"])
+    def test_deadline_reaches_a_slow_canonical_search(self, monkeypatch, stage):
+        # Each search of the chosen stage certifies a fresh word poset
+        # instead, which takes 296 nodes; the canonicalizer reads the clock
+        # at its 64th, while spend() never reads it in this search.  A hit
+        # in the dedup check of a partial diagram caps the search too: only
+        # a canonicalization cap lets dedup search on.
+        real = search._canonical
+
+        def slow(p, node_cap, known, deadline):
+            if (p.widths[-1] == 1) == (stage == "complete"):
+                p = poset_from_string(versal_string(3))
+            return real(p, node_cap, known, deadline)
+
+        monkeypatch.setattr(search, "_canonical", slow)
+        res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=0))
+        assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
+        res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=3600))
+        assert res.verdict == "found"
 
     def test_impossible_level_census_short_circuits(self):
         res = enumerate_intervals((1, 2, 3, 3))
@@ -200,6 +229,20 @@ class TestEnumerate:
     def test_base_must_be_bounded(self):
         with pytest.raises(PosetError, match="base must be a bounded interval"):
             enumerate_intervals((1, 2, 2), base=debruijn_poset(1, 2, 2))
+
+    def test_a_time_budget_bounds_a_wide_level(self):
+        # level 4 takes 8 covers out of 32: C(32, 8) = 10,518,300 sets, made
+        # one at a time as the search takes them, so the budget is read
+        started = time.monotonic()
+        res = enumerate_intervals((1, 2, 4, 8, 8), limits=SearchLimits(max_seconds=2))
+        assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
+        assert time.monotonic() - started < 10
+
+    def test_cover_sets_run_on_from_the_last_chosen(self):
+        for start, stop, k in [(0, 5, 0), (0, 5, 2), (2, 9, 3), (1, 7, 6)]:
+            every = list(combinations(range(start, stop), k))
+            for i, first in enumerate(every):
+                assert list(search._combinations_from(first, stop)) == every[i:]
 
     def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
         def fails(p):
