@@ -47,9 +47,7 @@ def validate_string(word: str) -> bool:
 def valid_words(length: int) -> Iterator[str]:
     """All valid words of the given length, lexicographically."""
     length = _whole(length, "length")
-    if length == 0:
-        yield ""
-        return
+
     def rec(prefix: str) -> Iterator[str]:
         if len(prefix) == length:
             yield prefix

@@ -557,15 +557,12 @@ def _witness_pass(
     """Lexicographically least pair of length-d intervals with unequal counts,
     given that every length-(d-1) interval has ``below`` maximal chains."""
     els = p.elements
-    lv = p._level_of
     pairs: list[tuple[str, str, int]] = []
-    for s in range(len(els)):
-        r = lv[s] + d
-        if r > p.height:
-            break
-        above, planes = _atom_planes(p, s)
-        for t in _bits(above & _rank_span(p, r, r)):
-            pairs.append((els[s], els[t], _count_at(planes, t) * below))
+    source, planes = -1, []
+    for s, t in _pairs_of_length(p, d):
+        if s != source:
+            source, planes = s, _atom_planes(p, s)[1]
+        pairs.append((els[s], els[t], _count_at(planes, t) * below))
     pairs.sort(key=lambda r: (r[0], r[1]))
     x1, y1, c1 = pairs[0]
     for x2, y2, c2 in pairs[1:]:

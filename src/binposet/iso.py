@@ -26,8 +26,8 @@ need:
   without such a cell is a leaf, and ``lab`` is its element order.  It
   looks for that cell only inside its parent's non-singleton cells, as
   a singleton cell is never split.
-  Leaves that encode equally to the first leaf or to the best one yield
-  automorphisms, stored sparsely (moved points only), and send the
+  A leaf that encodes equally to the best one so far yields an
+  automorphism, stored sparsely (moved points only), and sends the
   search back to the node where the two paths part.  A node keeps the
   automorphisms that fix its path pointwise; those map its target cell
   onto itself, so a member already in the closure of the explored
@@ -175,11 +175,6 @@ class _Canonicalizer:
         self.best: bytes | None = None
         self.best_order: list[int] = []
         self.best_path: tuple[int, ...] = ()
-        # The first leaf is kept as a stable reference: comparing against
-        # it keeps yielding automorphisms after better leaves replace best.
-        self.first: bytes | None = None
-        self.first_order: list[int] = []
-        self.first_path: tuple[int, ...] = ()
         self.gens: list[dict[int, int]] = []
         self.path: list[int] = []
         # Twins share a level, upper covers and lower covers.  A twin class
@@ -352,11 +347,11 @@ class _Canonicalizer:
         return depth - 1
 
     def _leaf(self, order: list[int]) -> int:
-        """Compare a leaf with the first and the best; the depth to resume at.
+        """Compare a leaf with the best; the depth to resume at.
 
-        A leaf encoding like an earlier one yields an automorphism that
-        fixes the common prefix of their paths and maps the earlier path's
-        member there onto this one's, so the rest of this subtree repeats
+        A leaf encoding like the best yields an automorphism that fixes
+        the common prefix of their paths and maps the best path's member
+        there onto this one's, so the rest of this subtree repeats
         one already searched: the search resumes at that prefix.  A leaf
         encoding to a known certificate is the certificate (see Known
         certificates in the module docstring): the search ends there."""
@@ -364,23 +359,19 @@ class _Canonicalizer:
         if enc in self.known:
             self.best, self.best_order, self.stopped = enc, order, True
             return -1
-        if self.first is None:
-            self.first, self.first_order, self.first_path = enc, order, tuple(self.path)
-        elif enc == self.first:
-            return self._automorphism(self.first_order, self.first_path, order)
         if self.best is None or enc < self.best:
             self.best, self.best_order, self.best_path = enc, order, tuple(self.path)
         elif enc == self.best:
-            return self._automorphism(self.best_order, self.best_path, order)
+            return self._automorphism(order)
         return len(self.path) - 1
 
-    def _automorphism(self, ref: list[int], ref_path: tuple[int, ...], order: list[int]) -> int:
-        # Equal encodings pin levels and covers, so mapping the reference
-        # order onto this one position by position is a rank-preserving
+    def _automorphism(self, order: list[int]) -> int:
+        # Equal encodings pin levels and covers, so mapping the best order
+        # onto this one position by position is a rank-preserving
         # automorphism of the diagram.
-        self.gens.append({a: b for a, b in zip(ref, order) if a != b})
+        self.gens.append({a: b for a, b in zip(self.best_order, order) if a != b})
         k = 0
-        for a, b in zip(ref_path, self.path):
+        for a, b in zip(self.best_path, self.path):
             if a != b:
                 break
             k += 1

@@ -15,7 +15,11 @@ unless a resource cap interrupts):
   rank-3 interval sits under each coatom (an atom set plus a wiring
   pattern), and finally match the rank-2 rows of those blocks to
   concrete mid-level elements.  This tames the very wide middle level
-  that defeats the levelwise order at rank 4.
+  that defeats the levelwise order at rank 4.  Blocks are chosen in
+  non-decreasing order, made one at a time as they are taken: the atom
+  set comes from the generator that levelwise takes its cover sets
+  from, and for each set the patterns come from one sorted list, from
+  the last block's pattern on while the set repeats the last block's.
 
 Both break the symmetry of the atoms before any certificate is computed.
 Until a block (assembly) or a rank-2 element (levelwise) covers an atom,
@@ -146,13 +150,16 @@ class _Core:
         )
         self.nodes = 0
 
+    def check_deadline(self) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _Capped("time budget exhausted")
+
     def spend(self) -> None:
         self.nodes += 1
         if self.nodes > self.max_nodes:
             raise _Capped(f"node budget of {self.max_nodes} exhausted")
-        if self.deadline is not None and not self.nodes % 256:
-            if time.monotonic() > self.deadline:
-                raise _Capped("time budget exhausted")
+        if not self.nodes % 256:
+            self.check_deadline()
 
     def _certificate(self, p: GradedPoset, known: Container[bytes]) -> bytes:
         """The certificate of ``p``, the search stopping at a member of
@@ -362,14 +369,17 @@ class _Levelwise:
 # rank-4 assembly strategy
 
 
-def _row_patterns(rep: GradedPoset, a3: int) -> set[tuple[tuple[int, ...], ...]]:
-    """All atom-relabelings of a rank-3 interval's mid-level row multiset."""
+def _row_patterns(rep: GradedPoset, a3: int, core: _Core) -> set[tuple[tuple[int, ...], ...]]:
+    """All atom-relabelings of a rank-3 interval's mid-level row multiset;
+    the deadline is read after every 4,096th of the a3! relabelings."""
     atoms = rep.levels[1]
     idx = {x: i for i, x in enumerate(atoms)}
     rows = [tuple(sorted(idx[x] for x in rep.lower_covers(y))) for y in rep.levels[2]]
     pats = set()
-    for perm in permutations(range(a3)):
+    for n, perm in enumerate(permutations(range(a3)), 1):
         pats.add(tuple(sorted(tuple(sorted(perm[i] for i in row)) for row in rows)))
+        if not n % 4096:
+            core.check_deadline()
     return pats
 
 
@@ -399,27 +409,25 @@ class _Assembly:
         reps = [p for c, p in sorted(catalog.items()) if wanted is None or c == wanted]
         patterns: set[tuple[tuple[int, ...], ...]] = set()
         for rep in reps:
-            patterns |= _row_patterns(rep, self.a3)
-        # a placement is an atom subset plus a row pattern on its positions
-        self.placements: list[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]] = []
-        for S in combinations(range(self.a4), self.a3):
-            for pat in sorted(patterns):
-                rows = tuple(tuple(S[i] for i in row) for row in pat)
-                self.placements.append((S, rows))
+            patterns |= _row_patterns(rep, self.a3, self.core)
+        self.patterns = sorted(patterns)
         self.count = [0] * self.a4
         self.demand: dict[tuple[int, ...], int] = {}
         self.distinct_through = [0] * self.a4
-        self.chosen: list[int] = []
-        self._slots(0, 0)
+        self.chosen: list[tuple[tuple[int, ...], ...]] = []
+        # no block fits if a3 > a4 or the anchor left no rank-3 class
+        if self.patterns and self.a3 <= self.a4:
+            self._slots(tuple(range(self.a3)), 0, 0)
 
-    def _slots(self, min_pl: int, used: int) -> None:
+    def _slots(self, first: tuple[int, ...], k0: int, used: int) -> None:
+        """Choose the next block: atom set S from ``first`` on, pattern k
+        from ``k0`` on for S = ``first`` and from 0 for a later S."""
         if len(self.chosen) == self.a4:
             self._match()
             return
         rem = self.a4 - len(self.chosen) - 1
         cap = self.a3
-        for pl in range(min_pl, len(self.placements)):
-            S, rows = self.placements[pl]
+        for n, S in enumerate(_combinations_from(first, self.a4)):
             # unused atoms are taken lowest-first: atoms below ``used``
             # are exactly those in the blocks chosen so far
             if S[-1] >= used + sum(x >= used for x in S):
@@ -427,43 +435,45 @@ class _Assembly:
             # each later block passes over an atom at most once
             if not _room(self.count, range(self.a4), S, cap, rem):
                 continue
-            # every row with positive demand becomes a mid atom-set in the
-            # finished diagram, so an atom lies in at most a3 distinct rows
-            # (its upper degree).  That also caps the distinct rows at the
-            # mid count: each row has a2 atoms, so there are at most
-            # a4 * a3 / a2 = W(4,2) of them
-            fresh = {row for row in rows if not self.demand.get(row)}
-            if any(
-                self.distinct_through[x] + sum(1 for row in fresh if x in row)
-                > self.a3
-                for x in S
-            ):
-                continue
-            self.core.spend()
-            for x in S:
-                self.count[x] += 1
-            for row in rows:
-                was = self.demand.get(row, 0)
-                self.demand[row] = was + 1
-                if not was:
-                    for x in row:
-                        self.distinct_through[x] += 1
-            self.chosen.append(pl)
-            stuck = any(
-                d % self.a2 and any(self.count[x] >= cap for x in T)
-                for T, d in self.demand.items()
-            )
-            if not stuck and not self.core.repeats(self.seen, self._state()):
-                self._slots(pl, max(used, S[-1] + 1))
-            self.chosen.pop()
-            for row in rows:
-                self.demand[row] -= 1
-                if not self.demand[row]:
-                    del self.demand[row]
-                    for x in row:
-                        self.distinct_through[x] -= 1
-            for x in S:
-                self.count[x] -= 1
+            for k in range(0 if n else k0, len(self.patterns)):
+                rows = tuple(tuple(S[i] for i in row) for row in self.patterns[k])
+                # every row with positive demand becomes a mid atom-set in
+                # the finished diagram, so an atom lies in at most a3
+                # distinct rows (its upper degree).  That also caps the
+                # distinct rows at the mid count: each row has a2 atoms, so
+                # there are at most a4 * a3 / a2 = W(4,2) of them
+                fresh = {row for row in rows if not self.demand.get(row)}
+                if any(
+                    self.distinct_through[x] + sum(1 for row in fresh if x in row)
+                    > self.a3
+                    for x in S
+                ):
+                    continue
+                self.core.spend()
+                for x in S:
+                    self.count[x] += 1
+                for row in rows:
+                    was = self.demand.get(row, 0)
+                    self.demand[row] = was + 1
+                    if not was:
+                        for x in row:
+                            self.distinct_through[x] += 1
+                self.chosen.append(rows)
+                stuck = any(
+                    d % self.a2 and any(self.count[x] >= cap for x in T)
+                    for T, d in self.demand.items()
+                )
+                if not stuck and not self.core.repeats(self.seen, self._state()):
+                    self._slots(S, k, max(used, S[-1] + 1))
+                self.chosen.pop()
+                for row in rows:
+                    self.demand[row] -= 1
+                    if not self.demand[row]:
+                        del self.demand[row]
+                        for x in row:
+                            self.distinct_through[x] -= 1
+                for x in S:
+                    self.count[x] -= 1
 
     def _state(self) -> GradedPoset:
         """The chosen blocks as a diagram: atoms, one mid element per
@@ -471,8 +481,7 @@ class _Assembly:
         a4 = self.a4
         mid: list[tuple[int, ...]] = []
         blocks: list[range] = []
-        for pl in self.chosen:
-            rows = self.placements[pl][1]
+        for rows in self.chosen:
             blocks.append(range(a4 + len(mid), a4 + len(mid) + len(rows)))
             mid.extend(rows)
         down = [()] * a4 + mid + blocks
@@ -487,8 +496,8 @@ class _Assembly:
         options: list[list[tuple[tuple[int, int], ...]]] = []
         for T in rows_T:
             occs: list[int] = []  # block slots, one entry per occurrence of row T
-            for k, pl in enumerate(self.chosen):
-                occs.extend(k for row in self.placements[pl][1] if row == T)
+            for k, rows in enumerate(self.chosen):
+                occs.extend(k for row in rows if row == T)
             opts = self._assign(occs, mu[T])
             if not opts:
                 return

@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 import time
 from functools import cache
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -243,6 +247,49 @@ class TestEnumerate:
             every = list(combinations(range(start, stop), k))
             for i, first in enumerate(every):
                 assert list(search._combinations_from(first, stop)) == every[i:]
+
+    def test_assembly_makes_its_blocks_as_it_takes_them(self):
+        # C(12, 6) = 924 atom sets times the row patterns of the seven
+        # (1,3,6) classes: listed whole before the first node, the blocks
+        # outgrow a 256 MiB address space
+        code = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+            "from binposet.search import SearchLimits, enumerate_intervals\n"
+            "res = enumerate_intervals(\n"
+            "    (1, 3, 6, 12), strategy='assembly', limits=SearchLimits(max_seconds=1)\n"
+            ")\n"
+            "print(res.verdict, res.detail, sep='|')\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "capped|time budget exhausted"
+
+    def test_a_time_budget_reaches_the_row_patterns(self):
+        # the seven (1,2,8) classes take 8! relabelings each, which the
+        # deadline is read between
+        started = time.monotonic()
+        res = enumerate_intervals(
+            (1, 2, 8, 8), strategy="assembly", limits=SearchLimits(max_seconds=0.5)
+        )
+        assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
+        assert time.monotonic() - started < 2
+
+    @pytest.mark.parametrize(
+        "head, anchored, nodes", [((1, 2, 4, 2), False, 18), ((1, 3, 4, 3), False, 13),
+                                  ((1, 2, 3, 4), True, 8)],
+    )
+    def test_no_block_fits(self, not_binomial, head, anchored, nodes):
+        # a block has more atoms than there are, or the anchor is not binomial
+        # and so leaves no rank-3 class: only the catalog's nodes are spent
+        base = not_binomial if anchored else None
+        res = enumerate_intervals(head, base=base, strategy="assembly")
+        assert (res.verdict, res.nodes, res.classes, res.detail) == ("exhausted", nodes, (), "")
 
     def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
         def fails(p):
