@@ -15,9 +15,12 @@ need:
   start position of its cell.  A queue of splitter cells drives the
   refinement to the coarsest equitable partition: each splitter counts
   its neighbours, and every cell it touches is split by that count, in
-  count order.  Cells never mix levels and covers join adjacent levels
-  only, so one combined up-and-down neighbour list serves both
-  directions.  The fragments of a split cell are queued except its
+  count order.  A splitter of one element counts 0 or 1 for each element,
+  so it builds no count table: a cell it touches splits into its
+  non-neighbours, in cell order, then its neighbours, in adjacency order,
+  which is the split the count would give.  Cells never mix levels and
+  covers join adjacent levels only, so one combined up-and-down
+  neighbour list serves both directions.  The fragments of a split cell are queued except its
   largest, unless the cell itself was still queued; individualizing an
   element queues only its singleton cell.
 
@@ -220,6 +223,9 @@ class _Canonicalizer:
         while pending and ncells < n:
             s = pending.popleft()
             queued.discard(s)
+            if end[s] - s == 1:
+                ncells = self._split_by(adj[lab[s]], lab, cell, end, ncells, pending, queued)
+                continue
             counts: dict[int, int] = {}
             for v in lab[s : end[s]]:
                 for w in adj[v]:
@@ -258,6 +264,44 @@ class _Canonicalizer:
                     new = frags[:skip] + frags[skip + 1 :]
                 pending.extend(new)
                 queued.update(new)
+        return ncells
+
+    def _split_by(
+        self,
+        nbrs: Sequence[int],
+        lab: list[int],
+        cell: list[int],
+        end: list[int],
+        ncells: int,
+        pending: deque[int],
+        queued: set[int],
+    ) -> int:
+        """Refine by a one-element splitter with neighbours ``nbrs``; the
+        cell count.  Every count is 0 or 1, so a touched cell splits into
+        its non-neighbours, in cell order, then its neighbours, in ``nbrs``
+        order, as the count table of ``_refine`` would split it."""
+        touched: dict[int, list[int]] = {}
+        for w in nbrs:
+            x = cell[w]
+            if end[x] - x > 1:
+                touched.setdefault(x, []).append(w)
+        for x in sorted(touched):
+            hit, ex = touched[x], end[x]
+            if len(hit) == ex - x:
+                continue
+            near = set(hit)
+            rest = [v for v in lab[x:ex] if v not in near]
+            mid = x + len(rest)
+            lab[x:ex] = rest + hit
+            for v in hit:
+                cell[v] = mid
+            end[x], end[mid] = mid, ex
+            ncells += 1
+            # queue the smaller part, the neighbours on a tie; if the cell
+            # is still queued, it stands for the non-neighbours
+            new = mid if x in queued or len(rest) >= len(hit) else x
+            pending.append(new)
+            queued.add(new)
         return ncells
 
     def _walk(

@@ -5,7 +5,10 @@ unless a resource cap interrupts):
 
 * levelwise: build the diagram one rank at a time, one element at a
   time.  Cover sets are generated in non-decreasing order within a
-  level; every element x at distance d >= 2 below a new element must
+  level, and only those that fit: each member is below its forced
+  up-degree, and the set holds every element whose remaining deficit
+  equals the picks left (a level where a deficit exceeds them is left at
+  once).  Every element x at distance d >= 2 below a new element must
   have exactly a_d upper covers below it, and up-degrees are tracked
   against their forced values.  As in ``verify_binomial``, exact atom
   counts force exact chain counts and level widths in every interval.
@@ -18,8 +21,10 @@ unless a resource cap interrupts):
   that defeats the levelwise order at rank 4.  Blocks are chosen in
   non-decreasing order, made one at a time as they are taken: the atom
   set comes from the generator that levelwise takes its cover sets
-  from, and for each set the patterns come from one sorted list, from
-  the last block's pattern on while the set repeats the last block's.
+  from, fitted to the atoms' block counts as levelwise fits its sets to
+  up-degrees, and for each set the patterns come from one sorted list,
+  from the last block's pattern on while the set repeats the last
+  block's.  The deadline is read before each candidate is classified.
 
 Both break the symmetry of the atoms before any certificate is computed.
 Until a block (assembly) or a rank-2 element (levelwise) covers an atom,
@@ -48,8 +53,9 @@ throughout, to an isomorphic diagram.
 
 Both run on one core, ``_Core``: the node and deadline budget, the
 certificate check behind dedup, the translation of a canonicalization
-cap into a "capped" verdict, and ``classify``, which verifies a
-completed candidate, checks its atom head, canonicalizes it and stores
+cap into a "capped" verdict, and ``classify``, which canonicalizes a
+completed candidate against the classes stored so far, and verifies it
+and checks its atom head only when it is a new class, before storing
 it.  A strategy supplies only the candidate generator: its recursion and
 prunes, a ``spend()`` per branch it opens, the diagrams it dedups on and
 a dedup set per stage.  The sets are never shared between stages or
@@ -63,7 +69,8 @@ levelwise anchor check the anchor's certificate.  A search that meets
 one of them stops at that leaf.  The deadline reaches these searches
 too: one that runs past it caps the search as ``spend()`` would.
 
-Strategies hand integer cover lists to ``core``, which names the elements.
+Strategies hand integer cover lists to ``core``, which names the elements
+and keeps the lists as the diagram's adjacency.
 
 A search reports "exhausted" only when no branch was cut by a cap.
 """
@@ -194,38 +201,79 @@ class _Core:
         self, p: GradedPoset, head: tuple[int, ...], out: dict[bytes, GradedPoset]
     ) -> bool:
         """Store a completed candidate under its certificate if it passes
-        verify_binomial with atom counts ``head``; False if it does not."""
-        rep = verify_binomial(p)
-        if not rep.ok or rep.atoms is None or rep.atoms.head != head:
+        verify_binomial with atom counts ``head``; False if it does not.
+
+        Only a new class is verified: a candidate whose certificate is
+        already stored is isomorphic to a verified class, so it passes
+        too.  A candidate whose canonical search hits the cap is verified
+        first, and caps the search only if it passes."""
+        try:
+            cert = self._certificate(p, out)
+        except CanonicalizationCapError as exc:
+            if _passes(p, head):
+                raise _Capped(
+                    f"classifying a candidate hit the canonicalization cap: {exc}"
+                ) from None
             return False
-        out.setdefault(self.certify(p, "classifying a candidate", out), p)
+        if cert not in out:
+            if not _passes(p, head):
+                return False
+            out[cert] = p
         return True
 
 
-def _room(
-    count: Sequence[int], universe: Iterable[int], picked: tuple[int, ...], cap: int, rem: int
-) -> bool:
-    """Can each element of ``picked`` take one more, staying within
-    ``cap``, while every element of ``universe`` can still reach ``cap``
-    if each of the ``rem`` later picks adds at most one?"""
-    if any(count[x] >= cap for x in picked):
-        return False
-    for x in universe:
-        if cap - count[x] - (x in picked) > rem:
-            return False
-    return True
+def _passes(p: GradedPoset, head: tuple[int, ...]) -> bool:
+    """Does ``p`` pass verify_binomial with atom counts ``head``?"""
+    rep = verify_binomial(p)
+    return rep.ok and rep.atoms is not None and rep.atoms.head == head
 
 
-def _combinations_from(first: tuple[int, ...], stop: int) -> Iterable[tuple[int, ...]]:
-    """The sorted tuples of ``len(first)`` integers below ``stop``, from
+def _sets_from(
+    first: tuple[int, ...], pool: Sequence[int], must: set[int]
+) -> Iterable[tuple[int, ...]]:
+    """The sorted tuples of ``len(first)`` members of ``pool`` (ascending)
+    that hold every member of ``must`` (a subset of ``pool``), from
     ``first`` on in lexicographic order, made one at a time.  A later
     tuple keeps the first i members of ``first`` and continues above
-    ``first[i]``, for i from the longest prefix down."""
-    yield first
-    for i in range(len(first) - 1, -1, -1):
-        head = first[:i]
-        for rest in combinations(range(first[i] + 1, stop), len(first) - i):
-            yield head + rest
+    ``first[i]``, for i from the longest prefix down; a prefix that leaves
+    ``pool`` or passes over a member of ``must`` is skipped whole."""
+    k = len(first)
+    inside = set(pool)
+    fits = 0  # first[:fits] lies inside the pool
+    while fits < k and first[fits] in inside:
+        fits += 1
+    if fits == k and must.issubset(first):
+        yield first
+    for i in range(min(fits, k - 1), -1, -1):
+        head, lo = first[:i], first[i]
+        # the members of ``must`` outside the head; each must lie above lo
+        missing = sorted(must.difference(head))
+        if (missing and missing[0] <= lo) or len(missing) > k - i:
+            continue
+        free = [x for x in pool if x > lo and x not in must]
+        for rest in combinations(free, k - i - len(missing)):
+            yield head + (tuple(sorted((*missing, *rest))) if missing else rest)
+
+
+def _fitting(
+    count: Sequence[int], universe: Iterable[int], cap: int, picks: int
+) -> tuple[list[int], set[int]] | None:
+    """The pool and the required members of the next of ``picks`` sets
+    drawn from ``universe``, when each set adds one to the ``count`` of
+    its members and every count must end at ``cap``: the elements still
+    below ``cap``, and those that need every pick left.  None if some
+    element needs more picks than are left."""
+    pool: list[int] = []
+    must: set[int] = set()
+    for x in universe:
+        short = cap - count[x]
+        if short > picks:
+            return None
+        if short:
+            pool.append(x)
+            if short == picks:
+                must.add(x)
+    return pool, must
 
 
 # ---------------------------------------------------------------------------
@@ -270,14 +318,14 @@ class _Levelwise:
         if s == width:
             self._level_done(j)
             return
-        cap = self.seq.a(self.N - j + 1)  # forced up-degree at rank j-1
-        rem = width - s - 1
-        for C in _combinations_from(first, prev.stop):
+        # every element of level j-1 reaches its forced up-degree
+        fit = _fitting(self.updeg, prev, self.seq.a(self.N - j + 1), width - s)
+        if fit is None:
+            return
+        for C in _sets_from(first, *fit):
             # rank 2 takes unused atoms lowest-first: the atoms below
             # ``used`` are exactly those covered so far
             if j == 2 and C[-1] >= used + sum(c >= used for c in C):
-                continue
-            if not _room(self.updeg, prev, C, cap, rem):
                 continue
             self.core.spend()
             e = self._create(j, C)
@@ -425,17 +473,17 @@ class _Assembly:
         if len(self.chosen) == self.a4:
             self._match()
             return
-        rem = self.a4 - len(self.chosen) - 1
         cap = self.a3
-        for n, S in enumerate(_combinations_from(first, self.a4)):
+        # every atom lies in a3 blocks; each later block takes it at most once
+        fit = _fitting(self.count, range(self.a4), cap, self.a4 - len(self.chosen))
+        if fit is None:
+            return
+        for S in _sets_from(first, *fit):
             # unused atoms are taken lowest-first: atoms below ``used``
             # are exactly those in the blocks chosen so far
             if S[-1] >= used + sum(x >= used for x in S):
                 continue
-            # each later block passes over an atom at most once
-            if not _room(self.count, range(self.a4), S, cap, rem):
-                continue
-            for k in range(0 if n else k0, len(self.patterns)):
+            for k in range(k0 if S == first else 0, len(self.patterns)):
                 rows = tuple(tuple(S[i] for i in row) for row in self.patterns[k])
                 # every row with positive demand becomes a mid atom-set in
                 # the finished diagram, so an atom lies in at most a3
@@ -488,7 +536,7 @@ class _Assembly:
         return _from_down(grid_ids((a4, len(mid), len(blocks))), down)
 
     def _match(self) -> None:
-        # every atom is in a3 blocks (``_room`` with no picks left), every
+        # every atom is in a3 blocks (``_fitting`` on the last pick), every
         # row demand is a multiple of a2 (``stuck`` drops the rest), and so
         # the copies sum to a4 * a3 / a2 = W(4,2); classify verifies anyway
         mu = {T: d // self.a2 for T, d in self.demand.items()}
@@ -504,6 +552,8 @@ class _Assembly:
             options.append(opts)
         for combo in product(*options):
             self.core.spend()
+            # a candidate's canonical search can outlast many nodes
+            self.core.check_deadline()
             # a wiring that fails the chain counts is dropped
             self.core.classify(self._candidate(rows_T, mu, combo), self.seq.head, self.out)
 

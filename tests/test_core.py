@@ -39,6 +39,9 @@ from binposet.core import (
     predicted_rank_size,
     sup_rank_size,
     verify_binomial,
+    _from_down,
+    _pairs_of_length,
+    grid_ids,
 )
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
 from binposet.seqcheck import (
@@ -48,6 +51,7 @@ from binposet.seqcheck import (
     lcm_extension,
 )
 from conftest import brute_atomic_report, brute_binomial_report, brute_chain_count
+from test_construct import construction_corpus
 
 heads = st.lists(st.integers(1, 9), min_size=0, max_size=6).map(
     lambda xs: tuple([1] + xs)
@@ -489,6 +493,43 @@ class TestIntervalOracle:
     )
     def test_named_posets(self, build):
         self.check(build())
+
+
+class TestSeededAdjacency:
+    """The integer cover lists ``_from_down`` keeps are those ``_adjacency``
+    rebuilds from the id pairs of a poset built anew."""
+
+    @staticmethod
+    def check(p: GradedPoset) -> None:
+        assert "_adjacency" in p.__dict__
+        assert p._adjacency == GradedPoset(p.levels, p.covers)._adjacency
+
+    def test_constructions(self):
+        count = 0
+        for p in construction_corpus():
+            self.check(p)
+            count += 1
+        assert count == 281
+
+    def test_census_intervals(self):
+        p = poset_from_string(versal_string(3))
+        els = p.elements
+        for n in range(9):
+            for s, t in _pairs_of_length(p, n):
+                self.check(interval(p, els[s], els[t]))
+
+    def test_random_down_lists_with_repeats(self):
+        rng = random.Random(2014)
+        for _ in range(300):
+            widths = [rng.randint(1, 5) for _ in range(rng.randint(1, 5))]
+            down, below, start = [], 0, 0
+            for r, w in enumerate(widths):
+                for _ in range(w):
+                    # positions in the level below, unsorted and repeated
+                    k = rng.randint(0, 2 * widths[r - 1]) if r else 0
+                    down.append([rng.randrange(below, start) for _ in range(k)])
+                below, start = start, start + w
+            self.check(_from_down(grid_ids(widths), down))
 
 
 class TestRankSizes:

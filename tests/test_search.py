@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 import time
@@ -246,7 +247,26 @@ class TestEnumerate:
         for start, stop, k in [(0, 5, 0), (0, 5, 2), (2, 9, 3), (1, 7, 6)]:
             every = list(combinations(range(start, stop), k))
             for i, first in enumerate(every):
-                assert list(search._combinations_from(first, stop)) == every[i:]
+                assert list(search._sets_from(first, range(stop), set())) == every[i:]
+
+    def test_cover_sets_are_the_fitting_combinations(self):
+        # the reference: the combinations of the pool from ``first`` on, in
+        # lexicographic order, that hold every required element
+        def reference(first, pool, must):
+            return [c for c in combinations(pool, len(first)) if c >= first and must <= set(c)]
+
+        rng = random.Random(2020)
+        below_first = no_room = 0
+        for _ in range(3000):
+            stop = rng.randint(1, 10)
+            first = tuple(sorted(rng.sample(range(stop), rng.randint(0, stop))))
+            pool = sorted(rng.sample(range(stop), rng.randint(0, stop)))
+            must = set(rng.sample(pool, rng.randint(0, min(len(pool), len(first) + 1))))
+            below_first += bool(first and must and min(must) < first[0])
+            no_room += len(must) > len(first)
+            got = list(search._sets_from(first, pool, must))
+            assert got == reference(first, pool, must), (first, pool, must)
+        assert below_first > 100 and no_room > 100
 
     def test_assembly_makes_its_blocks_as_it_takes_them(self):
         # C(12, 6) = 924 atom sets times the row patterns of the seven
@@ -298,6 +318,70 @@ class TestEnumerate:
         monkeypatch.setattr(search, "verify_binomial", fails)
         with pytest.raises(AssertionError, match="forced failure"):
             enumerate_intervals((1, 2, 2), strategy="levelwise")
+
+    def test_assembly_reads_the_clock_before_each_candidate(self, monkeypatch):
+        # the clock passes the deadline while the first rank-4 candidate is
+        # classified; the search caps at the next candidate, not at the
+        # next 256th node
+        now = [0.0]
+        monkeypatch.setattr(time, "monotonic", lambda: now[0])
+        real = search._Core.classify
+        at: list[int] = []
+
+        def classify(self, p, *args):
+            try:
+                return real(self, p, *args)
+            finally:
+                if p.height == 4:
+                    at.append(self.nodes)
+                    now[0] = 2.0
+
+        monkeypatch.setattr(search._Core, "classify", classify)
+        res = enumerate_intervals(
+            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_seconds=1)
+        )
+        assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
+        assert (len(at), res.nodes) == (1, at[0] + 1)
+
+    def test_only_a_new_class_is_verified(self, monkeypatch):
+        # a candidate isomorphic to a stored class passes as that class did
+        verified = []
+        real = search.verify_binomial
+        monkeypatch.setattr(search, "verify_binomial", lambda p: verified.append(p) or real(p))
+        res = enumerate_intervals(
+            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+        )
+        assert (res.verdict, res.nodes, len(res.classes)) == ("capped", 301, 6)
+        # two rank-3 classes of the catalog and six rank-4 classes
+        assert len(verified) == 8
+
+    @pytest.mark.parametrize("strategy", ["assembly", "levelwise"])
+    def test_a_capped_candidate_that_fails_is_not_a_cap(self, monkeypatch, strategy):
+        # a candidate whose canonical search hits the cap is verified: one
+        # that fails is dropped by assembly, and is a fault in levelwise
+        real_canonical, real_verify = search._canonical, search.verify_binomial
+
+        def complete(p):
+            return p.height == 4 and p.widths[-1] == 1
+
+        def capped(p, *args):
+            if complete(p):
+                raise CanonicalizationCapError("forced cap")
+            return real_canonical(p, *args)
+
+        def fails(p):
+            if complete(p):
+                return BinomialReport(ok=False, detail="forced failure")
+            return real_verify(p)
+
+        monkeypatch.setattr(search, "_canonical", capped)
+        monkeypatch.setattr(search, "verify_binomial", fails)
+        if strategy == "levelwise":
+            with pytest.raises(AssertionError, match="forced failure"):
+                enumerate_intervals((1, 2, 3, 4), strategy=strategy)
+        else:
+            res = enumerate_intervals((1, 2, 3, 4), strategy=strategy)
+            assert (res.verdict, res.nodes, res.classes) == ("exhausted", 28, ())
 
 
 # Exact work counters of fixed searches.  Any change to them is a change
