@@ -24,25 +24,38 @@ need:
   largest, unless the cell itself was still queued; individualizing an
   element queues only its singleton cell.
 
-* Search.  A node individualizes each member of its first smallest
-  cell that holds more than one twin class (see Twins) in turn; a node
+* Search.  A node individualizes each member of its first smallest cell
+  that holds more than one twin class (see Twins) in turn; a node
   without such a cell is a leaf, and ``lab`` is its element order.  It
-  looks for that cell only inside its parent's non-singleton cells, as
-  a singleton cell is never split.
+  looks for that cell only inside its parent's non-singleton cells, as a
+  singleton cell is never split.  The walk is depth first, from an
+  explicit stack of the branching nodes on the current path, so a path
+  of any depth needs no recursion.
   A leaf that encodes equally to the best one so far yields an
   automorphism, stored sparsely (moved points only), and sends the
   search back to the node where the two paths part.  A node keeps the
   automorphisms that fix its path pointwise; those map its target cell
   onto itself, so a member already in the closure of the explored
   members under them roots a subtree equivalent to one explored, and is
-  skipped.  A node searches its first child in full; each later child is
-  refined once and the first child's ``lab`` mapped onto its ``lab``,
-  position by position (the cheap automorphisms of saucy: Darga,
-  Sakallah and Markov, DAC 2008).  If that map is an automorphism it is
-  recorded, and the later child's subtree, its image of the first
-  child's, is skipped; otherwise the search goes on below the child
-  from the partition already refined.  Each refined partition is one
-  node, a skipped child's included.
+  skipped.  The search keeps the partition of every node on the best
+  path (the path to the best leaf), and the length k of the prefix the
+  current path shares with it, updated as the walk descends and returns.
+  A child at depth d + 1 off the best path (k <= d) is refined, then
+  checked against the best path's node of that depth, cheapest test
+  first: equal cell counts, equal cell boundaries, and whether the map
+  from that node's ``lab`` onto the child's, position by position, keeps
+  every cover (the cheap automorphisms of saucy: Darga, Sakallah and
+  Markov, DAC 2008).  If it does, the map is an automorphism (cells keep
+  to one level, so it keeps ranks).  Refinement never moves a singleton
+  cell, so the map fixes the shared prefix of the two paths and sends
+  the best path's member at depth k to the current path's.  So it
+  carries the subtree of the best path's child at depth k, which the
+  search has finished, onto the subtree of the current path's child
+  there, which holds no lesser leaf.  The map is recorded and the search
+  resumes at depth k, as for a leaf; when k = d the child's subtree
+  alone is skipped.  The first two tests only rule maps out early; the
+  covers decide.  Each refined partition is one node, a skipped child's
+  included.
 
 * Twins.  Elements of one level with the same upper and the same lower
   covers are twins.  Swapping two twins is an automorphism known before
@@ -154,7 +167,12 @@ def _preserves_covers(adj: list[list[int]], g: dict[int, int]) -> bool:
     maps covers into covers, and as a bijection of a finite set it maps
     them onto covers.  Checking only the covers among the moved points
     would not do: a cover from a moved point to a fixed one could break."""
-    return all({g.get(w, w) for w in adj[v]} == set(adj[gv]) for v, gv in g.items())
+    get = g.get
+    for v, gv in g.items():
+        nbrs = adj[v]
+        if set(map(get, nbrs, nbrs)) != set(adj[gv]):
+            return False
+    return True
 
 
 class _Canonicalizer:
@@ -177,7 +195,10 @@ class _Canonicalizer:
         self.adj = [u + d for u, d in zip(up, down)]
         self.best: bytes | None = None
         self.best_order: list[int] = []
-        self.best_path: tuple[int, ...] = ()
+        # (lab, end, ncells) of each node on the best path, the leaf included
+        self.best_parts: list[tuple[list[int], list[int], int]] = []
+        # the length of the common prefix of the current and the best path
+        self.agree = 0
         self.gens: list[dict[int, int]] = []
         self.path: list[int] = []
         # Twins share a level, upper covers and lower covers.  A twin class
@@ -200,7 +221,7 @@ class _Canonicalizer:
             end[s] = e
             cell[s:e] = [s] * (e - s)
         ncells = self._refine(lab, cell, end, len(levels), [s for s, _ in levels])
-        self._walk(lab, cell, end, ncells, list(self.gens), levels)
+        self._walk(lab, cell, end, ncells, levels)
         assert self.best is not None
         return self.best, self.best_order
 
@@ -310,116 +331,143 @@ class _Canonicalizer:
         cell: list[int],
         end: list[int],
         ncells: int,
-        fixing: list[dict[int, int]],
         spans: list[tuple[int, int]],
-    ) -> int:
-        """Search below the node of the current path, whose partition is
-        already refined; the depth to resume at.  ``spans`` are the parent's
-        non-singleton cells as (start, stop) ranges of ``lab``: a singleton
-        is never split, so every other cell here is one too."""
-        depth = len(self.path)
-        # a twin-only cell is never a target: every order of its members
-        # encodes alike (see Twins in the module docstring)
-        twin = self.twin
-        wide = []
-        target, size = -1, self.n + 1
-        for s, stop in spans:
-            while s < stop:
-                e = end[s]
-                if e - s > 1:
-                    wide.append((s, e))
-                    if e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1 : e]):
-                        target, size = s, e - s
-                s = e
-        if target < 0:
-            return self._leaf(lab)
-        # Automorphisms fixing the path fix this partition, so the closure
-        # of explored members under them stays inside the target cell.
-        reached: set[int] = set()
-        seen = len(self.gens)
-        ref: list[int] | None = None
-        ref_ncells = 0
-        for m in lab[target : target + size]:
-            if m in reached:
-                continue
-            child = list(lab)
-            i = child.index(m, target, target + size)
-            child[i], child[target] = child[target], m
-            child_cell = list(cell)
-            for v in child[target + 1 : target + size]:
-                child_cell[v] = target + 1
-            child_cell[m] = target
-            child_end = list(end)
-            child_end[target] = target + 1
-            child_end[target + 1] = target + size
-            child_ncells = self._refine(child, child_cell, child_end, ncells + 1, [target])
-            # Refinement never moves a singleton cell, so the map from the
-            # first child's partition onto this one, position by position,
-            # fixes the path and sends the first child's member to m; cells
-            # keep to one level, so it keeps ranks.  If it is an
-            # automorphism, m's subtree is its image of the first child's,
-            # already searched.  Automorphisms map refined partitions onto
-            # refined partitions, so differing cell counts rule one out.
-            aut = None
-            if ref is not None and child_ncells == ref_ncells:
-                aut = {a: b for a, b in zip(ref, child) if a != b}
-                if not _preserves_covers(self.adj, aut):
-                    aut = None
-            if aut is not None:
-                self.gens.append(aut)
-            else:
-                self.path.append(m)
-                resume = self._walk(
-                    child, child_cell, child_end, child_ncells,
-                    [g for g in fixing if m not in g], wide,
-                )
-                self.path.pop()
-                if resume < depth:
-                    return resume
-                if ref is None:
-                    ref, ref_ncells = child, child_ncells
-            reached.add(m)
-            # Each automorphism recorded since this node began fixes its
-            # path: a leaf's sent the search back to the prefix it fixes,
-            # and a skipped child's fixes the path of the node that found it.
-            if seen < len(self.gens):
-                fixing = fixing + self.gens[seen:]
-                seen = len(self.gens)
-                _close(reached, fixing, list(reached))
-            else:
-                _close(reached, fixing, [m])
-        return depth - 1
+    ) -> None:
+        """Search the tree below the root, whose partition is already
+        refined, depth first from an explicit stack of the branching nodes
+        on the current path.  ``path[d]`` is the member that the node at
+        depth d individualized for the child being searched.
 
-    def _leaf(self, order: list[int]) -> int:
+        Each turn of the outer loop opens a fresh node, a leaf or a branching
+        node, and gets the depth to resume at.  The inner loop comes back to
+        the node of that depth, marks its child as explored, and refines its
+        next member's child; the child is opened unless it is skipped as the
+        image of a best-path node, which gives a new depth to resume at."""
+        path, gens = self.path, self.gens
+        # A frame per branching node: its refined partition, its
+        # non-singleton cells as (start, stop) ranges, its target cell
+        # [target, stop), an iterator over the target's members, the closure
+        # of the members explored under the automorphisms that fix its path,
+        # those automorphisms, and the number of generators they include.
+        stack: list[list] = []
+        fixing = list(gens)
+        twin = self.twin
+        while True:
+            # The target is the first smallest cell holding two twin
+            # classes; a twin-only cell never is, as every order of its
+            # members encodes alike (see Twins in the module docstring).
+            # Singletons are never split, so only the parent's non-singleton
+            # cells (``spans``) are scanned.
+            wide = []
+            target, size = -1, self.n + 1
+            for s, span_end in spans:
+                while s < span_end:
+                    e = end[s]
+                    if e - s > 1:
+                        wide.append((s, e))
+                        if e - s < size and any(twin[v] != twin[lab[s]] for v in lab[s + 1 : e]):
+                            target, size = s, e - s
+                    s = e
+            if target < 0:
+                depth = self._leaf(lab, end, ncells, stack)
+            else:
+                stop = target + size
+                members = iter(lab[target:stop])
+                stack.append(
+                    [lab, cell, end, ncells, wide, target, stop, members, set(), fixing, len(gens)]
+                )
+                depth = len(path)
+            while True:
+                del stack[depth + 1 :]
+                if not stack:
+                    return
+                frame = stack[depth]
+                lab, cell, end, ncells, wide, target, stop, members, reached, fixing, seen = frame
+                if depth < len(path):
+                    del path[depth + 1 :]
+                    m = path.pop()
+                    reached.add(m)
+                    # each generator recorded since the node began fixes its
+                    # path: it sent the search back to a prefix that it fixes
+                    if seen < len(gens):
+                        frame[9] = fixing = fixing + gens[seen:]
+                        frame[10] = len(gens)
+                        _close(reached, fixing, list(reached))
+                    else:
+                        _close(reached, fixing, [m])
+                    if self.agree > depth:
+                        self.agree = depth
+                for m in members:
+                    if m not in reached:
+                        break
+                else:
+                    depth -= 1
+                    continue
+                path.append(m)
+                # individualize m: first in the target cell, the rest after it
+                lab = list(lab)
+                i = lab.index(m, target, stop)
+                lab[i], lab[target] = lab[target], m
+                cell = list(cell)
+                rest = target + 1
+                for v in lab[rest:stop]:
+                    cell[v] = rest
+                cell[m] = target
+                end = list(end)
+                end[target], end[rest] = rest, stop
+                ncells = self._refine(lab, cell, end, ncells + 1, [target])
+                aut = None
+                if len(path) < len(self.best_parts):
+                    aut = self._image_of_best(lab, end, ncells)
+                if aut is None:
+                    fixing = [g for g in fixing if m not in g]
+                    spans = wide
+                    break
+                gens.append(aut)
+                depth = self.agree
+
+    def _image_of_best(self, lab: list[int], end: list[int], ncells: int) -> dict[int, int] | None:
+        """The automorphism that carries the best path's node of this depth
+        onto this refined child, or None.  The map takes the best node's
+        ``lab`` onto this one's, position by position.  Equal cell counts,
+        then equal cell boundaries (``end`` lists, which are 0 off the cell
+        starts), rule most failures out before the covers are checked (see
+        Search in the module docstring)."""
+        depth = len(self.path)
+        if depth >= len(self.best_parts):
+            return None
+        best_lab, best_end, best_ncells = self.best_parts[depth]
+        if ncells != best_ncells or end != best_end:
+            return None
+        aut = {a: b for a, b in zip(best_lab, lab) if a != b}
+        return aut if _preserves_covers(self.adj, aut) else None
+
+    def _leaf(self, order: list[int], end: list[int], ncells: int, stack: list[list]) -> int:
         """Compare a leaf with the best; the depth to resume at.
 
-        A leaf encoding like the best yields an automorphism that fixes
-        the common prefix of their paths and maps the best path's member
-        there onto this one's, so the rest of this subtree repeats
-        one already searched: the search resumes at that prefix.  A leaf
-        encoding to a known certificate is the certificate (see Known
-        certificates in the module docstring): the search ends there."""
+        A new best keeps the partitions of its path.  A leaf encoding like
+        the best yields an automorphism that fixes the common prefix of
+        their paths and maps the best path's member there onto this one's,
+        so the rest of this subtree repeats one already searched: the search
+        resumes at that prefix.  A leaf encoding to a known certificate is
+        the certificate (see Known certificates in the module docstring):
+        the search ends there."""
         enc = _encode(self.p, order)
+        depth = len(self.path)
         if enc in self.known:
             self.best, self.best_order, self.stopped = enc, order, True
             return -1
         if self.best is None or enc < self.best:
-            self.best, self.best_order, self.best_path = enc, order, tuple(self.path)
+            self.best, self.best_order, self.agree = enc, order, depth
+            self.best_parts = [(f[0], f[2], f[3]) for f in stack]
+            self.best_parts.append((order, end, ncells))
         elif enc == self.best:
-            return self._automorphism(order)
-        return len(self.path) - 1
-
-    def _automorphism(self, order: list[int]) -> int:
-        # Equal encodings pin levels and covers, so mapping the best order
-        # onto this one position by position is a rank-preserving
-        # automorphism of the diagram.
-        self.gens.append({a: b for a, b in zip(self.best_order, order) if a != b})
-        k = 0
-        for a, b in zip(self.best_path, self.path):
-            if a != b:
-                break
-            k += 1
-        return k
+            # Equal encodings pin levels and covers, so mapping the best
+            # order onto this one position by position is a rank-preserving
+            # automorphism of the diagram.
+            self.gens.append({a: b for a, b in zip(self.best_order, order) if a != b})
+            return self.agree
+        return depth - 1
 
 
 def _canonical(

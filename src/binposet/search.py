@@ -7,8 +7,8 @@ unless a resource cap interrupts):
   time.  Cover sets are generated in non-decreasing order within a
   level, and only those that fit: each member is below its forced
   up-degree, and the set holds every element whose remaining deficit
-  equals the picks left (a level where a deficit exceeds them is left at
-  once).  Every element x at distance d >= 2 below a new element must
+  equals the picks left, so no deficit ever exceeds them (see
+  ``_fitting``).  Every element x at distance d >= 2 below a new element must
   have exactly a_d upper covers below it, and up-degrees are tracked
   against their forced values.  As in ``verify_binomial``, exact atom
   counts force exact chain counts and level widths in every interval.
@@ -257,18 +257,23 @@ def _sets_from(
 
 def _fitting(
     count: Sequence[int], universe: Iterable[int], cap: int, picks: int
-) -> tuple[list[int], set[int]] | None:
+) -> tuple[list[int], set[int]]:
     """The pool and the required members of the next of ``picks`` sets
     drawn from ``universe``, when each set adds one to the ``count`` of
     its members and every count must end at ``cap``: the elements still
-    below ``cap``, and those that need every pick left.  None if some
-    element needs more picks than are left."""
+    below ``cap``, and those that need every pick left.
+
+    No element needs more picks than are left.  At a level's first pick
+    every count is 0, and the caller has checked ``cap <= picks``:
+    assembly that a3 <= a4, levelwise that a(j) <= W(N, j-1), which is the
+    same as a(N-j+1) <= W(N, j), as both sides count the covers between
+    levels j-1 and j.  Each set drawn holds every required member, so an
+    element's need falls with the picks left whenever it equals them."""
     pool: list[int] = []
     must: set[int] = set()
     for x in universe:
         short = cap - count[x]
-        if short > picks:
-            return None
+        assert short <= picks, "an element needs more picks than are left"
         if short:
             pool.append(x)
             if short == picks:
@@ -320,8 +325,6 @@ class _Levelwise:
             return
         # every element of level j-1 reaches its forced up-degree
         fit = _fitting(self.updeg, prev, self.seq.a(self.N - j + 1), width - s)
-        if fit is None:
-            return
         for C in _sets_from(first, *fit):
             # rank 2 takes unused atoms lowest-first: the atoms below
             # ``used`` are exactly those covered so far
@@ -476,8 +479,6 @@ class _Assembly:
         cap = self.a3
         # every atom lies in a3 blocks; each later block takes it at most once
         fit = _fitting(self.count, range(self.a4), cap, self.a4 - len(self.chosen))
-        if fit is None:
-            return
         for S in _sets_from(first, *fit):
             # unused atoms are taken lowest-first: atoms below ``used``
             # are exactly those in the blocks chosen so far

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -257,8 +258,8 @@ def twin_atoms(k: int) -> GradedPoset:
 
 class TestCanonicalNodes:
     """Known twin swaps prune the search, twin-only cells end it, and a
-    later child whose partition is an automorphic image of the first
-    child's is refined but not searched."""
+    child whose partition is an automorphic image of the best path's node
+    of its depth is refined but not searched."""
 
     def test_twin_atoms_take_one_node(self):
         # one twin class and no other non-singleton cell: the root is a leaf
@@ -275,21 +276,98 @@ class TestCanonicalNodes:
         assert canonical_form(p, node_cap=1000) == canonical_form(q, node_cap=1000)
         assert kept_run(p)[2] == 25
 
-    @pytest.mark.parametrize("k, nodes", [(3, 296), (4, 1289)])
+    @pytest.mark.parametrize("k, nodes", [(3, 96), (4, 213)])
     def test_word_poset_nodes_are_pinned(self, k, nodes):
-        # word posets have no twins: the cheap automorphisms do the pruning
+        # word posets have no twins: the cheap automorphisms do the pruning,
+        # about three nodes per level of the first path (34 and 73 levels)
         p = poset_from_string(versal_string(k))
         canonical_form(p)
         assert kept_run(p)[2] == nodes
 
-    def test_a_skipped_child_counts_against_the_cap(self):
+    def test_a_skipped_child_counts_against_the_cap(self, monkeypatch):
         # fresh posets, so the cap is met inside the search, not by the kept run
         word = versal_string(3)
         with pytest.raises(CanonicalizationCapError):
-            canonical_form(poset_from_string(word), node_cap=295)
+            canonical_form(poset_from_string(word), node_cap=95)
+        skipped = []
+        real = _Canonicalizer._image_of_best
+
+        def image_of_best(search, *args):
+            aut = real(search, *args)
+            skipped.append(aut is not None)
+            return aut
+
+        monkeypatch.setattr(_Canonicalizer, "_image_of_best", image_of_best)
         p = poset_from_string(word)
-        canonical_form(p, node_cap=296)
-        assert kept_run(p)[2] == 296
+        canonical_form(p, node_cap=96)
+        assert kept_run(p)[2] == 96
+        # one per level of the first path: without them it would count 62
+        assert sum(skipped) == 34
+
+
+def frame_depth() -> int:
+    """The number of Python frames on the stack, this one included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+class TestDeepSearches:
+    """The search walks from an explicit stack: a first path of any depth
+    fits in a small recursion limit, and the nodes grow with its depth."""
+
+    def test_a_deep_first_path_needs_no_recursion(self):
+        # the first path of versal_string(6) is 298 levels deep
+        p = poset_from_string(versal_string(6))
+        q = relabel(p, random.Random(6))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 100)
+        try:
+            cert = canonical_form(p)
+            m = isomorphism(p, q)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert cert == canonical_form(q)
+        assert m is not None
+        assert {(m[a], m[b]) for a, b in p.covers} == set(q.covers)
+
+    def test_versal_string_8_certifies_within_30_cpu_seconds(self):
+        # 4,263 elements and a first path 1,065 levels deep: 3,156 nodes,
+        # 3,769 for the copy, about 1 s of CPU each on a 2.1 GHz Xeon
+        p = poset_from_string(versal_string(8))
+        q = relabel(p, random.Random(8))
+        start = time.process_time()
+        assert canonical_form(p) == canonical_form(q)
+        assert time.process_time() - start < 30
+        assert max(kept_run(p)[2], kept_run(q)[2]) <= len(p.elements)
+
+
+def random_word(rng: random.Random, length: int) -> str:
+    """A valid section word: a uniform letter at each step, a 1 after a 2."""
+    out: list[str] = []
+    for _ in range(length):
+        out.append("1" if out and out[-1] == "2" else rng.choice("12"))
+    return "".join(out)
+
+
+def test_word_posets_certify_like_their_words():
+    # Word posets are twin-free, so their searches lean on the cheap
+    # automorphisms at every depth, which the twin-heavy and VF2 oracles
+    # barely reach.  Words of one length give isomorphic posets only when
+    # equal (criterion 2), and posets of different heights never are.
+    rng = random.Random(61)
+    words = [random_word(rng, rng.randint(6, 10)) for _ in range(30)]
+    posets = [poset_from_string(w) for w in words]
+    certs = [canonical_form(p) for p in posets]
+    for (u, cert_u), (v, cert_v) in itertools.combinations(zip(words, certs), 2):
+        assert (cert_u == cert_v) == (u == v), (u, v)
+    for w, p, cert in zip(words, posets, certs):
+        q = relabel(p, rng)
+        assert canonical_form(q) == cert, w
+        m = isomorphism(p, q)
+        assert m is not None, w
+        assert {(m[a], m[b]) for a, b in p.covers} == set(q.covers), w
 
 
 def blow_up(p: GradedPoset, mult: dict[str, int]) -> GradedPoset:

@@ -176,10 +176,29 @@ class TestEnumerate:
             canonical_form(p) for p in uncapped.classes
         ]
 
+    def test_canonicalization_cap_in_the_anchor_check_caps_the_search(self, monkeypatch):
+        # The anchor check certifies the lower set of each new element at
+        # the base's rank: a bounded diagram of the base's height.  Dedup
+        # certifies partial diagrams with a wide top, and classification
+        # complete candidates of the full rank.
+        base = enumerate_intervals((1, 2)).classes[0]
+        real = search._canonical
+
+        def anchor_capped(p, *args):
+            if p.height == base.height and p.widths[-1] == 1:
+                raise CanonicalizationCapError("forced cap")
+            return real(p, *args)
+
+        assert enumerate_intervals((1, 2, 4), base=base, strategy="levelwise").verdict == "found"
+        monkeypatch.setattr(search, "_canonical", anchor_capped)
+        res = enumerate_intervals((1, 2, 4), base=base, strategy="levelwise")
+        assert res.verdict == "capped"
+        assert res.detail.startswith("anchor check hit the canonicalization cap")
+
     @pytest.mark.parametrize("stage", ["partial", "complete"])
     def test_deadline_reaches_a_slow_canonical_search(self, monkeypatch, stage):
         # Each search of the chosen stage certifies a fresh word poset
-        # instead, which takes 296 nodes; the canonicalizer reads the clock
+        # instead, which takes 96 nodes; the canonicalizer reads the clock
         # at its 64th, while spend() never reads it in this search.  A hit
         # in the dedup check of a partial diagram caps the search too: only
         # a canonicalization cap lets dedup search on.
