@@ -47,15 +47,17 @@ def validate_string(word: str) -> bool:
 def valid_words(length: int) -> Iterator[str]:
     """All valid words of the given length, lexicographically."""
     length = _whole(length, "length")
-
-    def rec(prefix: str) -> Iterator[str]:
-        if len(prefix) == length:
-            yield prefix
+    word = ["1"] * length
+    while True:
+        yield "".join(word)
+        # the next word raises the rightmost 1 whose left neighbour is not
+        # a 2, and resets the letters after it to 1s
+        i = length - 1
+        while i >= 0 and (word[i] == "2" or (i and word[i - 1] == "2")):
+            i -= 1
+        if i < 0:
             return
-        yield from rec(prefix + "1")
-        if not prefix.endswith("2"):
-            yield from rec(prefix + "2")
-    yield from rec("")
+        word[i:] = ["2"] + ["1"] * (length - i - 1)
 
 
 def count_valid_words(length: int) -> int:

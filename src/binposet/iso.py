@@ -31,9 +31,8 @@ need:
   singleton cell is never split.  The walk is depth first, from an
   explicit stack of the branching nodes on the current path, so a path
   of any depth needs no recursion.
-  A leaf that encodes equally to the best one so far yields an
-  automorphism, stored sparsely (moved points only), and sends the
-  search back to the node where the two paths part.  A node keeps the
+  Automorphisms come only from twin swaps (see Twins) and the check
+  below, and are stored sparsely (moved points only).  A node keeps the
   automorphisms that fix its path pointwise; those map its target cell
   onto itself, so a member already in the closure of the explored
   members under them roots a subtree equivalent to one explored, and is
@@ -52,10 +51,12 @@ need:
   carries the subtree of the best path's child at depth k, which the
   search has finished, onto the subtree of the current path's child
   there, which holds no lesser leaf.  The map is recorded and the search
-  resumes at depth k, as for a leaf; when k = d the child's subtree
-  alone is skipped.  The first two tests only rule maps out early; the
-  covers decide.  Each refined partition is one node, a skipped child's
-  included.
+  resumes at depth k; when k = d the child's subtree alone is skipped.
+  The first two tests only rule maps out early; the covers decide.  Each
+  refined partition is one node, a skipped child's included.  A leaf
+  encoding like the best adds nothing: one at the best leaf's depth with
+  its cells is caught here unencoded, and any other costs only nodes, as
+  pruning never decides a certificate.
 
 * Twins.  Elements of one level with the same upper and the same lower
   covers are twins.  Swapping two twins is an automorphism known before
@@ -433,10 +434,7 @@ class _Canonicalizer:
         then equal cell boundaries (``end`` lists, which are 0 off the cell
         starts), rule most failures out before the covers are checked (see
         Search in the module docstring)."""
-        depth = len(self.path)
-        if depth >= len(self.best_parts):
-            return None
-        best_lab, best_end, best_ncells = self.best_parts[depth]
+        best_lab, best_end, best_ncells = self.best_parts[len(self.path)]
         if ncells != best_ncells or end != best_end:
             return None
         aut = {a: b for a, b in zip(best_lab, lab) if a != b}
@@ -445,13 +443,11 @@ class _Canonicalizer:
     def _leaf(self, order: list[int], end: list[int], ncells: int, stack: list[list]) -> int:
         """Compare a leaf with the best; the depth to resume at.
 
-        A new best keeps the partitions of its path.  A leaf encoding like
-        the best yields an automorphism that fixes the common prefix of
-        their paths and maps the best path's member there onto this one's,
-        so the rest of this subtree repeats one already searched: the search
-        resumes at that prefix.  A leaf encoding to a known certificate is
-        the certificate (see Known certificates in the module docstring):
-        the search ends there."""
+        A new best keeps the partitions of its path.  A leaf yields no
+        automorphism; they come only from twin swaps and the per-depth
+        check (see Search in the module docstring).  A leaf encoding to a
+        known certificate is the certificate (see Known certificates): the
+        search ends there."""
         enc = _encode(self.p, order)
         depth = len(self.path)
         if enc in self.known:
@@ -459,14 +455,7 @@ class _Canonicalizer:
             return -1
         if self.best is None or enc < self.best:
             self.best, self.best_order, self.agree = enc, order, depth
-            self.best_parts = [(f[0], f[2], f[3]) for f in stack]
-            self.best_parts.append((order, end, ncells))
-        elif enc == self.best:
-            # Equal encodings pin levels and covers, so mapping the best
-            # order onto this one position by position is a rank-preserving
-            # automorphism of the diagram.
-            self.gens.append({a: b for a, b in zip(self.best_order, order) if a != b})
-            return self.agree
+            self.best_parts = [(f[0], f[2], f[3]) for f in stack] + [(order, end, ncells)]
         return depth - 1
 
 

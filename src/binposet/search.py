@@ -4,15 +4,17 @@ Two strategies, both complete (they enumerate every isomorphism class
 unless a resource cap interrupts):
 
 * levelwise: build the diagram one rank at a time, one element at a
-  time.  Cover sets are generated in non-decreasing order within a
-  level, and only those that fit: each member is below its forced
-  up-degree, and the set holds every element whose remaining deficit
-  equals the picks left, so no deficit ever exceeds them (see
-  ``_fitting``).  Every element x at distance d >= 2 below a new element must
-  have exactly a_d upper covers below it, and up-degrees are tracked
-  against their forced values.  As in ``verify_binomial``, exact atom
-  counts force exact chain counts and level widths in every interval.
-  Completed partial diagrams are deduplicated by canonical certificate.
+  time, walking an explicit stack with one frame per element being
+  placed, so a target of any length needs no recursion.  Cover sets are
+  generated in non-decreasing order within a level, and only those that
+  fit: each member is below its forced up-degree, and the set holds
+  every element whose remaining deficit equals the picks left, so no
+  deficit ever exceeds them (see ``_fitting``).  Every element x at
+  distance d >= 2 below a new element must have exactly a_d upper covers
+  below it, and up-degrees are tracked against their forced values.  As
+  in ``verify_binomial``, exact atom counts force exact chain counts and
+  level widths in every interval.  Completed partial diagrams (past the
+  bare bottom) are deduplicated by canonical certificate.
 
 * rank-4 assembly: enumerate rank-3 classes first, then choose which
   rank-3 interval sits under each coatom (an atom set plus a wiring
@@ -56,7 +58,7 @@ certificate check behind dedup, the translation of a canonicalization
 cap into a "capped" verdict, and ``classify``, which canonicalizes a
 completed candidate against the classes stored so far, and verifies it
 and checks its atom head only when it is a new class, before storing
-it.  A strategy supplies only the candidate generator: its recursion and
+it.  A strategy supplies only the candidate generator: its walk and
 prunes, a ``spend()`` per branch it opens, the diagrams it dedups on and
 a dedup set per stage.  The sets are never shared between stages or
 runs, because the partial states of two stages can be the same diagram
@@ -79,9 +81,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from numbers import Real
-from typing import Container, Iterable, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 from .core import (
     AtomicSequence,
@@ -305,38 +307,56 @@ class _Levelwise:
         self.upcov_mask = [0]
         self.covers_of: list[tuple[int, ...]] = [()]
         self.updeg = [0]
-        self.seen: dict[int, set[bytes]] = {}
+        self.seen: list[set[bytes]] = [set() for _ in range(self.N)]
 
     def run(self) -> None:
-        self._fill(1)
+        core, seq, N, widths, level_of = self.core, self.seq, self.N, self.widths, self.level_of
+        # level j holds the elements start[j] <= e < start[j + 1]
+        start = [0, *accumulate(widths)]
+        # One frame per element being placed, element k at stack[k - 1]:
+        # its level, the unused-atom mark and the cover sets left to try.
+        stack: list[tuple[int, int, Iterator[tuple[int, ...]]]] = []
+        j, placed = 0, True  # the element placed last, the bottom, is on level j
+        while True:
+            if placed:
+                e, first = len(level_of), None
+                if e < start[j + 1]:
+                    # the next element of level j takes sets from the last one's on
+                    first = self.covers_of[-1]
+                    used = max(stack[-1][1], first[-1] + 1)
+                elif j == N:
+                    self._emit()
+                elif not (j and core.repeats(self.seen[j], self._built())):
+                    # level j + 1 opens unless level j holds no set of a(j+1) covers
+                    if seq.a(j + 1) <= widths[j]:
+                        used, j = start[j], j + 1
+                        first = tuple(range(used, used + seq.a(j)))
+                if first is not None:
+                    # every element of level j-1 reaches its forced up-degree
+                    prev = range(start[j - 1], start[j])
+                    fit = _fitting(self.updeg, prev, seq.a(N - j + 1), start[j + 1] - e)
+                    stack.append((j, used, _sets_from(first, *fit)))
+            if not stack:
+                return
+            # the deepest frame takes its element back, if placed, and places
+            # the next set that makes one; a frame out of sets is dropped
+            j, used, sets = stack[-1]
+            if len(level_of) > len(stack):
+                self._destroy()
+            placed = False
+            for C in sets:
+                # rank 2 takes unused atoms lowest-first: the atoms below
+                # ``used`` are exactly those covered so far
+                if j == 2 and C[-1] >= used + sum(c >= used for c in C):
+                    continue
+                core.spend()
+                if self._create(j, C):
+                    placed = True
+                    break
+            else:
+                stack.pop()
 
-    def _fill(self, j: int) -> None:
-        # levels are built in turn, so level j-1 is the last elements created
-        end = len(self.level_of)
-        prev = range(end - self.widths[j - 1], end)
-        a = self.seq.a(j)
-        if a <= len(prev):  # else level j-1 holds no set of a covers
-            self._slots(j, 0, tuple(prev[:a]), prev, prev.start)
-
-    def _slots(self, j: int, s: int, first: tuple[int, ...], prev: range, used: int) -> None:
-        width = self.widths[j]
-        if s == width:
-            self._level_done(j)
-            return
-        # every element of level j-1 reaches its forced up-degree
-        fit = _fitting(self.updeg, prev, self.seq.a(self.N - j + 1), width - s)
-        for C in _sets_from(first, *fit):
-            # rank 2 takes unused atoms lowest-first: the atoms below
-            # ``used`` are exactly those covered so far
-            if j == 2 and C[-1] >= used + sum(c >= used for c in C):
-                continue
-            self.core.spend()
-            e = self._create(j, C)
-            if e is not None:
-                self._slots(j, s + 1, C, prev, max(used, C[-1] + 1))
-                self._destroy(e, C)
-
-    def _create(self, j: int, C: tuple[int, ...]) -> int | None:
+    def _create(self, j: int, C: tuple[int, ...]) -> bool:
         down = 0
         for c in C:
             down |= self.down_mask[c]
@@ -347,7 +367,7 @@ class _Levelwise:
         for x in _bits(down):
             d = j - level_of[x]
             if d >= 2 and (upcov_mask[x] & down).bit_count() != head[d - 1]:
-                return None
+                return False
         e = len(level_of)
         mask = 1 << e
         level_of.append(j)
@@ -358,11 +378,10 @@ class _Levelwise:
         for u in C:
             self.updeg[u] += 1
             upcov_mask[u] |= mask
-        if self.anchor is not None and j == self.anchor[1]:
-            if not self._anchored(e):
-                self._destroy(e, C)
-                return None
-        return e
+        if self.anchor is not None and j == self.anchor[1] and not self._anchored(e):
+            self._destroy()
+            return False
+        return True
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
@@ -370,24 +389,16 @@ class _Levelwise:
         cert = self.core.certify(self._diagram(_bits(self.down_mask[e])), "anchor check", (want,))
         return cert == want
 
-    def _destroy(self, e: int, C: tuple[int, ...]) -> None:
-        mask = ~(1 << e)
-        for u in C:
+    def _destroy(self) -> None:
+        """Remove the element created last."""
+        self.level_of.pop()
+        mask = ~(1 << len(self.level_of))
+        for u in self.covers_of.pop():
             self.updeg[u] -= 1
             self.upcov_mask[u] &= mask
-        self.level_of.pop()
         self.down_mask.pop()
         self.upcov_mask.pop()
-        self.covers_of.pop()
         self.updeg.pop()
-
-    def _level_done(self, j: int) -> None:
-        if j == self.N:
-            self._emit()
-            return
-        if self.core.repeats(self.seen.setdefault(j, set()), self._built()):
-            return
-        self._fill(j + 1)
 
     def _diagram(self, keep: Iterable[int]) -> GradedPoset:
         """The diagram on the down-closed elements ``keep``, listed in

@@ -61,23 +61,22 @@ def check_compatibility(seq, horizon: int | None = None) -> CompatibilityReport:
 
     The pairs are taken with i <= j, by i + j and then by i.  With a
     horizon, those with i + j <= horizon are checked.  Without one, a
-    finite sequence is checked up to its length, and an eventually
-    constant sequence, with k explicit values and constant tail L, is
-    checked completely by the pairs with i + j <= 2k + 2.  For j >= k the
-    factors a_{j+1}, ..., a_{j+i} of B(i+j)/B(j) all equal L, so the
-    ratio is L^i / B(i), which is also the ratio of (min(i, k+1), k+1).
-    For j > k + 1 that pair comes earlier, so every pair past the bound
-    repeats an earlier one and the first failure is the same as over all
-    pairs."""
+    finite sequence is checked up to its length.  An eventually constant
+    sequence, with k explicit values and constant tail L, is checked
+    completely by the pairs with i + j <= 2k + 2, so a longer horizon
+    checks only those.  For j >= k the factors a_{j+1}, ..., a_{j+i} of
+    B(i+j)/B(j) all equal L, so the ratio is L^i / B(i), which is also
+    the ratio of (min(i, k+1), k+1).  For j > k + 1 that pair comes
+    earlier, so every pair past the bound repeats an earlier one and the
+    first failure is the same as over all pairs."""
     seq = _as_sequence(seq)
     k = len(seq.head)
+    top = k if seq.finite else 2 * k + 2
     if horizon is not None:
         horizon = _whole(horizon, "horizon")
         if seq.finite and horizon > k:
             raise PosetError(f"sequence defines {k} values, horizon is {horizon}")
-        top = horizon
-    else:
-        top = k if seq.finite else 2 * k + 2
+        top = min(horizon, top)
     for i in range(1, top):
         lo, hi = seq.a(i), seq.a(i + 1)
         if hi < lo:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from functools import lru_cache
 
@@ -35,6 +36,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance")
         for line in ACCEPTANCE:
             terminalreporter.write_line(line)
+
+
+def frame_depth() -> int:
+    """The number of Python frames on the stack, this one included."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
 
 
 def brute_chain_count(levels, covers, src, dst) -> int:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -27,6 +28,13 @@ def measured_atoms(p) -> tuple[int, ...]:
     rep = verify_binomial(p)
     assert rep.ok, rep.detail
     return rep.atoms.head
+
+
+def test_valid_words_come_in_order_without_recursion():
+    for n in range(16):
+        words = ("".join(w) for w in itertools.product("12", repeat=n))
+        assert list(valid_words(n)) == [w for w in words if "22" not in w]
+    assert next(valid_words(5000)) == "1" * 5000
 
 
 class TestPosetFromString:

@@ -37,7 +37,8 @@ from binposet.iso import (
     canonical_form,
     isomorphism,
 )
-from conftest import brute_isomorphic
+from binposet.search import enumerate_intervals
+from conftest import brute_isomorphic, frame_depth
 from test_search import PINNED
 
 
@@ -80,6 +81,16 @@ class TestCanonicalForm:
             want = canonical_form(p)
             for _ in range(8):
                 assert canonical_form(relabel(p, rng)) == want
+        # search classes reach several leaves that encode differently, so a
+        # child skipped as an image of the best path without being one, or
+        # a search resumed at the wrong depth, shows as a changed certificate
+        for head, count in (((1, 3, 7), 16), ((1, 2, 4, 4), 24)):
+            classes = enumerate_intervals(head).classes
+            assert len(classes) == count
+            for p in classes:
+                want = canonical_form(p)
+                for _ in range(10):
+                    assert canonical_form(relabel(p, rng)) == want
 
     def test_separates_regular_section_shapes(self, eight_cycle, two_squares):
         # same widths, same degrees everywhere: only the global cycle
@@ -305,14 +316,6 @@ class TestCanonicalNodes:
         assert sum(skipped) == 34
 
 
-def frame_depth() -> int:
-    """The number of Python frames on the stack, this one included."""
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
-    return depth
-
-
 class TestDeepSearches:
     """The search walks from an explicit stack: a first path of any depth
     fits in a small recursion limit, and the nodes grow with its depth."""
@@ -464,7 +467,7 @@ def test_every_recorded_generator_is_an_automorphism():
     for _ in range(40):
         widths = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
         recorded_generators(twin_heavy(rng, widths)[0])
-    # the generators past the twin swaps come from leaves and skipped children
+    # the generators past the twin swaps come from the per-depth check alone
     for p in (poset_from_string(versal_string(3)), debruijn_poset(3, 3, 7)):
         assert recorded_generators(p)
 

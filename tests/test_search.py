@@ -28,7 +28,7 @@ from binposet.core import (
 )
 from binposet.iso import CanonicalizationCapError, are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
-from conftest import brute_classes
+from conftest import brute_classes, frame_depth
 
 
 def without_dedup(*args, **kwargs):
@@ -261,6 +261,20 @@ class TestEnumerate:
         res = enumerate_intervals((1, 2, 4, 8, 8), limits=SearchLimits(max_seconds=2))
         assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
         assert time.monotonic() - started < 10
+
+    def test_long_targets_need_no_recursion(self):
+        # levelwise keeps one frame per element being placed on a stack
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 100)
+        try:
+            chain = enumerate_intervals((1,) * 40)
+            capped = enumerate_intervals((1, 1) + (2,) * 40, limits=SearchLimits(max_nodes=400))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (chain.verdict, chain.nodes) == ("found", 40)
+        assert (capped.verdict, capped.nodes) == ("capped", 401)
+        chain = enumerate_intervals((1,) * 400)
+        assert (chain.verdict, chain.nodes) == ("found", 400)
 
     def test_cover_sets_run_on_from_the_last_chosen(self):
         for start, stop, k in [(0, 5, 0), (0, 5, 2), (2, 9, 3), (1, 7, 6)]:

@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,15 @@ class TestCompatibility:
         bad = AtomicSequence((1, 2, 3, 3), tail=3)
         assert check_compatibility(bad, horizon=3).ok
         assert not check_compatibility(bad).ok
+
+    def test_a_far_horizon_checks_only_the_deciding_pairs(self):
+        # pairs past 2k + 2 repeat earlier ones, so they are not checked
+        for text in ("1,2...", "1,2,3...", "1,2,4,4..."):
+            start = time.perf_counter()
+            assert check_compatibility(text, horizon=10**9) == check_compatibility(text)
+            assert time.perf_counter() - start < 0.5
+        rep = check_compatibility("1,2,3...", horizon=10**9)
+        assert rep.kind == "ratio" and rep.witness == (2, 2)
 
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=4),
