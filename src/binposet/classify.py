@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, interval, verify_binomial
-from .core import _bits, _induced_down, _pairs_of_length, _whole
+from .core import _bits, _induced_down, _whole
 from .iso import DEFAULT_NODE_CAP, _canonical
 
 __all__ = [
@@ -170,27 +170,71 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     """Group all length-n intervals by canonical certificate.
 
     Returns one representative (bottom, top) pair per class: the first in
-    level order.  An interval is keyed by its cover lists in the order of
-    ``p``'s elements; equal keys are the same labelled diagram, so only
-    the first interval with a key is built and canonicalized.  Its search
-    is handed the certificates found so far, and stops at the first leaf
-    that encodes to one of them."""
+    level order.
+
+    Keys are made once per bottom s, not once per interval.  U is s with
+    its up-set through rank(s) + n, level by level in element order; each
+    level is the upper covers of the one below.  U's key gives, for each
+    level below the top, the upper covers of its elements as positions in
+    the level above, so it fixes U's diagram position by position.  Those
+    cover lists depend only on the level, so each level met is listed
+    once per call and numbered, and the key is U's sequence of numbers.
+    Inside U, z <= t holds exactly when a chain of U's own covers joins
+    them, since every element between z and t lies in U.  So when
+    bottoms s and s' have equal keys, the map between their U's by
+    position carries [s, t] onto [s', t'] for tops t and t' at equal
+    positions, and the certificate found for one top position serves
+    every bottom with that key.
+
+    A top position not yet certified falls back to the interval's own
+    key, its cover lists in the order of ``p``'s elements.  Equal interval
+    keys are the same labelled diagram, so only the first interval with a
+    key is built and canonicalized.  A position reused from U's key
+    always names an interval key already met, so the canonical searches,
+    and the certificates each is handed, are those of keying every
+    interval.  Each search stops at the first leaf that encodes to a
+    certificate found so far."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
-    els = p.elements
+    els, rank, up = p.elements, p._level_of, p._up
     up_mask, down_mask = p._up_mask, p._down_mask
+    # a level of some U -> (the level above it, the number of its step)
+    steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    step_number: dict[tuple[tuple[int, ...], ...], int] = {}
+    # U's key -> {position of a top in U's top level: certificate}
+    slots: dict[tuple[int, ...], dict[int, bytes]] = {}
     seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
-    found: dict[bytes, list[tuple[str, str]]] = {}
-    for s, t in _pairs_of_length(p, n):
-        key = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
-        cert = seen.get(key)
-        if cert is None:
-            q = interval(p, els[s], els[t])
-            cert = seen[key] = _canonical(q, DEFAULT_NODE_CAP, found)[0]
-        found.setdefault(cert, []).append((els[s], els[t]))
+    first: dict[bytes, tuple[str, str]] = {}
+    size: dict[bytes, int] = {}
+    for s in range(len(els)):
+        if rank[s] + n > p.height:
+            break
+        level, key = (s,), []
+        for _ in range(n):
+            step = steps.get(level)
+            if step is None:
+                above = tuple(sorted({k for e in level for k in up[e]}))
+                pos = dict(zip(above, range(len(above))))
+                covers = tuple([tuple([pos[k] for k in up[e]]) for e in level])
+                step = steps[level] = above, step_number.setdefault(covers, len(step_number))
+            level = step[0]
+            key.append(step[1])
+        slot = slots.setdefault(tuple(key), {})
+        for i, t in enumerate(level):
+            cert = slot.get(i)
+            if cert is None:
+                ikey = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
+                cert = seen.get(ikey)
+                if cert is None:
+                    q = interval(p, els[s], els[t])
+                    cert = seen[ikey] = _canonical(q, DEFAULT_NODE_CAP, size)[0]
+                slot[i] = cert
+            if cert in size:
+                size[cert] += 1
+            else:
+                first[cert], size[cert] = (els[s], els[t]), 1
     classes = tuple(
-        IntervalClass(cert, members[0][0], members[0][1], len(members))
-        for cert, members in sorted(found.items())
+        IntervalClass(cert, *first[cert], size[cert]) for cert in sorted(size)
     )
     return IntervalClassification(length=n, classes=classes)

@@ -396,8 +396,9 @@ def interval(p: GradedPoset, bottom: str, top: str) -> GradedPoset:
 def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The lower covers of each element of ``order`` inside ``order``, as
     positions in ``order``; ascending when ``order`` is."""
-    # this is the census key of every interval, so it is built with list
-    # comprehensions, which run faster than generator expressions here
+    # the census falls back to this key for each top it has not yet met,
+    # so it is built with list comprehensions, which run faster than
+    # generator expressions here
     pos = dict(zip(order, range(len(order))))
     down = p._down
     return tuple([tuple([pos[k] for k in down[e] if k in pos]) for e in order])

@@ -79,6 +79,7 @@ A search reports "exhausted" only when no branch was cut by a cap.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 from itertools import accumulate, combinations, permutations, product
@@ -300,7 +301,10 @@ class _Levelwise:
         self.core = core
         self.anchor = anchor
         self.out = out
-        self.widths = [seq.W(self.N, j) for j in range(self.N + 1)]
+        # W(N, j) = B(N) / (B(j) B(N - j)) from one list of B;
+        # enumerate_intervals' ratio check proved every quotient integral
+        B = list(accumulate(seq.head, operator.mul, initial=1))
+        self.widths = [B[self.N] // (B[j] * B[self.N - j]) for j in range(self.N + 1)]
         # element state, indexed in creation order; index 0 is the bottom
         self.level_of = [0]
         self.down_mask = [1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import sys
 from collections import Counter
 from functools import lru_cache
@@ -44,6 +45,19 @@ def frame_depth() -> int:
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     return depth
+
+
+def relabel(p: GradedPoset, rng: random.Random) -> GradedPoset:
+    """A copy of ``p`` under fresh ids, each level in shuffled order."""
+    ids = rng.sample(range(10**9), len(p.elements))
+    names = {el: f"n{i}" for el, i in zip(p.elements, ids)}
+    levels = []
+    for lv in p.levels:
+        row = [names[e] for e in lv]
+        rng.shuffle(row)
+        levels.append(tuple(row))
+    covers = frozenset((names[a], names[b]) for a, b in p.covers)
+    return GradedPoset(tuple(levels), covers)
 
 
 def brute_chain_count(levels, covers, src, dst) -> int:

@@ -12,7 +12,9 @@ from binposet.classify import (
     phi,
     section_type,
 )
+from binposet import classify
 from binposet.core import GradedPoset, PosetError, build_poset, interval, verify_binomial
+from binposet.core import _induced_down, _pairs_of_length
 from binposet.construct import (
     count_valid_words,
     debruijn_poset,
@@ -24,6 +26,7 @@ from binposet.construct import (
     versal_string,
 )
 from binposet.iso import canonical_form
+from conftest import relabel
 
 
 def small_words(max_len: int) -> list[str]:
@@ -253,13 +256,31 @@ def raw_with_several_minima(seed: int) -> GradedPoset:
     return GradedPoset(levels, covers)
 
 
+def shifted_tops() -> GradedPoset:
+    """Two bottoms whose up-sets have one shape, while their tops sit at
+    different places in the top level: [s, t] is a square for s's first
+    top and a chain for its second."""
+    levels = (("s", "s'"), ("a", "b", "a'", "b'"), ("t0", "t1", "t2"))
+    covers = {("s", "a"), ("s", "b"), ("a", "t0"), ("b", "t0"), ("b", "t1")}
+    covers |= {("s'", "a'"), ("s'", "b'"), ("a'", "t1"), ("b'", "t1"), ("b'", "t2")}
+    return GradedPoset(levels, frozenset(covers))
+
+
 CENSUS_CASES = {
     **{w: lambda w=w: poset_from_string(w) for w in ("12", "211", "1211", "12112")},
     "divisible 124": lambda: divisible_poset((1, 2, 4), 5),
     "debruijn 3 2": lambda: debruijn_poset(3, 2, 5),
     "stripped boolean 4 2": lambda: stripped_boolean_interval(4, 2),
-    **{f"raw {seed}": lambda seed=seed: raw_with_several_minima(seed) for seed in range(4)},
+    **{f"raw {seed}": lambda seed=seed: raw_with_several_minima(seed) for seed in range(8)},
+    "shifted tops": shifted_tops,
 }
+# a relabelled copy orders each level afresh, so its up-set keys group the
+# bottoms unlike the original's, and a key reused wrongly for one of the
+# two labellings shows here
+CENSUS_CASES.update({
+    f"relabelled {case}": lambda case=case: relabel(CENSUS_CASES[case](), random.Random(case))
+    for case in ("12112", "divisible 124", "debruijn 3 2")
+})
 
 
 @pytest.mark.parametrize("case", CENSUS_CASES)
@@ -271,3 +292,36 @@ def test_census_matches_grouping_by_definition(case):
             for c in enumerate_interval_classes(p, n).classes
         ]
         assert got == census_by_definition(p, n), n
+
+
+def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatch):
+    """The census's canonical searches are pinned: one per distinct labelled
+    interval diagram (its cover lists in the poset's element order), on the
+    first interval with that diagram, each handed the certificates found
+    before it."""
+    word = random.Random(23).choice(list(valid_words(12)))
+    posets = [poset_from_string(versal_string(3)), poset_from_string(word)]
+    posets += [relabel(p, random.Random(i)) for i, p in enumerate(posets)]
+    calls = []
+    real = classify._canonical
+
+    def spy(q, cap, known, *args):
+        out = real(q, cap, known, *args)
+        calls.append(((q.levels, q.covers), set(known), out[0]))
+        return out
+
+    monkeypatch.setattr(classify, "_canonical", spy)
+    for p in posets:
+        els, start = p.elements, p._level_start
+        for n in range(8):
+            calls.clear()
+            enumerate_interval_classes(p, n)
+            firsts = {}
+            for s, t in _pairs_of_length(p, n):
+                between = range(start[p.rank(els[s])], start[p.rank(els[t]) + 1])
+                order = [i for i in between if p.le(els[s], els[i]) and p.le(els[i], els[t])]
+                firsts.setdefault(_induced_down(p, order), (els[s], els[t]))
+            want = [(q.levels, q.covers) for q in (interval(p, *pair) for pair in firsts.values())]
+            assert [diagram for diagram, _, _ in calls] == want, (p.levels[1], n)
+            for i, (_, known, _) in enumerate(calls):
+                assert known == {cert for _, _, cert in calls[:i]}

@@ -38,20 +38,8 @@ from binposet.iso import (
     isomorphism,
 )
 from binposet.search import enumerate_intervals
-from conftest import brute_isomorphic, frame_depth
+from conftest import brute_isomorphic, frame_depth, relabel
 from test_search import PINNED
-
-
-def relabel(p: GradedPoset, rng: random.Random) -> GradedPoset:
-    ids = rng.sample(range(10**9), len(p.elements))
-    names = {el: f"n{i}" for el, i in zip(p.elements, ids)}
-    levels = []
-    for lv in p.levels:
-        row = [names[e] for e in lv]
-        rng.shuffle(row)
-        levels.append(tuple(row))
-    covers = frozenset((names[a], names[b]) for a, b in p.covers)
-    return GradedPoset(tuple(levels), covers)
 
 
 def two_level(edges: list[tuple[int, int]]) -> GradedPoset:

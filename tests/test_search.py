@@ -276,6 +276,26 @@ class TestEnumerate:
         chain = enumerate_intervals((1,) * 400)
         assert (chain.verdict, chain.nodes) == ("found", 400)
 
+    def test_level_widths_read_each_atom_once(self, monkeypatch):
+        def levelwise(head):
+            return search._Levelwise(AtomicSequence(head), search._Core(SearchLimits()), None, {})
+
+        for head in [(1, 2, 2), (1, 2, 4, 8), (1, 3, 6, 12), (1, 2, 3, 8), (1, 1, 2, 2, 2), (1,) * 7]:
+            want = [AtomicSequence(head).W(len(head), j) for j in range(len(head) + 1)]
+            assert levelwise(head).widths == want, head
+        # a spy, not a timer: W(N, j) per level would make N calls for each j
+        calls = 0
+        real = AtomicSequence.a
+
+        def counted(self, i):
+            nonlocal calls
+            calls += 1
+            return real(self, i)
+
+        monkeypatch.setattr(AtomicSequence, "a", counted)
+        assert levelwise((1,) * 2000).widths == [1] * 2001
+        assert calls <= 2000
+
     def test_cover_sets_run_on_from_the_last_chosen(self):
         for start, stop, k in [(0, 5, 0), (0, 5, 2), (2, 9, 3), (1, 7, 6)]:
             every = list(combinations(range(start, stop), k))
