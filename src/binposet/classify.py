@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, interval, verify_binomial
-from .core import _bits, _induced_down, _whole
+from .core import _induced_down, _whole
 from .iso import DEFAULT_NODE_CAP, _canonical
 
 __all__ = [
@@ -166,6 +166,25 @@ class IntervalClassification:
         return len(self.classes)
 
 
+def _tops_above(up, steps: dict, s: int, n: int) -> list[tuple[int, int]]:
+    """U's members in index order, each with the tops above it as a
+    bitmask over top positions: those whose mask holds bit i are the
+    interval from s to top i.  ``steps`` maps each level of U to the
+    level above it, first in a pair.  U holds every upper cover of a
+    member below its top level, so a member's tops are its covers'."""
+    levels = [(s,)]
+    for _ in range(n):
+        levels.append(steps[levels[-1]][0])
+    above = {t: 1 << i for i, t in enumerate(levels[-1])}
+    for level in reversed(levels[:-1]):
+        for z in level:
+            m = 0
+            for k in up[z]:
+                m |= above[k]
+            above[z] = m
+    return [(z, above[z]) for level in levels for z in level]
+
+
 def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification:
     """Group all length-n intervals by canonical certificate.
 
@@ -187,24 +206,25 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     every bottom with that key.
 
     A top position not yet certified falls back to the interval's own
-    key, its cover lists in the order of ``p``'s elements.  Equal interval
-    keys are the same labelled diagram, so only the first interval with a
-    key is built and canonicalized.  A position reused from U's key
-    always names an interval key already met, so the canonical searches,
-    and the certificates each is handed, are those of keying every
-    interval.  Each search stops at the first leaf that encodes to a
-    certificate found so far."""
+    key, its cover lists in the order of ``p``'s elements, with the
+    interval read off U's levels (``_tops_above``).  Equal interval keys
+    are the same labelled diagram, so only the first interval with a key
+    is built and canonicalized.  A position reused from U's key always
+    names an interval key already met, so the canonical searches are
+    those of keying every interval.  They share one dict of known leaves
+    (see Known leaves in ``iso``), so a search of a class already met
+    stops at its first leaf."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els, rank, up = p.elements, p._level_of, p._up
-    up_mask, down_mask = p._up_mask, p._down_mask
     # a level of some U -> (the level above it, the number of its step)
     steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     step_number: dict[tuple[tuple[int, ...], ...], int] = {}
     # U's key -> {position of a top in U's top level: certificate}
     slots: dict[tuple[int, ...], dict[int, bytes]] = {}
     seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
+    known: dict[bytes, bytes] = {}
     first: dict[bytes, tuple[str, str]] = {}
     size: dict[bytes, int] = {}
     for s in range(len(els)):
@@ -221,14 +241,17 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
             level = step[0]
             key.append(step[1])
         slot = slots.setdefault(tuple(key), {})
+        tops = None
         for i, t in enumerate(level):
             cert = slot.get(i)
             if cert is None:
-                ikey = _induced_down(p, list(_bits(up_mask[s] & down_mask[t])))
+                if tops is None:
+                    tops = _tops_above(up, steps, s, n)
+                ikey = _induced_down(p, [z for z, m in tops if m >> i & 1])
                 cert = seen.get(ikey)
                 if cert is None:
                     q = interval(p, els[s], els[t])
-                    cert = seen[ikey] = _canonical(q, DEFAULT_NODE_CAP, size)[0]
+                    cert = seen[ikey] = _canonical(q, DEFAULT_NODE_CAP, known)[0]
                 slot[i] = cert
             if cert in size:
                 size[cert] += 1

@@ -70,24 +70,36 @@ need:
   the least encoding over the discrete partitions of the tree that
   branches on every non-singleton cell.
 
-* Known certificates.  A caller that already holds certificates (the
-  interval census, and the dedup, classification and anchor checks of
-  the searches) may hand them to the search.  A leaf whose encoding is one of them ends the
-  search, which returns that encoding.  Equal encodings are the same
-  labelled diagram, so the poset is isomorphic to the one that
-  certificate was issued for, and isomorphic posets have equal
-  certificates: the bytes are those a full search returns.  Most such
-  calls certify a class already met, and their first leaf is the
-  certificate, so the search skips the backtracking that proves it least.
+* Known leaves.  A caller that certifies many diagrams (the interval
+  census, and the dedup, classification and anchor checks of the
+  searches) keeps a dict from leaf encodings to certificates and hands
+  it to each search.  A complete run adds every leaf it encoded, mapped
+  to its certificate; a leaf whose encoding is in the dict ends the
+  search, which returns the mapped certificate.  That is exact even for
+  an incomplete dict: equal encodings are the same labelled diagram, so
+  the poset is isomorphic to the one whose run met that leaf, and
+  isomorphic posets have equal certificates.  It is also fast: once a
+  complete run of one poset has filled the dict, the first leaf of any
+  isomorphic copy is in it.  Refinement and the choice of target cell
+  depend only on positions (cell sizes, in order, and twins), so an
+  isomorphism carries the tree of the unpruned search on one copy onto
+  that of the other, and equal leaves of the two encode alike.  A
+  complete run meets every encoding of its unpruned tree: pruning skips
+  only automorphic images of what it explored, which encode alike, and
+  twin-only cells encode alike in any order (see Twins).  So a search
+  of a class already met stops at its first leaf and skips the
+  backtracking that proves a leaf least.
 
 * Cache.  A poset keeps its last complete run (certificate, element
-  order, node count) in its own ``__dict__``, as ``cached_property``
-  keeps its adjacency, so asking the same object twice searches once.
-  There is no state outside the poset: an equal poset built anew gets
-  its own run.  A kept run whose node count exceeds the caller's cap
-  raises as a fresh run would, and a capped run is not kept.  Nor is a
-  run stopped at a known certificate: its element order need not be the
-  canonical one and its node count is partial.
+  order, node count and the set of its leaf encodings) in its own
+  ``__dict__``, as ``cached_property`` keeps its adjacency, so asking
+  the same object twice searches once, and a kept run adds its leaves to
+  a caller's dict as a fresh one would.  There is no state outside the
+  poset: an equal poset built anew gets its own run.  A kept run whose
+  node count exceeds the caller's cap raises as a fresh run would, and a
+  capped run is not kept.  Nor is a run stopped at a known leaf: its
+  element order need not be the canonical one, and its node count and
+  leaves are partial.
 
 A node cap guards against pathological inputs and is reported, never
 silently hit.  A caller's deadline, read every 64 nodes, ends a search
@@ -98,7 +110,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from typing import Container, Sequence
+from typing import Sequence
 
 from .core import GradedPoset, PosetError, _whole
 
@@ -181,15 +193,17 @@ class _Canonicalizer:
         self,
         p: GradedPoset,
         node_cap: int,
-        known: Container[bytes] = (),
+        known: dict[bytes, bytes] | None = None,
         deadline: float | None = None,
     ):
         self.p = p
         self.cap = node_cap
-        self.known = known
+        self.known = {} if known is None else known
         self.deadline = deadline
-        # set when a leaf encodes to a known certificate and ends the search
+        # set when a known leaf ends the search
         self.stopped = False
+        # the encodings of the leaves met
+        self.leaves: set[bytes] = set()
         self.nodes = 0
         self.n = len(p.elements)
         up, down = p._adjacency
@@ -445,14 +459,15 @@ class _Canonicalizer:
 
         A new best keeps the partitions of its path.  A leaf yields no
         automorphism; they come only from twin swaps and the per-depth
-        check (see Search in the module docstring).  A leaf encoding to a
-        known certificate is the certificate (see Known certificates): the
-        search ends there."""
+        check (see Search in the module docstring).  A known leaf gives the
+        certificate (see Known leaves): the search ends there."""
         enc = _encode(self.p, order)
         depth = len(self.path)
-        if enc in self.known:
-            self.best, self.best_order, self.stopped = enc, order, True
+        cert = self.known.get(enc)
+        if cert is not None:
+            self.best, self.best_order, self.stopped = cert, order, True
             return -1
+        self.leaves.add(enc)
         if self.best is None or enc < self.best:
             self.best, self.best_order, self.agree = enc, order, depth
             self.best_parts = [(f[0], f[2], f[3]) for f in stack] + [(order, end, ncells)]
@@ -462,24 +477,27 @@ class _Canonicalizer:
 def _canonical(
     p: GradedPoset,
     node_cap: int,
-    known: Container[bytes] = (),
+    known: dict[bytes, bytes] | None = None,
     deadline: float | None = None,
 ) -> tuple[bytes, tuple[int, ...]]:
     """Certificate and canonical element order, from the run ``p`` keeps.
 
-    ``known`` holds certificates only: a search that meets one at a leaf
-    stops and returns it, with that leaf's order, and is not kept.  Past
-    ``time.monotonic()`` value ``deadline``, a search raises
-    ``_DeadlinePassed``."""
+    ``known`` maps leaf encodings to certificates (see Known leaves): a
+    complete run, fresh or kept, adds its leaves to it, and a search that
+    meets one of them stops and returns its certificate, with that leaf's
+    order, and is not kept.  Past ``time.monotonic()`` value
+    ``deadline``, a search raises ``_DeadlinePassed``."""
     run = p.__dict__.get("_canonical_run")
     if run is None:
         search = _Canonicalizer(p, node_cap, known, deadline)
         cert, order = search.run()
         if search.stopped:
             return cert, tuple(order)
-        run = p.__dict__["_canonical_run"] = (cert, tuple(order), search.nodes)
+        run = p.__dict__["_canonical_run"] = (cert, tuple(order), search.nodes, search.leaves)
     if run[2] > node_cap:
         raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")
+    if known is not None:
+        known.update(dict.fromkeys(run[3], run[0]))
     return run[0], run[1]
 
 

@@ -59,17 +59,31 @@ cap into a "capped" verdict, and ``classify``, which canonicalizes a
 completed candidate against the classes stored so far, and verifies it
 and checks its atom head only when it is a new class, before storing
 it.  A strategy supplies only the candidate generator: its walk and
-prunes, a ``spend()`` per branch it opens, the diagrams it dedups on and
-a dedup set per stage.  The sets are never shared between stages or
-runs, because the partial states of two stages can be the same diagram
-and would then prune each other.
+prunes, a ``spend()`` per branch it opens, the states it dedups on (as
+level widths and integer lower-cover lists) and a dedup table per
+stage.  The tables are never shared between stages or runs, because the
+partial states of two stages can be the same diagram and would then
+prune each other.
 
-Every canonical search of the core is handed the certificates its
-caller already holds (see Known certificates in ``iso``): dedup passes
-its stage's set, ``classify`` the classes stored so far, and the
-levelwise anchor check the anchor's certificate.  A search that meets
-one of them stops at that leaf.  The deadline reaches these searches
-too: one that runs past it caps the search as ``spend()`` would.
+Dedup buckets a stage's states by their degree shape: the level widths
+and the sorted (level, lower degree, upper degree) triples, which
+isomorphic diagrams share.  The first state of a bucket is kept packed
+in integer arrays, uncertified: no diagram is built and no canonical
+search is run for it, as no earlier state can be isomorphic to it.  When
+a second state comes to the bucket, the kept one is certified first,
+then the new one, so the states pruned are exactly those that
+certifying every state would prune.  A state whose canonical search
+hits the cap is recorded by neither.  A bucket is keyed by the shape's
+hash, so that a stage keeps a few bytes per element of a state, as a
+certificate does; two shapes that share a hash share a bucket, which
+costs canonical searches but prunes nothing, as certificates decide.
+
+Every canonical search of the core shares one dict of known leaves
+(see Known leaves in ``iso``): dedup, ``classify`` and the levelwise
+anchor check, which the base's kept run seeds.  A search of a class
+already met stops at its first leaf.  The deadline reaches these
+searches too: one that runs past it caps the search as ``spend()``
+would.
 
 Strategies hand integer cover lists to ``core``, which names the elements
 and keeps the lists as the diagram's adjacency.
@@ -81,10 +95,11 @@ from __future__ import annotations
 
 import operator
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, combinations, permutations, product
+from itertools import accumulate, chain, combinations, islice, permutations, product
 from numbers import Real
-from typing import Container, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     AtomicSequence,
@@ -151,7 +166,7 @@ class _Capped(Exception):
 class _Core:
     """The budget, dedup and classification shared by every strategy."""
 
-    __slots__ = ("max_nodes", "deadline", "nodes")
+    __slots__ = ("max_nodes", "deadline", "nodes", "known")
 
     def __init__(self, limits: SearchLimits):
         self.max_nodes = limits.max_nodes
@@ -159,6 +174,8 @@ class _Core:
             None if limits.max_seconds is None else time.monotonic() + limits.max_seconds
         )
         self.nodes = 0
+        # leaf encoding -> certificate, for every canonical search of the run
+        self.known: dict[bytes, bytes] = {}
 
     def check_deadline(self) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
@@ -171,33 +188,60 @@ class _Core:
         if not self.nodes % 256:
             self.check_deadline()
 
-    def _certificate(self, p: GradedPoset, known: Container[bytes]) -> bytes:
-        """The certificate of ``p``, the search stopping at a member of
-        ``known``; running past the deadline caps the search."""
+    def _certificate(self, p: GradedPoset) -> bytes:
+        """The certificate of ``p``, the search stopping at a known leaf;
+        running past the deadline caps the search."""
         try:
-            return _canonical(p, DEFAULT_NODE_CAP, known, self.deadline)[0]
+            return _canonical(p, DEFAULT_NODE_CAP, self.known, self.deadline)[0]
         except _DeadlinePassed:
             raise _Capped("time budget exhausted") from None
 
-    def certify(self, p: GradedPoset, what: str, known: Container[bytes]) -> bytes:
-        """The certificate of ``p``, given the certificates ``known``; a
-        canonicalization cap caps the search."""
+    def certify(self, p: GradedPoset, what: str) -> bytes:
+        """The certificate of ``p``; a canonicalization cap caps the search."""
         try:
-            return self._certificate(p, known)
+            return self._certificate(p)
         except CanonicalizationCapError as exc:
             raise _Capped(f"{what} hit the canonicalization cap: {exc}") from None
 
-    def repeats(self, seen: set[bytes], p: GradedPoset) -> bool:
-        """Is the diagram ``p`` isomorphic to one already in ``seen``?
-        Records it if not.  Always False when the canonicalization cap is
-        hit: searching on is still sound."""
+    def repeats(self, seen: dict, widths: list[int], down: list[list[int]]) -> bool:
+        """Is the diagram with level ``widths`` and lower-cover lists
+        ``down`` isomorphic to a state already in ``seen``?  Records it if
+        not.  ``seen`` maps the hash of a degree shape to the one state of
+        that hash so far, packed and uncertified, or to the certificates of
+        its states (see the module docstring)."""
+        updeg = [0] * len(down)
+        for cs in down:
+            for c in cs:
+                updeg[c] += 1
+        level = [r for r, w in enumerate(widths) for _ in range(w)]
+        degrees = [len(cs) for cs in down]
+        shape = hash((tuple(widths), tuple(sorted(zip(level, degrees, updeg)))))
+        held = seen.get(shape)
+        if held is None:
+            # widths, degrees and positions are below the element count
+            code = "H" if len(down) <= 0xFFFF else "L"
+            packed = (widths, degrees, chain.from_iterable(down))
+            seen[shape] = tuple(array(code, values) for values in packed)
+            return False
+        if isinstance(held, tuple):
+            seen[shape] = certs = set()
+            kept_widths, kept_degrees, kept_covers = held
+            flat = iter(kept_covers)
+            self._record(certs, kept_widths, [list(islice(flat, d)) for d in kept_degrees])
+            held = certs
+        return self._record(held, widths, down)
+
+    def _record(self, certs: set[bytes], widths: Sequence[int], down: list[list[int]]) -> bool:
+        """Is the certificate of the diagram in ``certs``?  Adds it if not.
+        Always False when the canonicalization cap is hit, and nothing is
+        recorded: searching on is still sound."""
         try:
-            cert = self._certificate(p, seen)
+            cert = self._certificate(_from_down(grid_ids(widths), down))
         except CanonicalizationCapError:
             return False
-        if cert in seen:
+        if cert in certs:
             return True
-        seen.add(cert)
+        certs.add(cert)
         return False
 
     def classify(
@@ -211,7 +255,7 @@ class _Core:
         too.  A candidate whose canonical search hits the cap is verified
         first, and caps the search only if it passes."""
         try:
-            cert = self._certificate(p, out)
+            cert = self._certificate(p)
         except CanonicalizationCapError as exc:
             if _passes(p, head):
                 raise _Capped(
@@ -311,7 +355,7 @@ class _Levelwise:
         self.upcov_mask = [0]
         self.covers_of: list[tuple[int, ...]] = [()]
         self.updeg = [0]
-        self.seen: list[set[bytes]] = [set() for _ in range(self.N)]
+        self.seen: list[dict] = [{} for _ in range(self.N)]
 
     def run(self) -> None:
         core, seq, N, widths, level_of = self.core, self.seq, self.N, self.widths, self.level_of
@@ -330,7 +374,7 @@ class _Levelwise:
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
                     self._emit()
-                elif not (j and core.repeats(self.seen[j], self._built())):
+                elif not (j and core.repeats(self.seen[j], *self._built())):
                     # level j + 1 opens unless level j holds no set of a(j+1) covers
                     if seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
@@ -389,9 +433,9 @@ class _Levelwise:
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
-        want = self.anchor[0]
-        cert = self.core.certify(self._diagram(_bits(self.down_mask[e])), "anchor check", (want,))
-        return cert == want
+        widths, down = self._diagram(_bits(self.down_mask[e]))
+        cert = self.core.certify(_from_down(grid_ids(widths), down), "anchor check")
+        return cert == self.anchor[0]
 
     def _destroy(self) -> None:
         """Remove the element created last."""
@@ -404,23 +448,23 @@ class _Levelwise:
         self.upcov_mask.pop()
         self.updeg.pop()
 
-    def _diagram(self, keep: Iterable[int]) -> GradedPoset:
-        """The diagram on the down-closed elements ``keep``, listed in
-        creation order; each is named "rank:i", i its place in that order
-        among the kept elements of its rank."""
+    def _diagram(self, keep: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+        """The level widths and lower-cover lists of the diagram on the
+        down-closed elements ``keep``, listed in creation order; covers are
+        positions in that order."""
         pos = {g: i for i, g in enumerate(keep)}
         widths = [0] * (self.level_of[max(pos)] + 1)
         for g in pos:
             widths[self.level_of[g]] += 1
-        down = [[pos[c] for c in self.covers_of[g]] for g in pos]
-        return _from_down(grid_ids(widths), down)
+        return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
 
-    def _built(self) -> GradedPoset:
-        """The whole diagram built so far."""
+    def _built(self) -> tuple[list[int], list[list[int]]]:
+        """The whole diagram built so far, as ``_diagram`` gives it."""
         return self._diagram(range(len(self.level_of)))
 
     def _emit(self) -> None:
-        p = self._built()
+        widths, down = self._built()
+        p = _from_down(grid_ids(widths), down)
         if not self.core.classify(p, self.seq.head, self.out):
             # the atom count checked for every pair at every added element
             # makes every completed candidate binomial (see verify_binomial)
@@ -466,7 +510,7 @@ class _Assembly:
         self.anchor = anchor
         self.out = out
         self.a2, self.a3, self.a4 = seq.a(2), seq.a(3), seq.a(4)
-        self.seen: set[bytes] = set()
+        self.seen: dict = {}
 
     def run(self) -> None:
         catalog: dict[bytes, GradedPoset] = {}
@@ -527,7 +571,7 @@ class _Assembly:
                     d % self.a2 and any(self.count[x] >= cap for x in T)
                     for T, d in self.demand.items()
                 )
-                if not stuck and not self.core.repeats(self.seen, self._state()):
+                if not stuck and not self.core.repeats(self.seen, *self._state()):
                     self._slots(S, k, max(used, S[-1] + 1))
                 self.chosen.pop()
                 for row in rows:
@@ -539,17 +583,16 @@ class _Assembly:
                 for x in S:
                     self.count[x] -= 1
 
-    def _state(self) -> GradedPoset:
-        """The chosen blocks as a diagram: atoms, one mid element per
-        placed row, one element per block."""
+    def _state(self) -> tuple[list[int], list]:
+        """The chosen blocks as level widths and lower-cover lists: atoms,
+        one mid element per placed row, one element per block."""
         a4 = self.a4
         mid: list[tuple[int, ...]] = []
         blocks: list[range] = []
         for rows in self.chosen:
             blocks.append(range(a4 + len(mid), a4 + len(mid) + len(rows)))
             mid.extend(rows)
-        down = [()] * a4 + mid + blocks
-        return _from_down(grid_ids((a4, len(mid), len(blocks))), down)
+        return [a4, len(mid), len(blocks)], [()] * a4 + mid + blocks
 
     def _match(self) -> None:
         # every atom is in a3 blocks (``_fitting`` on the last pick), every
@@ -678,6 +721,9 @@ def enumerate_intervals(
     core = _Core(limits or SearchLimits())
     out: dict[bytes, GradedPoset] = {}
     try:
+        if base is not None:
+            # the base's kept run seeds the known leaves of the anchor check
+            core.certify(base, "anchor check")
         strategies[strategy](seq, core, anchor, out).run()
     except _Capped as capped:
         return SearchResult("capped", _classes(out), core.nodes, capped.detail)

@@ -297,8 +297,8 @@ def test_census_matches_grouping_by_definition(case):
 def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatch):
     """The census's canonical searches are pinned: one per distinct labelled
     interval diagram (its cover lists in the poset's element order), on the
-    first interval with that diagram, each handed the certificates found
-    before it."""
+    first interval with that diagram, each handed known leaves that map to
+    exactly the certificates found before it."""
     word = random.Random(23).choice(list(valid_words(12)))
     posets = [poset_from_string(versal_string(3)), poset_from_string(word)]
     posets += [relabel(p, random.Random(i)) for i, p in enumerate(posets)]
@@ -306,8 +306,10 @@ def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatc
     real = classify._canonical
 
     def spy(q, cap, known, *args):
+        # the certificates the known leaves map to before the call
+        before = set(known.values())
         out = real(q, cap, known, *args)
-        calls.append(((q.levels, q.covers), set(known), out[0]))
+        calls.append(((q.levels, q.covers), before, out[0]))
         return out
 
     monkeypatch.setattr(classify, "_canonical", spy)

@@ -589,12 +589,20 @@ def test_certificate_equality_matches_vf2():
 
 
 # ---------------------------------------------------------------------------
-# known certificates and the deadline
+# known leaves and the deadline
 
 
-def known_run(p: GradedPoset, known) -> bytes:
-    """The certificate of ``p`` from a search given the certificates ``known``."""
+def known_run(p: GradedPoset, known: dict[bytes, bytes]) -> bytes:
+    """The certificate of ``p`` from a search given the known leaves ``known``."""
     return _canonical(p, DEFAULT_NODE_CAP, known)[0]
+
+
+def leaves_of(*posets: GradedPoset) -> dict[bytes, bytes]:
+    """The known leaves that complete runs of ``posets`` leave behind."""
+    known: dict[bytes, bytes] = {}
+    for p in posets:
+        _canonical(p, DEFAULT_NODE_CAP, known)
+    return known
 
 
 def fresh(p: GradedPoset) -> GradedPoset:
@@ -603,23 +611,29 @@ def fresh(p: GradedPoset) -> GradedPoset:
 
 
 class TestKnownCertificates:
-    """A search that stops at a leaf encoding to a known certificate
-    returns the bytes a full search returns, and only for a poset
-    isomorphic to the one that certificate was issued for."""
+    """A search that stops at a known leaf returns the bytes a full search
+    returns, and only for a poset isomorphic to the one whose run met that
+    leaf."""
 
     def test_relabelled_pinned_classes(self):
         rng = random.Random(53)
         classes = [p for run, *_ in PINNED.values() for p in run().classes]
-        known = {canonical_form(p) for p in classes}
+        known = leaves_of(*classes)
+        assert {canonical_form(p) for p in classes} == set(known.values())
+        # the certificates alone: a leaf of each class, so an incomplete dict
+        certs = {cert: cert for cert in known.values()}
         stopped = 0
         for p in classes:
             copy = relabel(p, rng)
             cert = known_run(copy, known)
             assert cert == canonical_form(fresh(copy))
+            assert kept_run(copy) is None
+            copy = relabel(p, rng)
+            assert known_run(copy, dict(certs)) == cert
             stopped += kept_run(copy) is None
             # without its own class the search runs in full and is kept
             other = relabel(p, rng)
-            assert known_run(other, known - {cert}) == cert
+            assert known_run(other, {e: c for e, c in known.items() if c != cert}) == cert
             assert kept_run(other) is not None
         assert stopped
 
@@ -628,12 +642,14 @@ class TestKnownCertificates:
         word = poset_from_string(versal_string(3))
         els = word.elements
         for n in range(2, 9):
-            known = {c.certificate for c in enumerate_interval_classes(word, n).classes}
+            classes = enumerate_interval_classes(word, n).classes
+            known = leaves_of(*(interval(word, c.bottom, c.top) for c in classes))
+            assert set(known.values()) == {c.certificate for c in classes}
             pairs = list(_pairs_of_length(word, n))
             for s, t in rng.sample(pairs, min(30, len(pairs))):
                 q = relabel(interval(word, els[s], els[t]), rng)
                 cert = known_run(q, known)
-                assert cert in known
+                assert cert in known.values() and kept_run(q) is None
                 assert cert == canonical_form(fresh(q))
 
     def test_random_diagrams_match_vf2(self):
@@ -648,7 +664,7 @@ class TestKnownCertificates:
                 others.append(relabel(twin, rng))
             for q in others:
                 copy = relabel(p, rng)
-                cert = known_run(copy, {canonical_form(q)})
+                cert = known_run(copy, leaves_of(q))
                 assert cert == canonical_form(fresh(copy))
                 same = vf2(nx, p, q)
                 assert (cert == canonical_form(q)) == same
@@ -657,18 +673,44 @@ class TestKnownCertificates:
 
     def test_stopped_run_is_not_kept(self, cube):
         q = relabel(cube, random.Random(67))
-        cert = known_run(q, {canonical_form(cube)})
+        cert = known_run(q, leaves_of(cube))
         assert kept_run(q) is None
         assert isomorphism(q, cube) == isomorphism(fresh(q), cube)
-        # a kept run answers before any search, known set or not
+        # a kept run answers before any search, known leaves or not
         run = kept_run(q)
         assert run is not None and run[0] == cert
-        assert known_run(q, {cert}) == cert and kept_run(q) is run
+        assert known_run(q, {cert: cert}) == cert and kept_run(q) is run
+
+    def test_a_kept_run_adds_its_leaves(self, cube):
+        canonical_form(cube)
+        run = kept_run(cube)
+        known = leaves_of(cube)
+        assert known == dict.fromkeys(run[3], run[0]) and run[0] in known
+        assert kept_run(cube) is run
+
+    def test_known_leaves_are_complete(self):
+        """Handed the leaves of one full run, a search on any relabelled
+        copy stops at its first leaf: one node per level of its first path
+        and the root's, and no backtracking."""
+        rng = random.Random(71)
+        word = poset_from_string(versal_string(3))
+        posets = [p for run, *_ in PINNED.values() for p in run().classes]
+        # the short lengths, and the whole poset (135 elements)
+        for n in [*range(9), word.height]:
+            classes = enumerate_interval_classes(word, n).classes
+            posets += [interval(word, c.bottom, c.top) for c in classes]
+        for p in posets:
+            known = leaves_of(fresh(p))
+            cert = canonical_form(p)
+            for _ in range(10):
+                search = _Canonicalizer(relabel(p, rng), DEFAULT_NODE_CAP, known)
+                assert search.run()[0] == cert
+                assert search.stopped and search.nodes == len(search.path) + 1
 
 
 @given(raw_diagrams(), raw_diagrams())
 def test_known_certificate_matches_brute_force(p, q):
-    cert = known_run(p, {canonical_form(q)})
+    cert = known_run(p, leaves_of(q))
     assert cert == canonical_form(fresh(p))
     assert (cert == canonical_form(q)) == brute_isomorphic(p, q)
 
@@ -677,11 +719,11 @@ class TestDeadline:
     def test_a_passed_deadline_ends_a_search(self):
         p = poset_from_string(versal_string(3))
         with pytest.raises(_DeadlinePassed):
-            _canonical(p, DEFAULT_NODE_CAP, (), time.monotonic() - 1)
+            _canonical(p, DEFAULT_NODE_CAP, {}, time.monotonic() - 1)
         assert kept_run(p) is None
 
     def test_the_clock_is_read_every_64_nodes(self, cube):
         canonical_form(cube)
         assert kept_run(cube)[2] < 64
         q = fresh(cube)
-        assert _canonical(q, DEFAULT_NODE_CAP, (), time.monotonic() - 1) == _canonical(cube, DEFAULT_NODE_CAP)
+        assert _canonical(q, DEFAULT_NODE_CAP, {}, time.monotonic() - 1) == _canonical(cube, DEFAULT_NODE_CAP)

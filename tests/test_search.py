@@ -6,6 +6,7 @@ import time
 from functools import cache
 from itertools import combinations, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -35,7 +36,7 @@ def without_dedup(*args, **kwargs):
     """``enumerate_intervals`` with no partial diagram pruned as a repeat:
     the reference that each strategy's dedup stages are checked against."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search._Core, "repeats", lambda self, seen, p: False)
+        mp.setattr(search._Core, "repeats", lambda self, seen, widths, down: False)
         return enumerate_intervals(*args, **kwargs)
 
 
@@ -180,12 +181,14 @@ class TestEnumerate:
         # The anchor check certifies the lower set of each new element at
         # the base's rank: a bounded diagram of the base's height.  Dedup
         # certifies partial diagrams with a wide top, and classification
-        # complete candidates of the full rank.
+        # complete candidates of the full rank.  The base itself, whose
+        # kept run seeds the known leaves, is left uncapped, so the cap
+        # comes from a lower set.
         base = enumerate_intervals((1, 2)).classes[0]
         real = search._canonical
 
         def anchor_capped(p, *args):
-            if p.height == base.height and p.widths[-1] == 1:
+            if p is not base and p.height == base.height and p.widths[-1] == 1:
                 raise CanonicalizationCapError("forced cap")
             return real(p, *args)
 
@@ -511,6 +514,88 @@ def test_search_counters_are_pinned(case):
     )
     if verdict != "capped":
         assert_closed_under_dual(res.classes)
+
+
+# two 4 + 4 states of one degree shape (every degree 2) and two classes
+EIGHT_CYCLE = [[]] * 4 + [[0, 1], [1, 2], [2, 3], [3, 0]]
+TWO_SQUARES = [[]] * 4 + [[0, 1], [0, 1], [2, 3], [2, 3]]
+
+
+def shuffled(widths, down, rng):
+    """The state ``down`` with the positions of each level permuted."""
+    perm, start = [], 0
+    for w in widths:
+        level = list(range(start, start + w))
+        rng.shuffle(level)
+        perm += level
+        start += w
+    out = [None] * len(down)
+    for i, cs in enumerate(down):
+        out[perm[i]] = [perm[c] for c in cs]
+    return out
+
+
+class TestShapeBuckets:
+    """``_Core.repeats`` keys states by degree shape and certifies a state
+    only once a second state of its shape comes."""
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The posets handed to canonical searches, in call order; with
+        ``cap_first`` set, the first search hits the cap."""
+        real = search._canonical
+        log = SimpleNamespace(calls=[], cap_first=False)
+
+        def spy(p, *args):
+            log.calls.append(p)
+            if log.cap_first and len(log.calls) == 1:
+                raise CanonicalizationCapError("forced cap")
+            return real(p, *args)
+
+        monkeypatch.setattr(search, "_canonical", spy)
+        return log
+
+    def test_one_shape_two_classes(self, searches):
+        core, seen, rng = search._Core(SearchLimits()), {}, random.Random(5)
+        assert not core.repeats(seen, [4, 4], EIGHT_CYCLE)
+        assert searches.calls == [] and core.known == {}
+        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
+        assert len(searches.calls) == 2 and len(seen) == 1
+        for down in (EIGHT_CYCLE, TWO_SQUARES) * 3:
+            assert core.repeats(seen, [4, 4], shuffled([4, 4], down, rng))
+
+    def test_a_relabelled_copy_of_the_pending_state_repeats(self, searches):
+        core, seen, rng = search._Core(SearchLimits()), {}, random.Random(6)
+        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
+        assert core.repeats(seen, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+        assert len(searches.calls) == 2
+
+    def test_a_pending_state_capped_late_is_dropped(self, searches):
+        searches.cap_first = True
+        core, seen, rng = search._Core(SearchLimits()), {}, random.Random(7)
+        assert not core.repeats(seen, [4, 4], EIGHT_CYCLE)
+        # the eight-cycle's late search hits the cap; the squares are new
+        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
+        assert len(searches.calls) == 2
+        # so the eight-cycle was never recorded: a copy is new, then repeats
+        assert not core.repeats(seen, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
+        assert core.repeats(seen, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
+        assert core.repeats(seen, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+
+
+def test_dedup_builds_no_diagram_for_an_unseen_shape(monkeypatch):
+    # every level of a chain holds one state, so no dedup state is
+    # certified, and the one diagram built is the class emitted
+    real, built = search._from_down, []
+
+    def spy(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(search, "_from_down", spy)
+    res = enumerate_intervals((1,) * 400)
+    assert res.verdict == "found" and len(res.classes) == 1
+    assert len(built) == 1 and built[0] is res.classes[0]
 
 
 def _partitions(n: int, least: int = 2) -> int:
