@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import GradedPoset, PosetError, interval, verify_binomial
-from .core import _induced_down, _whole
-from .iso import DEFAULT_NODE_CAP, _canonical
+from .core import GradedPoset, PosetError, verify_binomial
+from .core import _cover_lists, _induced_down, _whole
+from .iso import DEFAULT_NODE_CAP, _certify
 
 __all__ = [
     "section_type",
@@ -209,11 +209,11 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     key, its cover lists in the order of ``p``'s elements, with the
     interval read off U's levels (``_tops_above``).  Equal interval keys
     are the same labelled diagram, so only the first interval with a key
-    is built and canonicalized.  A position reused from U's key always
-    names an interval key already met, so the canonical searches are
-    those of keying every interval.  They share one dict of known leaves
-    (see Known leaves in ``iso``), so a search of a class already met
-    stops at its first leaf."""
+    is canonicalized, as its key and level widths, not a poset.  A
+    position reused from U's key always names an interval key already
+    met, so the canonical searches are those of keying every interval.
+    They share one dict of known leaves (see Known leaves in ``iso``), so
+    a search of a class already met stops at its first leaf."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
@@ -247,11 +247,13 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
             if cert is None:
                 if tops is None:
                     tops = _tops_above(up, steps, s, n)
-                ikey = _induced_down(p, [z for z, m in tops if m >> i & 1])
+                members = [z for z, m in tops if m >> i & 1]
+                ikey = _induced_down(p, members)
                 cert = seen.get(ikey)
                 if cert is None:
-                    q = interval(p, els[s], els[t])
-                    cert = seen[ikey] = _canonical(q, DEFAULT_NODE_CAP, known)[0]
+                    widths = [sum(rank[z] - rank[s] == d for z in members) for d in range(n + 1)]
+                    adjacency = _cover_lists(ikey)
+                    cert = seen[ikey] = _certify(widths, *adjacency, DEFAULT_NODE_CAP, known)[0]
                 slot[i] = cert
             if cert in size:
                 size[cert] += 1

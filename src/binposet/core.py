@@ -354,23 +354,30 @@ def dual(p: GradedPoset) -> GradedPoset:
     )
 
 
-def _from_down(levels: Sequence[Sequence[str]], down: Sequence[Iterable[int]]) -> GradedPoset:
+def _cover_lists(down: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The upper- and lower-cover lists, as ``_adjacency`` gives them, of
+    the diagram whose i-th element has the lower covers ``down[i]``."""
+    lower = [tuple(sorted(set(cs))) for cs in down]
+    upper: list[list[int]] = [[] for _ in lower]
+    for i, cs in enumerate(lower):
+        for c in cs:
+            upper[c].append(i)
+    return tuple(map(tuple, upper)), tuple(lower)
+
+
+def _from_down(levels: Sequence[Sequence[str]], down: Iterable[Iterable[int]]) -> GradedPoset:
     """The diagram whose i-th element, counted level by level through
     ``levels``, has the lower covers ``down[i]`` (positions in that count).
 
     The integer cover lists are kept as the poset's ``_adjacency``, which
     would otherwise be rebuilt from the id pairs."""
     els = [x for lv in levels for x in lv]
-    lower = [tuple(sorted(set(cs))) for cs in down]
-    upper: list[list[int]] = [[] for _ in els]
-    for i, cs in enumerate(lower):
-        for c in cs:
-            upper[c].append(i)
+    adjacency = _cover_lists(down)
     p = GradedPoset(
         tuple(map(tuple, levels)),
-        frozenset([(els[c], els[i]) for i, cs in enumerate(lower) for c in cs]),
+        frozenset([(els[c], els[i]) for i, cs in enumerate(adjacency[1]) for c in cs]),
     )
-    p.__dict__["_adjacency"] = (tuple(map(tuple, upper)), tuple(lower))
+    p.__dict__["_adjacency"] = adjacency
     return p
 
 

@@ -90,16 +90,16 @@ need:
   of a class already met stops at its first leaf and skips the
   backtracking that proves a leaf least.
 
-* Cache.  A poset keeps its last complete run (certificate, element
-  order, node count and the set of its leaf encodings) in its own
-  ``__dict__``, as ``cached_property`` keeps its adjacency, so asking
-  the same object twice searches once, and a kept run adds its leaves to
-  a caller's dict as a fresh one would.  There is no state outside the
-  poset: an equal poset built anew gets its own run.  A kept run whose
-  node count exceeds the caller's cap raises as a fresh run would, and a
-  capped run is not kept.  Nor is a run stopped at a known leaf: its
-  element order need not be the canonical one, and its node count and
-  leaves are partial.
+* Cache.  ``_certify``, the one search entry, takes a diagram as its
+  level widths and cover lists, so the census and the searches build no
+  poset to certify; only it takes known leaves and a deadline.  A poset
+  keeps its last complete run (certificate, element order, node count)
+  in its own ``__dict__``, as ``cached_property`` keeps its adjacency,
+  so asking the same object twice searches once; a search stores each
+  class with the run that certified it.  Nothing is kept elsewhere.  A
+  kept run whose node count exceeds the caller's cap raises as a fresh
+  run would.  A capped run is not kept, nor is one stopped at a known
+  leaf, whose order need not be canonical.
 
 A node cap guards against pathological inputs and is reported, never
 silently hit.  A caller's deadline, read every 64 nodes, ends a search
@@ -110,6 +110,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from itertools import accumulate
 from typing import Sequence
 
 from .core import GradedPoset, PosetError, _whole
@@ -131,33 +132,6 @@ class CanonicalizationCapError(PosetError):
 
 class _DeadlinePassed(Exception):
     """The caller's deadline passed during a canonical search."""
-
-
-def _encode(p: GradedPoset, order: Sequence[int]) -> bytes:
-    """Adjacency encoding of the diagram under the given element order.
-
-    ``order`` lists element indices level by level; the encoding is the
-    width header and one packed cover bit-matrix per level pair.  Levels
-    and degrees need no row of their own: the header and the matrices
-    already determine them."""
-    widths = p.widths
-    level = p._level_of
-    offsets = p._level_start
-    pos = [0] * len(order)
-    for i, el in enumerate(order):
-        pos[el] = i - offsets[level[el]]
-    parts = [",".join(str(w) for w in widths).encode()]
-    up = p._up
-    for r in range(p.height):
-        w_lo, top = widths[r], widths[r + 1] - 1
-        bits = 0
-        for el in order[offsets[r] : offsets[r + 1]]:
-            row = 0
-            for nb in up[el]:
-                row |= 1 << (top - pos[nb])
-            bits = (bits << (top + 1)) | row
-        parts.append(bits.to_bytes((w_lo * (top + 1) + 7) // 8, "big"))
-    return b"|".join(parts)
 
 
 def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> None:
@@ -191,12 +165,16 @@ def _preserves_covers(adj: list[list[int]], g: dict[int, int]) -> bool:
 class _Canonicalizer:
     def __init__(
         self,
-        p: GradedPoset,
+        widths: Sequence[int],
+        up: Sequence[tuple[int, ...]],
+        down: Sequence[tuple[int, ...]],
         node_cap: int,
         known: dict[bytes, bytes] | None = None,
         deadline: float | None = None,
     ):
-        self.p = p
+        self.widths, self.up = widths, up
+        self.starts = list(accumulate(widths, initial=0))
+        self.level_of = level_of = [r for r, w in enumerate(widths) for _ in range(w)]
         self.cap = node_cap
         self.known = {} if known is None else known
         self.deadline = deadline
@@ -205,8 +183,7 @@ class _Canonicalizer:
         # the encodings of the leaves met
         self.leaves: set[bytes] = set()
         self.nodes = 0
-        self.n = len(p.elements)
-        up, down = p._adjacency
+        self.n = len(up)
         self.adj = [u + d for u, d in zip(up, down)]
         self.best: bytes | None = None
         self.best_order: list[int] = []
@@ -220,7 +197,7 @@ class _Canonicalizer:
         # is named by its first member, and the swap of two consecutive
         # members is an automorphism known before the search starts.
         names: dict[tuple, int] = {}
-        self.twin = [names.setdefault(key, v) for v, key in enumerate(zip(p._level_of, up, down))]
+        self.twin = [names.setdefault(key, v) for v, key in enumerate(zip(level_of, up, down))]
         last: dict[int, int] = {}
         for v, t in enumerate(self.twin):
             if t in last:
@@ -229,7 +206,7 @@ class _Canonicalizer:
 
     def run(self) -> tuple[bytes, list[int]]:
         # the seed partition: one cell per level, in element order
-        n, bounds = self.n, self.p._level_start
+        n, bounds = self.n, self.starts
         levels = list(zip(bounds, bounds[1:]))
         lab, cell, end = list(range(n)), [0] * n, [0] * n
         for s, e in levels:
@@ -239,6 +216,34 @@ class _Canonicalizer:
         self._walk(lab, cell, end, ncells, levels)
         assert self.best is not None
         return self.best, self.best_order
+
+    def keep(self, p: GradedPoset) -> None:
+        """Keep this run on ``p``, the diagram searched (see Cache)."""
+        if not self.stopped:
+            p.__dict__["_canonical_run"] = (self.best, tuple(self.best_order), self.nodes)
+
+    def _encode(self, order: Sequence[int]) -> bytes:
+        """Adjacency encoding of the diagram under the given element order.
+
+        ``order`` lists element indices level by level; the encoding is the
+        width header and one packed cover bit-matrix per level pair.  Levels
+        and degrees need no row of their own: the header and the matrices
+        already determine them."""
+        widths, level, offsets, up = self.widths, self.level_of, self.starts, self.up
+        pos = [0] * len(order)
+        for i, el in enumerate(order):
+            pos[el] = i - offsets[level[el]]
+        parts = [",".join(str(w) for w in widths).encode()]
+        for r in range(len(widths) - 1):
+            w_lo, top = widths[r], widths[r + 1] - 1
+            bits = 0
+            for el in order[offsets[r] : offsets[r + 1]]:
+                row = 0
+                for nb in up[el]:
+                    row |= 1 << (top - pos[nb])
+                bits = (bits << (top + 1)) | row
+            parts.append(bits.to_bytes((w_lo * (top + 1) + 7) // 8, "big"))
+        return b"|".join(parts)
 
     def _refine(
         self, lab: list[int], cell: list[int], end: list[int], ncells: int, queue: list[int]
@@ -461,7 +466,7 @@ class _Canonicalizer:
         automorphism; they come only from twin swaps and the per-depth
         check (see Search in the module docstring).  A known leaf gives the
         certificate (see Known leaves): the search ends there."""
-        enc = _encode(self.p, order)
+        enc = self._encode(order)
         depth = len(self.path)
         cert = self.known.get(enc)
         if cert is not None:
@@ -474,31 +479,33 @@ class _Canonicalizer:
         return depth - 1
 
 
-def _canonical(
-    p: GradedPoset,
+def _certify(
+    widths: Sequence[int],
+    up: Sequence[tuple[int, ...]],
+    down: Sequence[tuple[int, ...]],
     node_cap: int,
     known: dict[bytes, bytes] | None = None,
     deadline: float | None = None,
-) -> tuple[bytes, tuple[int, ...]]:
-    """Certificate and canonical element order, from the run ``p`` keeps.
+) -> tuple[bytes, list[int], _Canonicalizer]:
+    """Certificate, element order and search of the diagram with level
+    ``widths`` and cover lists ``up`` and ``down`` (as in ``_adjacency``).
+    It stops at a leaf in ``known``, or adds its leaves if complete (see
+    Known leaves); past ``deadline`` it raises ``_DeadlinePassed``."""
+    search = _Canonicalizer(widths, up, down, node_cap, known, deadline)
+    cert, order = search.run()
+    if known is not None and not search.stopped:
+        known.update(dict.fromkeys(search.leaves, cert))
+    return cert, order, search
 
-    ``known`` maps leaf encodings to certificates (see Known leaves): a
-    complete run, fresh or kept, adds its leaves to it, and a search that
-    meets one of them stops and returns its certificate, with that leaf's
-    order, and is not kept.  Past ``time.monotonic()`` value
-    ``deadline``, a search raises ``_DeadlinePassed``."""
-    run = p.__dict__.get("_canonical_run")
-    if run is None:
-        search = _Canonicalizer(p, node_cap, known, deadline)
-        cert, order = search.run()
-        if search.stopped:
-            return cert, tuple(order)
-        run = p.__dict__["_canonical_run"] = (cert, tuple(order), search.nodes, search.leaves)
-    if run[2] > node_cap:
+
+def _canonical(p: GradedPoset, node_cap: int) -> tuple[bytes, tuple[int, ...]]:
+    """Certificate and canonical element order, from the run ``p`` keeps."""
+    if "_canonical_run" not in p.__dict__:
+        _certify(p.widths, *p._adjacency, node_cap)[2].keep(p)
+    cert, order, nodes = p.__dict__["_canonical_run"]
+    if nodes > node_cap:
         raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")
-    if known is not None:
-        known.update(dict.fromkeys(run[3], run[0]))
-    return run[0], run[1]
+    return cert, order
 
 
 def canonical_form(p: GradedPoset, node_cap: int = DEFAULT_NODE_CAP) -> bytes:

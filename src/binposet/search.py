@@ -80,13 +80,13 @@ costs canonical searches but prunes nothing, as certificates decide.
 
 Every canonical search of the core shares one dict of known leaves
 (see Known leaves in ``iso``): dedup, ``classify`` and the levelwise
-anchor check, which the base's kept run seeds.  A search of a class
-already met stops at its first leaf.  The deadline reaches these
-searches too: one that runs past it caps the search as ``spend()``
-would.
+anchor check.  A search of a class already met stops at its first leaf.
+The deadline reaches these searches too: one that runs past it caps the
+search as ``spend()`` would.
 
-Strategies hand integer cover lists to ``core``, which names the elements
-and keeps the lists as the diagram's adjacency.
+States and candidates stay level widths and lower-cover lists, and are
+certified as such; a ``GradedPoset`` is built only to verify a new class
+or a candidate whose canonical search hit the cap.
 
 A search reports "exhausted" only when no branch was cut by a cap.
 """
@@ -109,6 +109,7 @@ from .core import (
     verify_binomial,
     _as_sequence,
     _bits,
+    _cover_lists,
     _from_down,
     _ratio_failure,
     _whole,
@@ -117,7 +118,7 @@ from .iso import (
     DEFAULT_NODE_CAP,
     CanonicalizationCapError,
     canonical_form,
-    _canonical,
+    _certify,
     _DeadlinePassed,
 )
 
@@ -164,7 +165,7 @@ class _Capped(Exception):
 
 
 class _Core:
-    """The budget, dedup and classification shared by every strategy."""
+    """The budget, dedup and classification shared by every strategy, on integer diagrams."""
 
     __slots__ = ("max_nodes", "deadline", "nodes", "known")
 
@@ -188,20 +189,14 @@ class _Core:
         if not self.nodes % 256:
             self.check_deadline()
 
-    def _certificate(self, p: GradedPoset) -> bytes:
-        """The certificate of ``p``, the search stopping at a known leaf;
-        running past the deadline caps the search."""
+    def _certificate(self, widths: Sequence[int], down: Iterable[Iterable[int]]) -> tuple:
+        """``_certify`` on the diagram with level ``widths`` and lower covers
+        ``down``, stopping at a known leaf; the deadline caps the search."""
+        adjacency = _cover_lists(down)
         try:
-            return _canonical(p, DEFAULT_NODE_CAP, self.known, self.deadline)[0]
+            return _certify(widths, *adjacency, DEFAULT_NODE_CAP, self.known, self.deadline)
         except _DeadlinePassed:
             raise _Capped("time budget exhausted") from None
-
-    def certify(self, p: GradedPoset, what: str) -> bytes:
-        """The certificate of ``p``; a canonicalization cap caps the search."""
-        try:
-            return self._certificate(p)
-        except CanonicalizationCapError as exc:
-            raise _Capped(f"{what} hit the canonicalization cap: {exc}") from None
 
     def repeats(self, seen: dict, widths: list[int], down: list[list[int]]) -> bool:
         """Is the diagram with level ``widths`` and lower-cover lists
@@ -236,7 +231,7 @@ class _Core:
         Always False when the canonicalization cap is hit, and nothing is
         recorded: searching on is still sound."""
         try:
-            cert = self._certificate(_from_down(grid_ids(widths), down))
+            cert = self._certificate(widths, down)[0]
         except CanonicalizationCapError:
             return False
         if cert in certs:
@@ -245,34 +240,31 @@ class _Core:
         return False
 
     def classify(
-        self, p: GradedPoset, head: tuple[int, ...], out: dict[bytes, GradedPoset]
+        self, widths: list[int], down: list, head: tuple[int, ...], out: dict[bytes, GradedPoset]
     ) -> bool:
         """Store a completed candidate under its certificate if it passes
         verify_binomial with atom counts ``head``; False if it does not.
 
-        Only a new class is verified: a candidate whose certificate is
-        already stored is isomorphic to a verified class, so it passes
-        too.  A candidate whose canonical search hits the cap is verified
-        first, and caps the search only if it passes."""
+        Only a new class is built as a poset and verified: a candidate
+        whose certificate is already stored is isomorphic to a verified
+        class, so it passes too.  A candidate whose canonical search hits
+        the cap is verified first, and caps the search only if it passes."""
+        capped = None
         try:
-            cert = self._certificate(p)
+            cert, _, search = self._certificate(widths, down)
         except CanonicalizationCapError as exc:
-            if _passes(p, head):
-                raise _Capped(
-                    f"classifying a candidate hit the canonicalization cap: {exc}"
-                ) from None
+            cert, capped = None, f"classifying a candidate hit the canonicalization cap: {exc}"
+        if cert in out:
+            return True
+        p = _from_down(grid_ids(widths), down)
+        rep = verify_binomial(p)
+        if not rep.ok or rep.atoms.head != head:
             return False
-        if cert not in out:
-            if not _passes(p, head):
-                return False
-            out[cert] = p
+        if capped:
+            raise _Capped(capped)
+        search.keep(p)
+        out[cert] = p
         return True
-
-
-def _passes(p: GradedPoset, head: tuple[int, ...]) -> bool:
-    """Does ``p`` pass verify_binomial with atom counts ``head``?"""
-    rep = verify_binomial(p)
-    return rep.ok and rep.atoms is not None and rep.atoms.head == head
 
 
 def _sets_from(
@@ -374,7 +366,7 @@ class _Levelwise:
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
                     self._emit()
-                elif not (j and core.repeats(self.seen[j], *self._built())):
+                elif not (j and core.repeats(self.seen[j], *self._diagram(range(e)))):
                     # level j + 1 opens unless level j holds no set of a(j+1) covers
                     if seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
@@ -434,8 +426,10 @@ class _Levelwise:
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
         widths, down = self._diagram(_bits(self.down_mask[e]))
-        cert = self.core.certify(_from_down(grid_ids(widths), down), "anchor check")
-        return cert == self.anchor[0]
+        try:
+            return self.core._certificate(widths, down)[0] == self.anchor[0]
+        except CanonicalizationCapError as exc:
+            raise _Capped(f"anchor check hit the canonicalization cap: {exc}") from None
 
     def _destroy(self) -> None:
         """Remove the element created last."""
@@ -458,17 +452,12 @@ class _Levelwise:
             widths[self.level_of[g]] += 1
         return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
 
-    def _built(self) -> tuple[list[int], list[list[int]]]:
-        """The whole diagram built so far, as ``_diagram`` gives it."""
-        return self._diagram(range(len(self.level_of)))
-
     def _emit(self) -> None:
-        widths, down = self._built()
-        p = _from_down(grid_ids(widths), down)
-        if not self.core.classify(p, self.seq.head, self.out):
+        widths, down = self._diagram(range(len(self.level_of)))
+        if not self.core.classify(widths, down, self.seq.head, self.out):
             # the atom count checked for every pair at every added element
             # makes every completed candidate binomial (see verify_binomial)
-            rep = verify_binomial(p)
+            rep = verify_binomial(_from_down(grid_ids(widths), down))
             raise AssertionError(
                 f"levelwise search completed a candidate that fails its own "
                 f"target {self.seq.format()}: {rep.detail or rep.atoms}"
@@ -482,9 +471,8 @@ class _Levelwise:
 def _row_patterns(rep: GradedPoset, a3: int, core: _Core) -> set[tuple[tuple[int, ...], ...]]:
     """All atom-relabelings of a rank-3 interval's mid-level row multiset;
     the deadline is read after every 4,096th of the a3! relabelings."""
-    atoms = rep.levels[1]
-    idx = {x: i for i, x in enumerate(atoms)}
-    rows = [tuple(sorted(idx[x] for x in rep.lower_covers(y))) for y in rep.levels[2]]
+    # the atoms of each mid element, as positions among the atoms
+    rows = [tuple(c - 1 for c in rep._down[y]) for y in range(1 + a3, len(rep._down) - 1)]
     pats = set()
     for n, perm in enumerate(permutations(range(a3)), 1):
         pats.add(tuple(sorted(tuple(sorted(perm[i] for i in row)) for row in rows)))
@@ -614,7 +602,7 @@ class _Assembly:
             # a candidate's canonical search can outlast many nodes
             self.core.check_deadline()
             # a wiring that fails the chain counts is dropped
-            self.core.classify(self._candidate(rows_T, mu, combo), self.seq.head, self.out)
+            self.core.classify(*self._candidate(rows_T, mu, combo), self.seq.head, self.out)
 
     def _assign(self, occs: list[int], copies: int) -> list[tuple[tuple[int, int], ...]]:
         """All ways to spread row occurrences over interchangeable copies.
@@ -652,10 +640,10 @@ class _Assembly:
         rows_T: list[tuple[int, ...]],
         mu: dict[tuple[int, ...], int],
         combo: tuple[tuple[tuple[int, int], ...], ...],
-    ) -> GradedPoset:
-        # positions: the bottom, atom x at 1 + x, then the mid elements
-        # (the mu[T] copies of each row T together, in rows_T order), the
-        # coatoms and the top
+    ) -> tuple[list[int], list]:
+        # level widths and lower covers of the positions: the bottom, atom x
+        # at 1 + x, the mid elements (the mu[T] copies of each row T
+        # together, in rows_T order), the coatoms and the top
         a4 = self.a4
         mid: list[tuple[int, ...]] = []
         coatoms: list[list[int]] = [[] for _ in range(a4)]
@@ -665,8 +653,7 @@ class _Assembly:
             for k, c in assignment:
                 coatoms[k].append(base + c)
         top = range(1 + a4 + len(mid), 1 + 2 * a4 + len(mid))
-        down = [(), *[(0,)] * a4, *mid, *coatoms, top]
-        return _from_down(grid_ids((1, a4, len(mid), a4, 1)), down)
+        return [1, a4, len(mid), a4, 1], [(), *[(0,)] * a4, *mid, *coatoms, top]
 
 
 # ---------------------------------------------------------------------------
@@ -721,9 +708,6 @@ def enumerate_intervals(
     core = _Core(limits or SearchLimits())
     out: dict[bytes, GradedPoset] = {}
     try:
-        if base is not None:
-            # the base's kept run seeds the known leaves of the anchor check
-            core.certify(base, "anchor check")
         strategies[strategy](seq, core, anchor, out).run()
     except _Capped as capped:
         return SearchResult("capped", _classes(out), core.nodes, capped.detail)

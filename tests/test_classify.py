@@ -297,22 +297,23 @@ def test_census_matches_grouping_by_definition(case):
 def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatch):
     """The census's canonical searches are pinned: one per distinct labelled
     interval diagram (its cover lists in the poset's element order), on the
-    first interval with that diagram, each handed known leaves that map to
-    exactly the certificates found before it."""
+    first interval with that diagram, given as its level widths and those
+    lists, each handed known leaves that map to exactly the certificates
+    found before it."""
     word = random.Random(23).choice(list(valid_words(12)))
     posets = [poset_from_string(versal_string(3)), poset_from_string(word)]
     posets += [relabel(p, random.Random(i)) for i, p in enumerate(posets)]
     calls = []
-    real = classify._canonical
+    real = classify._certify
 
-    def spy(q, cap, known, *args):
+    def spy(widths, up, down, cap, known, *args):
         # the certificates the known leaves map to before the call
         before = set(known.values())
-        out = real(q, cap, known, *args)
-        calls.append(((q.levels, q.covers), before, out[0]))
+        out = real(widths, up, down, cap, known, *args)
+        calls.append(((tuple(widths), down), before, out[0]))
         return out
 
-    monkeypatch.setattr(classify, "_canonical", spy)
+    monkeypatch.setattr(classify, "_certify", spy)
     for p in posets:
         els, start = p.elements, p._level_start
         for n in range(8):
@@ -323,7 +324,7 @@ def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatc
                 between = range(start[p.rank(els[s])], start[p.rank(els[t]) + 1])
                 order = [i for i in between if p.le(els[s], els[i]) and p.le(els[i], els[t])]
                 firsts.setdefault(_induced_down(p, order), (els[s], els[t]))
-            want = [(q.levels, q.covers) for q in (interval(p, *pair) for pair in firsts.values())]
+            want = [(interval(p, *pair).widths, key) for key, pair in firsts.items()]
             assert [diagram for diagram, _, _ in calls] == want, (p.levels[1], n)
             for i, (_, known, _) in enumerate(calls):
                 assert known == {cert for _, _, cert in calls[:i]}

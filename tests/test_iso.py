@@ -31,6 +31,7 @@ from binposet.iso import (
     CanonicalizationCapError,
     _canonical,
     _Canonicalizer,
+    _certify,
     _DeadlinePassed,
     _preserves_covers,
     are_isomorphic,
@@ -211,6 +212,16 @@ class TestIsomorphism:
 def kept_run(p: GradedPoset):
     """The (certificate, order, nodes) run ``p`` keeps, or None."""
     return p.__dict__.get("_canonical_run")
+
+
+def canonicalizer(p: GradedPoset, *args) -> _Canonicalizer:
+    """A canonical search of the integer lists of ``p``, not yet run."""
+    return _Canonicalizer(p.widths, *p._adjacency, *args)
+
+
+def certify(p: GradedPoset, *args):
+    """``_certify`` on the integer lists of ``p``: (certificate, order, search)."""
+    return _certify(p.widths, *p._adjacency, *args)
 
 
 class TestInstanceCache:
@@ -439,7 +450,7 @@ def test_twin_heavy_diagrams_match_vf2():
 def recorded_generators(p: GradedPoset) -> list[dict[int, int]]:
     """The generators one search of ``p`` records, each checked to keep
     ranks and to map the covers onto the covers."""
-    search = _Canonicalizer(p, DEFAULT_NODE_CAP)
+    search = canonicalizer(p, DEFAULT_NODE_CAP)
     search.run()
     level, covers = p._level_of, {(p._index[a], p._index[b]) for a, b in p.covers}
     for g in search.gens:
@@ -469,9 +480,9 @@ def test_cover_check_sees_a_broken_cover_to_a_fixed_point():
     )
     i = p._index
     swap = {i["a"]: i["b"], i["b"]: i["a"], i["c"]: i["d"], i["d"]: i["c"]}
-    assert not _preserves_covers(_Canonicalizer(p, 1).adj, swap)
+    assert not _preserves_covers(canonicalizer(p, 1).adj, swap)
     q = build_poset(p.levels, sorted(p.covers) + [("b", "e")])
-    assert _preserves_covers(_Canonicalizer(q, 1).adj, swap)
+    assert _preserves_covers(canonicalizer(q, 1).adj, swap)
 
 
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)
@@ -592,16 +603,18 @@ def test_certificate_equality_matches_vf2():
 # known leaves and the deadline
 
 
-def known_run(p: GradedPoset, known: dict[bytes, bytes]) -> bytes:
-    """The certificate of ``p`` from a search given the known leaves ``known``."""
-    return _canonical(p, DEFAULT_NODE_CAP, known)[0]
+def known_run(p: GradedPoset, known: dict[bytes, bytes]) -> tuple[bytes, bool]:
+    """The certificate of ``p`` from a search given the known leaves
+    ``known``, and whether the search stopped at one of them."""
+    cert, _order, search = certify(p, DEFAULT_NODE_CAP, known)
+    return cert, search.stopped
 
 
 def leaves_of(*posets: GradedPoset) -> dict[bytes, bytes]:
     """The known leaves that complete runs of ``posets`` leave behind."""
     known: dict[bytes, bytes] = {}
     for p in posets:
-        _canonical(p, DEFAULT_NODE_CAP, known)
+        certify(p, DEFAULT_NODE_CAP, known)
     return known
 
 
@@ -625,16 +638,18 @@ class TestKnownCertificates:
         stopped = 0
         for p in classes:
             copy = relabel(p, rng)
-            cert = known_run(copy, known)
+            cert, at_known = known_run(copy, known)
             assert cert == canonical_form(fresh(copy))
-            assert kept_run(copy) is None
+            assert at_known
             copy = relabel(p, rng)
-            assert known_run(copy, dict(certs)) == cert
-            stopped += kept_run(copy) is None
-            # without its own class the search runs in full and is kept
+            got, at_known = known_run(copy, dict(certs))
+            assert got == cert
+            stopped += at_known
+            # without its own class the search runs in full
             other = relabel(p, rng)
-            assert known_run(other, {e: c for e, c in known.items() if c != cert}) == cert
-            assert kept_run(other) is not None
+            got, at_known = known_run(other, {e: c for e, c in known.items() if c != cert})
+            assert got == cert
+            assert not at_known
         assert stopped
 
     def test_census_intervals(self):
@@ -648,8 +663,8 @@ class TestKnownCertificates:
             pairs = list(_pairs_of_length(word, n))
             for s, t in rng.sample(pairs, min(30, len(pairs))):
                 q = relabel(interval(word, els[s], els[t]), rng)
-                cert = known_run(q, known)
-                assert cert in known.values() and kept_run(q) is None
+                cert, at_known = known_run(q, known)
+                assert cert in known.values() and at_known
                 assert cert == canonical_form(fresh(q))
 
     def test_random_diagrams_match_vf2(self):
@@ -664,29 +679,12 @@ class TestKnownCertificates:
                 others.append(relabel(twin, rng))
             for q in others:
                 copy = relabel(p, rng)
-                cert = known_run(copy, leaves_of(q))
+                cert, _ = known_run(copy, leaves_of(q))
                 assert cert == canonical_form(fresh(copy))
                 same = vf2(nx, p, q)
                 assert (cert == canonical_form(q)) == same
                 verdicts.add(same)
         assert verdicts == {True, False}
-
-    def test_stopped_run_is_not_kept(self, cube):
-        q = relabel(cube, random.Random(67))
-        cert = known_run(q, leaves_of(cube))
-        assert kept_run(q) is None
-        assert isomorphism(q, cube) == isomorphism(fresh(q), cube)
-        # a kept run answers before any search, known leaves or not
-        run = kept_run(q)
-        assert run is not None and run[0] == cert
-        assert known_run(q, {cert: cert}) == cert and kept_run(q) is run
-
-    def test_a_kept_run_adds_its_leaves(self, cube):
-        canonical_form(cube)
-        run = kept_run(cube)
-        known = leaves_of(cube)
-        assert known == dict.fromkeys(run[3], run[0]) and run[0] in known
-        assert kept_run(cube) is run
 
     def test_known_leaves_are_complete(self):
         """Handed the leaves of one full run, a search on any relabelled
@@ -703,14 +701,14 @@ class TestKnownCertificates:
             known = leaves_of(fresh(p))
             cert = canonical_form(p)
             for _ in range(10):
-                search = _Canonicalizer(relabel(p, rng), DEFAULT_NODE_CAP, known)
+                search = canonicalizer(relabel(p, rng), DEFAULT_NODE_CAP, known)
                 assert search.run()[0] == cert
                 assert search.stopped and search.nodes == len(search.path) + 1
 
 
 @given(raw_diagrams(), raw_diagrams())
 def test_known_certificate_matches_brute_force(p, q):
-    cert = known_run(p, leaves_of(q))
+    cert, _ = known_run(p, leaves_of(q))
     assert cert == canonical_form(fresh(p))
     assert (cert == canonical_form(q)) == brute_isomorphic(p, q)
 
@@ -719,11 +717,12 @@ class TestDeadline:
     def test_a_passed_deadline_ends_a_search(self):
         p = poset_from_string(versal_string(3))
         with pytest.raises(_DeadlinePassed):
-            _canonical(p, DEFAULT_NODE_CAP, {}, time.monotonic() - 1)
+            certify(p, DEFAULT_NODE_CAP, {}, time.monotonic() - 1)
         assert kept_run(p) is None
 
     def test_the_clock_is_read_every_64_nodes(self, cube):
         canonical_form(cube)
         assert kept_run(cube)[2] < 64
         q = fresh(cube)
-        assert _canonical(q, DEFAULT_NODE_CAP, {}, time.monotonic() - 1) == _canonical(cube, DEFAULT_NODE_CAP)
+        cert, order, _ = certify(q, DEFAULT_NODE_CAP, {}, time.monotonic() - 1)
+        assert (cert, tuple(order)) == _canonical(cube, DEFAULT_NODE_CAP)

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from binposet import search
+from binposet.classify import enumerate_interval_classes
 from binposet.construct import (
     debruijn_poset,
     m_interval,
@@ -21,6 +22,7 @@ from binposet.construct import (
 from binposet.core import (
     AtomicSequence,
     BinomialReport,
+    GradedPoset,
     PosetError,
     build_poset,
     dual,
@@ -153,24 +155,24 @@ class TestEnumerate:
         assert len(res.classes) == classes
 
     def test_canonicalization_cap_while_classifying_caps_the_search(self, monkeypatch):
-        def capped(p, *args):
+        def capped(widths, *args):
             raise CanonicalizationCapError("forced cap")
 
-        monkeypatch.setattr(search, "_canonical", capped)
+        monkeypatch.setattr(search, "_certify", capped)
         res = enumerate_intervals((1, 2, 4))
         assert (res.verdict, res.nodes) == ("capped", 9)
         assert res.detail.startswith("classifying a candidate hit the canonicalization cap")
 
     def test_canonicalization_cap_on_a_partial_diagram_skips_dedup(self, monkeypatch):
-        real = search._canonical
+        real = search._certify
 
-        def partial_capped(p, *args):
-            if p.widths[-1] != 1:
+        def partial_capped(widths, *args):
+            if widths[-1] != 1:
                 raise CanonicalizationCapError("forced cap")
-            return real(p, *args)
+            return real(widths, *args)
 
         uncapped, reference = enumerate_intervals((1, 2, 4)), without_dedup((1, 2, 4))
-        monkeypatch.setattr(search, "_canonical", partial_capped)
+        monkeypatch.setattr(search, "_certify", partial_capped)
         res = enumerate_intervals((1, 2, 4))
         assert (res.verdict, res.nodes) == ("found", reference.nodes)
         assert [canonical_form(p) for p in res.classes] == [
@@ -181,19 +183,19 @@ class TestEnumerate:
         # The anchor check certifies the lower set of each new element at
         # the base's rank: a bounded diagram of the base's height.  Dedup
         # certifies partial diagrams with a wide top, and classification
-        # complete candidates of the full rank.  The base itself, whose
-        # kept run seeds the known leaves, is left uncapped, so the cap
-        # comes from a lower set.
+        # complete candidates of the full rank.  The base itself is
+        # certified by ``canonical_form``, outside the search's core, so
+        # the cap comes from a lower set.
         base = enumerate_intervals((1, 2)).classes[0]
-        real = search._canonical
+        real = search._certify
 
-        def anchor_capped(p, *args):
-            if p is not base and p.height == base.height and p.widths[-1] == 1:
+        def anchor_capped(widths, *args):
+            if len(widths) == base.height + 1 and widths[-1] == 1:
                 raise CanonicalizationCapError("forced cap")
-            return real(p, *args)
+            return real(widths, *args)
 
         assert enumerate_intervals((1, 2, 4), base=base, strategy="levelwise").verdict == "found"
-        monkeypatch.setattr(search, "_canonical", anchor_capped)
+        monkeypatch.setattr(search, "_certify", anchor_capped)
         res = enumerate_intervals((1, 2, 4), base=base, strategy="levelwise")
         assert res.verdict == "capped"
         assert res.detail.startswith("anchor check hit the canonicalization cap")
@@ -205,14 +207,14 @@ class TestEnumerate:
         # at its 64th, while spend() never reads it in this search.  A hit
         # in the dedup check of a partial diagram caps the search too: only
         # a canonicalization cap lets dedup search on.
-        real = search._canonical
+        real, word = search._certify, poset_from_string(versal_string(3))
 
-        def slow(p, node_cap, known, deadline):
-            if (p.widths[-1] == 1) == (stage == "complete"):
-                p = poset_from_string(versal_string(3))
-            return real(p, node_cap, known, deadline)
+        def slow(widths, up, down, node_cap, known, deadline):
+            if (widths[-1] == 1) == (stage == "complete"):
+                widths, (up, down) = word.widths, word._adjacency
+            return real(widths, up, down, node_cap, known, deadline)
 
-        monkeypatch.setattr(search, "_canonical", slow)
+        monkeypatch.setattr(search, "_certify", slow)
         res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=0))
         assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
         res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=3600))
@@ -384,11 +386,11 @@ class TestEnumerate:
         real = search._Core.classify
         at: list[int] = []
 
-        def classify(self, p, *args):
+        def classify(self, widths, *args):
             try:
-                return real(self, p, *args)
+                return real(self, widths, *args)
             finally:
-                if p.height == 4:
+                if len(widths) == 5:
                     at.append(self.nodes)
                     now[0] = 2.0
 
@@ -415,22 +417,22 @@ class TestEnumerate:
     def test_a_capped_candidate_that_fails_is_not_a_cap(self, monkeypatch, strategy):
         # a candidate whose canonical search hits the cap is verified: one
         # that fails is dropped by assembly, and is a fault in levelwise
-        real_canonical, real_verify = search._canonical, search.verify_binomial
+        real_certify, real_verify = search._certify, search.verify_binomial
 
-        def complete(p):
-            return p.height == 4 and p.widths[-1] == 1
+        def complete(widths):
+            return len(widths) == 5 and widths[-1] == 1
 
-        def capped(p, *args):
-            if complete(p):
+        def capped(widths, *args):
+            if complete(widths):
                 raise CanonicalizationCapError("forced cap")
-            return real_canonical(p, *args)
+            return real_certify(widths, *args)
 
         def fails(p):
-            if complete(p):
+            if complete(p.widths):
                 return BinomialReport(ok=False, detail="forced failure")
             return real_verify(p)
 
-        monkeypatch.setattr(search, "_canonical", capped)
+        monkeypatch.setattr(search, "_certify", capped)
         monkeypatch.setattr(search, "verify_binomial", fails)
         if strategy == "levelwise":
             with pytest.raises(AssertionError, match="forced failure"):
@@ -541,18 +543,19 @@ class TestShapeBuckets:
 
     @pytest.fixture
     def searches(self, monkeypatch):
-        """The posets handed to canonical searches, in call order; with
-        ``cap_first`` set, the first search hits the cap."""
-        real = search._canonical
+        """The diagrams handed to canonical searches, as their level widths
+        and lower-cover lists, in call order; with ``cap_first`` set, the
+        first search hits the cap."""
+        real = search._certify
         log = SimpleNamespace(calls=[], cap_first=False)
 
-        def spy(p, *args):
-            log.calls.append(p)
+        def spy(widths, up, down, *args):
+            log.calls.append((widths, down))
             if log.cap_first and len(log.calls) == 1:
                 raise CanonicalizationCapError("forced cap")
-            return real(p, *args)
+            return real(widths, up, down, *args)
 
-        monkeypatch.setattr(search, "_canonical", spy)
+        monkeypatch.setattr(search, "_certify", spy)
         return log
 
     def test_one_shape_two_classes(self, searches):
@@ -584,18 +587,36 @@ class TestShapeBuckets:
 
 
 def test_dedup_builds_no_diagram_for_an_unseen_shape(monkeypatch):
+    # every GradedPoset constructed, in order
+    real, built = GradedPoset.__post_init__, []
+
+    def spy(p):
+        real(p)
+        built.append(p)
+
+    monkeypatch.setattr(GradedPoset, "__post_init__", spy)
     # every level of a chain holds one state, so no dedup state is
     # certified, and the one diagram built is the class emitted
-    real, built = search._from_down, []
-
-    def spy(*args):
-        built.append(real(*args))
-        return built[-1]
-
-    monkeypatch.setattr(search, "_from_down", spy)
     res = enumerate_intervals((1,) * 400)
     assert res.verdict == "found" and len(res.classes) == 1
     assert len(built) == 1 and built[0] is res.classes[0]
+    # states and candidates are certified as integer lists: a diagram is
+    # built for each class stored, the six found and the two rank-3
+    # classes of the assembly's catalog
+    built.clear()
+    res = enumerate_intervals(
+        (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+    )
+    assert len(res.classes) == 6 and len(built) == 8
+    assert {id(p) for p in res.classes} <= {id(p) for p in built}
+    # each stored class keeps the canonical run that certified it
+    assert all("_canonical_run" in p.__dict__ for p in res.classes)
+    # the census certifies its intervals as integer lists and builds none
+    word = poset_from_string(versal_string(3))
+    built.clear()
+    for n in range(8):
+        assert enumerate_interval_classes(word, n).count
+    assert built == []
 
 
 def _partitions(n: int, least: int = 2) -> int:
