@@ -194,71 +194,102 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parser() -> argparse.ArgumentParser:
+def _poset_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("poset", help="poset JSON path, or - for stdin")
+
+
+def _build_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "kind",
+        choices=["string", "debruijn", "boolean-strip", "m-interval", "divisible"],
+    )
+    p.add_argument("--word", help="section word over {1,2} (string)")
+    p.add_argument("--m", type=int, help="window size (debruijn) or m (m-interval)")
+    p.add_argument("--n", type=int, help="alphabet size (debruijn) or atoms (boolean-strip)")
+    p.add_argument("--k", type=int, help="number of glued copies (boolean-strip)")
+    p.add_argument("--seq", help="atom sequence like 1,2,4 (divisible)")
+    p.add_argument("--height", type=int, help="height of the truncation")
+    p.add_argument("--out", help="output JSON path (default stdout)")
+    p.add_argument("--dot", help="also write a DOT rendering here")
+
+
+def _intervals_args(p: argparse.ArgumentParser) -> None:
+    _poset_arg(p)
+    p.add_argument("--length", type=int, required=True)
+
+
+def _check_seq_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("seq", help="sequence like 1,2,6 or 1,1,2... (constant tail)")
+    p.add_argument("--horizon", type=int, help="check pairs with i+j up to this")
+
+
+def _decide_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("seq", help="sequence like 1,2,6 or 1,1,2...")
+    p.add_argument("--height", type=int, help="witness height for unbounded families")
+    p.add_argument("--out", help="write the witness poset JSON here")
+
+
+def _search_extension_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("base", help="base poset JSON path, or - for stdin")
+    p.add_argument("--target", required=True, help="target atom sequence")
+    p.add_argument("--extra-ranks", type=int, default=1)
+    p.add_argument("--max-nodes", type=int, default=SearchLimits().max_nodes)
+    p.add_argument("--max-seconds", type=float, default=None)
+    p.add_argument("--out", help="write the least-certificate witness JSON here")
+
+
+def _export_dot_args(p: argparse.ArgumentParser) -> None:
+    _poset_arg(p)
+    p.add_argument("--out", help="output path (default stdout)")
+
+
+# every subcommand, in help order: name, help line, argument setup, handler
+_COMMANDS = (
+    ("build", "construct a poset and write it as JSON", _build_args, _cmd_build),
+    ("verify", "check the equal-chain-count property", _poset_arg, _cmd_verify),
+    ("classify", "measure the section word of a truncation", _poset_arg, _cmd_classify),
+    ("intervals", "count interval isomorphism classes", _intervals_args, _cmd_intervals),
+    ("check-seq", "check the sequence growth condition", _check_seq_args, _cmd_check_seq),
+    ("decide", "decide realizability for recognized families", _decide_args, _cmd_decide),
+    (
+        "search-extension",
+        "search for upward extensions of a base",
+        _search_extension_args,
+        _cmd_search_extension,
+    ),
+    ("export-dot", "render a poset as DOT", _export_dot_args, _cmd_export_dot),
+)
+
+
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command line parser, holding every subcommand or ``command`` alone.
+
+    A one-subcommand tree still names every subcommand in its usage line,
+    which an unrecognized argument prints, so its messages are the full
+    tree's."""
     ap = argparse.ArgumentParser(
         prog="binposet",
         description="Finite binomial poset truncations: build, verify, classify, search.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("build", help="construct a poset and write it as JSON")
-    b.add_argument(
-        "kind",
-        choices=["string", "debruijn", "boolean-strip", "m-interval", "divisible"],
+    names = "{" + ",".join(name for name, *_ in _COMMANDS) + "}"
+    sub = ap.add_subparsers(
+        dest="command", required=True, metavar=None if command is None else names
     )
-    b.add_argument("--word", help="section word over {1,2} (string)")
-    b.add_argument("--m", type=int, help="window size (debruijn) or m (m-interval)")
-    b.add_argument("--n", type=int, help="alphabet size (debruijn) or atoms (boolean-strip)")
-    b.add_argument("--k", type=int, help="number of glued copies (boolean-strip)")
-    b.add_argument("--seq", help="atom sequence like 1,2,4 (divisible)")
-    b.add_argument("--height", type=int, help="height of the truncation")
-    b.add_argument("--out", help="output JSON path (default stdout)")
-    b.add_argument("--dot", help="also write a DOT rendering here")
-    b.set_defaults(func=_cmd_build)
-
-    v = sub.add_parser("verify", help="check the equal-chain-count property")
-    v.add_argument("poset", help="poset JSON path, or - for stdin")
-    v.set_defaults(func=_cmd_verify)
-
-    c = sub.add_parser("classify", help="measure the section word of a truncation")
-    c.add_argument("poset", help="poset JSON path, or - for stdin")
-    c.set_defaults(func=_cmd_classify)
-
-    i = sub.add_parser("intervals", help="count interval isomorphism classes")
-    i.add_argument("poset", help="poset JSON path, or - for stdin")
-    i.add_argument("--length", type=int, required=True)
-    i.set_defaults(func=_cmd_intervals)
-
-    s = sub.add_parser("check-seq", help="check the sequence growth condition")
-    s.add_argument("seq", help="sequence like 1,2,6 or 1,1,2... (constant tail)")
-    s.add_argument("--horizon", type=int, help="check pairs with i+j up to this")
-    s.set_defaults(func=_cmd_check_seq)
-
-    d = sub.add_parser("decide", help="decide realizability for recognized families")
-    d.add_argument("seq", help="sequence like 1,2,6 or 1,1,2...")
-    d.add_argument("--height", type=int, help="witness height for unbounded families")
-    d.add_argument("--out", help="write the witness poset JSON here")
-    d.set_defaults(func=_cmd_decide)
-
-    x = sub.add_parser("search-extension", help="search for upward extensions of a base")
-    x.add_argument("base", help="base poset JSON path, or - for stdin")
-    x.add_argument("--target", required=True, help="target atom sequence")
-    x.add_argument("--extra-ranks", type=int, default=1)
-    x.add_argument("--max-nodes", type=int, default=SearchLimits().max_nodes)
-    x.add_argument("--max-seconds", type=float, default=None)
-    x.add_argument("--out", help="write the least-certificate witness JSON here")
-    x.set_defaults(func=_cmd_search_extension)
-
-    e = sub.add_parser("export-dot", help="render a poset as DOT")
-    e.add_argument("poset", help="poset JSON path, or - for stdin")
-    e.add_argument("--out", help="output path (default stdout)")
-    e.set_defaults(func=_cmd_export_dot)
-
+    for name, help_line, add_args, handler in _COMMANDS:
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_args(p)
+            p.set_defaults(func=handler)
     return ap
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    ap = _parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # a call builds only the subparser it names; anything else (no
+    # arguments, -h, --, an unknown word) gets the full tree and its messages
+    command = argv[0] if argv and any(argv[0] == name for name, *_ in _COMMANDS) else None
+    ap = _parser(command)
     try:
         args = ap.parse_args(argv)
     except SystemExit as e:

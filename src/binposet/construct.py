@@ -152,7 +152,8 @@ def debruijn_poset(m: int, n: int, height: int) -> GradedPoset:
 
     Rank-i elements are the words in [n]^min(i, m); a word covers another
     when dropping its last letter leaves a suffix of the lower word.
-    Realizes the atom sequence (1^m, n, n, ...)."""
+    For m >= 1 it realizes the atom sequence (1^m, n, n, ...); window 0
+    gives a chain, whose atom counts are all 1."""
     m, n, height = _whole(m, "m"), _whole(n, "n", 1), _whole(height, "height")
     levels = [list(product(range(n), repeat=min(i, m))) for i in range(height + 1)]
 

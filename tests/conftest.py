@@ -224,6 +224,33 @@ def brute_ratio_ok(values: list[int], i: int, j: int) -> bool:
     return total % (math.prod(values[:i]) * math.prod(values[:j])) == 0
 
 
+def regular_matrix_count(n: int, k: int) -> int:
+    """The number of n x n 0/1 matrices whose rows and columns all sum to k.
+
+    Rows are filled one at a time.  The state is how many columns still
+    need each number of ones, from 0 to k; a row takes its k ones from
+    columns that need at least one, and each column it takes needs one
+    fewer."""
+
+    @lru_cache(maxsize=None)
+    def fill(rows: int, need: tuple[int, ...]) -> int:
+        if rows == 0:
+            return int(need[0] == n)
+        total = 0
+        for take in itertools.product(*(range(min(c, k) + 1) for c in need[1:])):
+            if sum(take) != k:
+                continue
+            after = list(need)
+            for d, x in enumerate(take, 1):
+                after[d] -= x
+                after[d - 1] += x
+            ways = math.prod(math.comb(c, x) for c, x in zip(need[1:], take))
+            total += ways * fill(rows - 1, tuple(after))
+        return total
+
+    return fill(n, (0,) * k + (n,))
+
+
 @pytest.fixture
 def chain3() -> GradedPoset:
     return build_poset([["a"], ["b"], ["c"]], [("a", "b"), ("b", "c")])

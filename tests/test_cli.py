@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from binposet import cli
 from binposet.cli import main
 from binposet.construct import m_interval, poset_from_string
 from binposet.core import poset_from_json, poset_to_json, verify_binomial
@@ -380,6 +382,76 @@ def test_output_into_a_missing_directory(capsys, tmp_path, butterfly_file, argv)
     assert code == 2
     assert len(err.splitlines()) == 1 and str(missing) in err
     assert not missing.parent.exists()
+
+
+# each subcommand, in help order, with arguments it accepts and a bad option
+# value (verify and classify take no option, so theirs is one they lack)
+SUBCOMMANDS = (
+    ("build", ["string"], ["string", "--height", "x"]),
+    ("verify", ["p.json"], ["p.json", "--length", "1"]),
+    ("classify", ["p.json"], ["p.json", "--out", "x"]),
+    ("intervals", ["p.json", "--length", "1"], ["p.json", "--length", "x"]),
+    ("check-seq", ["1,2"], ["1,2", "--horizon", "x"]),
+    ("decide", ["1,2"], ["1,2", "--height", "x"]),
+    (
+        "search-extension",
+        ["p.json", "--target", "1"],
+        ["p.json", "--target", "1", "--max-nodes", "x"],
+    ),
+    ("export-dot", ["p.json"], ["p.json", "--out"]),
+)
+PARITY_CASES = [
+    argv
+    for name, accepted, bad in SUBCOMMANDS
+    # help, a missing required argument, a bad option value, and an
+    # unrecognized argument, which the top parser reports with its usage
+    for argv in ([name, "-h"], [name], [name, *bad], [name, *accepted, "--bogus"])
+] + [[], ["-h"], ["--help", "verify"], ["--", "verify", "x"], ["bogus"], ["bogus", "-h"]]
+
+
+class TestOneSubparser:
+    """A call that names a subcommand builds that subparser alone, and says
+    what a parser holding every subcommand says."""
+
+    @staticmethod
+    def full_tree(monkeypatch, capsys, call):
+        every = cli._parser
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parser", lambda command=None: every())
+            code = call()
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARITY_CASES, ids=" ".join)
+    def test_same_as_the_full_tree(self, monkeypatch, capsys, tmp_path, argv):
+        monkeypatch.chdir(tmp_path)  # "-- verify x" reads x, which is absent
+        want = self.full_tree(monkeypatch, capsys, lambda: main(list(argv)))
+        assert run(capsys, *argv) == want
+
+    @pytest.mark.parametrize("argv", [["verify", "-h"], ["check-seq", "1,2,6"], ["-h"], []])
+    def test_argv_from_sys(self, monkeypatch, capsys, argv):
+        monkeypatch.setattr(sys, "argv", ["binposet", *argv])
+        want = self.full_tree(monkeypatch, capsys, lambda: main(None))
+        code = main(None)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == want
+
+    def test_subparsers_built(self, monkeypatch):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        for name, _, _ in SUBCOMMANDS:
+            built.clear()
+            assert main([name, "-h"]) == 0
+            assert built == [name]
+        built.clear()
+        assert main(["-h"]) == 0
+        assert built == [name for name, _, _ in SUBCOMMANDS]
 
 
 class TestTopLevel:

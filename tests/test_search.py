@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -31,7 +32,7 @@ from binposet.core import (
 )
 from binposet.iso import CanonicalizationCapError, are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
-from conftest import brute_classes, frame_depth
+from conftest import brute_classes, frame_depth, regular_matrix_count
 
 
 def without_dedup(*args, **kwargs):
@@ -690,6 +691,38 @@ class TestCompleteness:
         assert flipped == {canonical_form(p) for p in four.classes}
         assert_closed_under_dual(three.classes)
         assert_closed_under_dual(four.classes)
+
+    def test_rank_three_mass_formula(self):
+        # a (1, a, b) class is an a-regular bipartite graph with fixed sides,
+        # so the labelled graphs, (b!)^2 / |Aut| per class, are the b x b 0/1
+        # matrices with every line sum a: a missed or doubled class breaks the
+        # sum.  a in {1, b-1, b} is left to the closed forms: VF2 lists every
+        # automorphism, (6!)^2 of them for (1, 6, 6).
+        nx = pytest.importorskip("networkx")
+        match = nx.algorithms.isomorphism.categorical_node_match("rank", None)
+
+        def automorphisms(p):
+            g = nx.Graph()
+            g.add_nodes_from((x, {"rank": p.rank(x)}) for x in p.elements)
+            g.add_edges_from(p.covers)
+            matcher = nx.algorithms.isomorphism.GraphMatcher(g, g, node_match=match)
+            return sum(1 for _ in matcher.isomorphisms_iter())
+
+        for n in range(1, 5):
+            for k in range(n + 1):
+                rows = list(combinations(range(n), k))
+                brute = sum(
+                    all(sum(j in row for row in m) == k for j in range(n))
+                    for m in product(rows, repeat=n)
+                )
+                assert regular_matrix_count(n, k) == brute, (n, k)
+        assert regular_matrix_count(6, 3) == 297_200
+        for b in range(4, 7):
+            for a in range(2, b - 1):
+                res = enumerate_intervals((1, a, b))
+                assert res.verdict == "found", (a, b)
+                mass = sum(math.factorial(b) ** 2 // automorphisms(p) for p in res.classes)
+                assert mass == regular_matrix_count(b, a), (a, b)
 
     def test_rank_four_classes_are_closed_under_duality(self):
         res = enumerate_intervals((1, 2, 4, 4), strategy="assembly")
