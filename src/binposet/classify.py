@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, verify_binomial
-from .core import _cover_lists, _induced_down, _whole
+from .core import _between, _cover_lists, _induced_down, _whole
 from .iso import DEFAULT_NODE_CAP, _certify
 
 __all__ = [
@@ -166,25 +166,6 @@ class IntervalClassification:
         return len(self.classes)
 
 
-def _tops_above(up, steps: dict, s: int, n: int) -> list[tuple[int, int]]:
-    """U's members in index order, each with the tops above it as a
-    bitmask over top positions: those whose mask holds bit i are the
-    interval from s to top i.  ``steps`` maps each level of U to the
-    level above it, first in a pair.  U holds every upper cover of a
-    member below its top level, so a member's tops are its covers'."""
-    levels = [(s,)]
-    for _ in range(n):
-        levels.append(steps[levels[-1]][0])
-    above = {t: 1 << i for i, t in enumerate(levels[-1])}
-    for level in reversed(levels[:-1]):
-        for z in level:
-            m = 0
-            for k in up[z]:
-                m |= above[k]
-            above[z] = m
-    return [(z, above[z]) for level in levels for z in level]
-
-
 def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification:
     """Group all length-n intervals by canonical certificate.
 
@@ -202,18 +183,16 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     them, since every element between z and t lies in U.  So when
     bottoms s and s' have equal keys, the map between their U's by
     position carries [s, t] onto [s', t'] for tops t and t' at equal
-    positions, and the certificate found for one top position serves
-    every bottom with that key.
+    positions.  So the first bottom with a key certifies each of its tops,
+    and the list of their certificates serves every later bottom with
+    that key.
 
-    A top position not yet certified falls back to the interval's own
-    key, its cover lists in the order of ``p``'s elements, with the
-    interval read off U's levels (``_tops_above``).  Equal interval keys
-    are the same labelled diagram, so only the first interval with a key
-    is canonicalized, as its key and level widths, not a poset.  A
-    position reused from U's key always names an interval key already
-    met, so the canonical searches are those of keying every interval.
-    They share one dict of known leaves (see Known leaves in ``iso``), so
-    a search of a class already met stops at its first leaf."""
+    An interval is certified from its own key, its cover lists in the
+    order of ``p``'s elements.  Equal interval keys are the same labelled
+    diagram, so only the first interval with a key is canonicalized, as
+    its key and level widths, not a poset.  The canonical searches share
+    one dict of known leaves (see Known leaves in ``iso``), so a search
+    of a class already met stops at its first leaf."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
@@ -221,8 +200,8 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     # a level of some U -> (the level above it, the number of its step)
     steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     step_number: dict[tuple[tuple[int, ...], ...], int] = {}
-    # U's key -> {position of a top in U's top level: certificate}
-    slots: dict[tuple[int, ...], dict[int, bytes]] = {}
+    # U's key -> the certificates of [s, t] for the tops t of U, in order
+    certs_of: dict[tuple[int, ...], list[bytes]] = {}
     seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
     known: dict[bytes, bytes] = {}
     first: dict[bytes, tuple[str, str]] = {}
@@ -240,21 +219,20 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
                 step = steps[level] = above, step_number.setdefault(covers, len(step_number))
             level = step[0]
             key.append(step[1])
-        slot = slots.setdefault(tuple(key), {})
-        tops = None
-        for i, t in enumerate(level):
-            cert = slot.get(i)
-            if cert is None:
-                if tops is None:
-                    tops = _tops_above(up, steps, s, n)
-                members = [z for z, m in tops if m >> i & 1]
+        key = tuple(key)
+        certs = certs_of.get(key)
+        if certs is None:
+            certs = certs_of[key] = []
+            for t in level:
+                members = _between(p, s, t)
                 ikey = _induced_down(p, members)
                 cert = seen.get(ikey)
                 if cert is None:
                     widths = [sum(rank[z] - rank[s] == d for z in members) for d in range(n + 1)]
                     adjacency = _cover_lists(ikey)
                     cert = seen[ikey] = _certify(widths, *adjacency, DEFAULT_NODE_CAP, known)[0]
-                slot[i] = cert
+                certs.append(cert)
+        for t, cert in zip(level, certs):
             if cert in size:
                 size[cert] += 1
             else:

@@ -69,15 +69,36 @@ def _load_poset(path: str) -> GradedPoset:
     return poset_from_json(_read(path))
 
 
-def _emit(rows: Sequence[tuple[str, object]]) -> None:
-    for key, value in rows:
-        print(f"{key}\t{value}")
-
-
 def _write_out(p: GradedPoset, out: str | None, dot: str | None) -> None:
     _put(out, poset_to_json(p))
     if dot is not None:
         _put(dot, poset_to_dot(p))
+
+
+def _verdict_code(verdict: bool | str) -> int:
+    """0 for a pass, "found" or "realizable"; 1 for a fail, "exhausted" or
+    "non-realizable"; 3 otherwise (capped or undecided)."""
+    if verdict in (True, "found", "realizable"):
+        return 0
+    return 1 if verdict in (False, "exhausted", "non-realizable") else 3
+
+
+def _finish(
+    rows: Sequence[tuple[str, object]],
+    verdict: bool | str,
+    detail: str = "",
+    witness: GradedPoset | None = None,
+    out: str | None = None,
+) -> int:
+    """Print ``rows``, then ``detail`` to stderr if there is one, write
+    ``witness`` to ``out`` if both are given, and return the exit code."""
+    for key, value in rows:
+        print(f"{key}\t{value}")
+    if detail:
+        print(detail, file=sys.stderr)
+    if witness is not None and out is not None:
+        _write_out(witness, out, None)
+    return _verdict_code(verdict)
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -113,11 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         rows.append(("atoms", rep.atoms.format()))
         assert rep.counts is not None
         rows.append(("chains", ",".join(str(rep.counts[d]) for d in sorted(rep.counts))))
-    _emit(rows)
-    if not rep.ok:
-        print(rep.detail, file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rows, rep.ok, rep.detail)
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
@@ -127,17 +144,16 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     except PosetError as e:
         print(str(e), file=sys.stderr)
         return 1
-    _emit([("phi", word)])
-    return 0
+    return _finish([("phi", word)], True)
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
     p = _load_poset(args.poset)
     classification = enumerate_interval_classes(p, args.length)
-    _emit([("length", classification.length), ("classes", classification.count)])
+    rows = [("length", classification.length), ("classes", classification.count)]
     for cls in classification.classes:
-        print(f"class\t{cls.certificate.hex()}\t{cls.bottom}\t{cls.top}\t{cls.size}")
-    return 0
+        rows.append(("class", f"{cls.certificate.hex()}\t{cls.bottom}\t{cls.top}\t{cls.size}"))
+    return _finish(rows, True)
 
 
 def _cmd_check_seq(args: argparse.Namespace) -> int:
@@ -149,11 +165,7 @@ def _cmd_check_seq(args: argparse.Namespace) -> int:
         rows.append(("witness", f"{rep.witness[0]},{rep.witness[1]}"))
         if rep.value is not None:
             rows.append(("value", rep.value))
-    _emit(rows)
-    if not rep.ok:
-        print(rep.detail, file=sys.stderr)
-        return 1
-    return 0
+    return _finish(rows, rep.ok, rep.detail)
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
@@ -162,14 +174,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     if decision.recipe:
         rows.append(("recipe", decision.recipe))
     rows.append(("reason", decision.reason))
-    _emit(rows)
-    if decision.witness is not None and args.out is not None:
-        _write_out(decision.witness, args.out, None)
-    if decision.verdict == "realizable":
-        return 0
-    if decision.verdict == "non-realizable":
-        return 1
-    return 3
+    return _finish(rows, decision.verdict, witness=decision.witness, out=args.out)
 
 
 def _cmd_search_extension(args: argparse.Namespace) -> int:
@@ -177,16 +182,8 @@ def _cmd_search_extension(args: argparse.Namespace) -> int:
     target = AtomicSequence.parse(args.target)
     limits = SearchLimits(max_nodes=args.max_nodes, max_seconds=args.max_seconds)
     res = extension_search(base, target, extra_ranks=args.extra_ranks, limits=limits)
-    _emit([("verdict", res.verdict), ("nodes", res.nodes), ("classes", len(res.classes))])
-    if res.detail:
-        print(res.detail, file=sys.stderr)
-    if res.witness is not None and args.out is not None:
-        _write_out(res.witness, args.out, None)
-    if res.verdict == "found":
-        return 0
-    if res.verdict == "exhausted":
-        return 1
-    return 3
+    rows = [("verdict", res.verdict), ("nodes", res.nodes), ("classes", len(res.classes))]
+    return _finish(rows, res.verdict, res.detail, res.witness, args.out)
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:

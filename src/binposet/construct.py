@@ -138,7 +138,7 @@ def poset_from_string(word: str, height: int | None = None) -> GradedPoset:
             forbidden = {_PARTS[0]}
         else:
             if len(forbidden) != 1:
-                raise PosetError("adjacent 2s slipped through validation")
+                raise AssertionError("adjacent 2s slipped through validation")
             ((p0, q0), (r0, s0)) = next(iter(forbidden))
             cycle = (p0, r0, q0, s0)
             pairs = tuple((cycle[t], cycle[(t + 1) % 4]) for t in range(4))

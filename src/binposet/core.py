@@ -391,7 +391,7 @@ def interval(p: GradedPoset, bottom: str, top: str) -> GradedPoset:
     ib, it = p._require(bottom), p._require(top)
     if not p._down_mask[it] >> ib & 1:
         raise PosetError(f"not comparable: {bottom!r} is not below {top!r}")
-    order = list(_bits(p._up_mask[ib] & p._down_mask[it]))
+    order = _between(p, ib, it)
     lo = p._level_of[ib]
     els = p.elements
     lv: list[list[str]] = [[] for _ in range(p._level_of[it] - lo + 1)]
@@ -400,12 +400,21 @@ def interval(p: GradedPoset, bottom: str, top: str) -> GradedPoset:
     return _from_down(lv, _induced_down(p, order))
 
 
+def _between(p: GradedPoset, s: int, t: int) -> list[int]:
+    """The indices z with s <= z <= t, ascending."""
+    # no index below s qualifies, so the shifted mask is only as wide as
+    # the interval's span of indices, and reading its binary digits runs
+    # faster than decoding it bit by bit
+    digits = bin((p._up_mask[s] & p._down_mask[t]) >> s)
+    return [s + i for i, d in enumerate(reversed(digits)) if d == "1"]
+
+
 def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     """The lower covers of each element of ``order`` inside ``order``, as
     positions in ``order``; ascending when ``order`` is."""
-    # the census falls back to this key for each top it has not yet met,
-    # so it is built with list comprehensions, which run faster than
-    # generator expressions here
+    # the census builds this key for every top of each up-set it keys
+    # first, so it is built with list comprehensions, which run faster
+    # than generator expressions here
     pos = dict(zip(order, range(len(order))))
     down = p._down
     return tuple([tuple([pos[k] for k in down[e] if k in pos]) for e in order])

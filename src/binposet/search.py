@@ -53,12 +53,23 @@ first set is at most the image of S, which is smaller than S.  The sets
 are finitely many, so repeating this ends on a path that keeps the rule
 throughout, to an isomorphic diagram.
 
+Every completed candidate is binomial with the target atom counts by
+construction, so none is dropped:
+
+* levelwise: ``_create`` checks the atom count of every pair that a new
+  element closes, and exact atom counts force the rest (see above).
+* assembly: each block is a rank-3 class with atom counts (1, a2, a3) on
+  a3 atoms, and ``_fitting`` ends with every atom in exactly a3 blocks.
+  ``stuck`` keeps only row demands divisible by a2, and ``_assign`` gives
+  each copy of a row a2 occurrences from distinct blocks.
+
 Both run on one core, ``_Core``: the node and deadline budget, the
 certificate check behind dedup, the translation of a canonicalization
 cap into a "capped" verdict, and ``classify``, which canonicalizes a
-completed candidate against the classes stored so far, and verifies it
-and checks its atom head only when it is a new class, before storing
-it.  A strategy supplies only the candidate generator: its walk and
+completed candidate against the classes stored so far and stores it if
+it is a new class.  A new class is verified first, and one that fails
+raises ``AssertionError``: it is a fault in the search, not a verdict.
+A strategy supplies only the candidate generator: its walk and
 prunes, a ``spend()`` per branch it opens, the states it dedups on (as
 level widths and integer lower-cover lists) and a dedup table per
 stage.  The tables are never shared between stages or runs, because the
@@ -85,8 +96,8 @@ The deadline reaches these searches too: one that runs past it caps the
 search as ``spend()`` would.
 
 States and candidates stay level widths and lower-cover lists, and are
-certified as such; a ``GradedPoset`` is built only to verify a new class
-or a candidate whose canonical search hit the cap.
+certified as such; a ``GradedPoset`` is built only for a new class.  A
+candidate whose canonical search hits the cap caps the search unbuilt.
 
 A search reports "exhausted" only when no branch was cut by a cap.
 """
@@ -240,31 +251,31 @@ class _Core:
         return False
 
     def classify(
-        self, widths: list[int], down: list, head: tuple[int, ...], out: dict[bytes, GradedPoset]
-    ) -> bool:
-        """Store a completed candidate under its certificate if it passes
-        verify_binomial with atom counts ``head``; False if it does not.
+        self, widths: list[int], down: list, seq: AtomicSequence, out: dict[bytes, GradedPoset]
+    ) -> None:
+        """Store a completed candidate under its certificate.
 
         Only a new class is built as a poset and verified: a candidate
         whose certificate is already stored is isomorphic to a verified
-        class, so it passes too.  A candidate whose canonical search hits
-        the cap is verified first, and caps the search only if it passes."""
-        capped = None
+        class.  Every candidate is binomial with atom counts ``seq`` by
+        construction (see the module docstring), so one that is not is a
+        fault in the search.  A candidate whose canonical search hits the
+        cap caps the search, and is not built."""
         try:
             cert, _, search = self._certificate(widths, down)
         except CanonicalizationCapError as exc:
-            cert, capped = None, f"classifying a candidate hit the canonicalization cap: {exc}"
+            raise _Capped(f"classifying a candidate hit the canonicalization cap: {exc}") from None
         if cert in out:
-            return True
+            return
         p = _from_down(grid_ids(widths), down)
         rep = verify_binomial(p)
-        if not rep.ok or rep.atoms.head != head:
-            return False
-        if capped:
-            raise _Capped(capped)
+        if not rep.ok or rep.atoms.head != seq.head:
+            raise AssertionError(
+                f"search completed a candidate that fails its own target "
+                f"{seq.format()}: {rep.detail or rep.atoms}"
+            )
         search.keep(p)
         out[cert] = p
-        return True
 
 
 def _sets_from(
@@ -312,7 +323,8 @@ def _fitting(
     must: set[int] = set()
     for x in universe:
         short = cap - count[x]
-        assert short <= picks, "an element needs more picks than are left"
+        if short > picks:
+            raise AssertionError("an element needs more picks than are left")
         if short:
             pool.append(x)
             if short == picks:
@@ -453,15 +465,7 @@ class _Levelwise:
         return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
 
     def _emit(self) -> None:
-        widths, down = self._diagram(range(len(self.level_of)))
-        if not self.core.classify(widths, down, self.seq.head, self.out):
-            # the atom count checked for every pair at every added element
-            # makes every completed candidate binomial (see verify_binomial)
-            rep = verify_binomial(_from_down(grid_ids(widths), down))
-            raise AssertionError(
-                f"levelwise search completed a candidate that fails its own "
-                f"target {self.seq.format()}: {rep.detail or rep.atoms}"
-            )
+        self.core.classify(*self._diagram(range(len(self.level_of))), self.seq, self.out)
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +589,7 @@ class _Assembly:
     def _match(self) -> None:
         # every atom is in a3 blocks (``_fitting`` on the last pick), every
         # row demand is a multiple of a2 (``stuck`` drops the rest), and so
-        # the copies sum to a4 * a3 / a2 = W(4,2); classify verifies anyway
+        # the copies sum to a4 * a3 / a2 = W(4,2)
         mu = {T: d // self.a2 for T, d in self.demand.items()}
         rows_T = sorted(mu)
         options: list[list[tuple[tuple[int, int], ...]]] = []
@@ -601,8 +605,7 @@ class _Assembly:
             self.core.spend()
             # a candidate's canonical search can outlast many nodes
             self.core.check_deadline()
-            # a wiring that fails the chain counts is dropped
-            self.core.classify(*self._candidate(rows_T, mu, combo), self.seq.head, self.out)
+            self.core.classify(*self._candidate(rows_T, mu, combo), self.seq, self.out)
 
     def _assign(self, occs: list[int], copies: int) -> list[tuple[tuple[int, int], ...]]:
         """All ways to spread row occurrences over interchangeable copies.

@@ -32,6 +32,7 @@ from binposet.core import (
 )
 from binposet.iso import CanonicalizationCapError, are_isomorphic, canonical_form
 from binposet.search import SearchLimits, enumerate_intervals, extension_search
+from binposet.seqcheck import check_compatibility
 from conftest import brute_classes, frame_depth, regular_matrix_count
 
 
@@ -370,13 +371,20 @@ class TestEnumerate:
         res = enumerate_intervals(head, base=base, strategy="assembly")
         assert (res.verdict, res.nodes, res.classes, res.detail) == ("exhausted", nodes, (), "")
 
-    def test_levelwise_raises_on_a_candidate_failing_its_target(self, monkeypatch):
+    @pytest.mark.parametrize("strategy", ["assembly", "levelwise"])
+    def test_a_candidate_failing_its_target_raises(self, monkeypatch, strategy):
+        # every completed candidate is binomial by construction, so one that
+        # fails is a fault in the search, not a candidate to drop
+        real = search.verify_binomial
+
         def fails(p):
-            return BinomialReport(ok=False, detail="forced failure")
+            if p.height == 4:
+                return BinomialReport(ok=False, detail="forced failure")
+            return real(p)
 
         monkeypatch.setattr(search, "verify_binomial", fails)
-        with pytest.raises(AssertionError, match="forced failure"):
-            enumerate_intervals((1, 2, 2), strategy="levelwise")
+        with pytest.raises(AssertionError, match="target 1,2,3,4: forced failure"):
+            enumerate_intervals((1, 2, 3, 4), strategy=strategy)
 
     def test_assembly_reads_the_clock_before_each_candidate(self, monkeypatch):
         # the clock passes the deadline while the first rank-4 candidate is
@@ -415,32 +423,42 @@ class TestEnumerate:
         assert len(verified) == 8
 
     @pytest.mark.parametrize("strategy", ["assembly", "levelwise"])
-    def test_a_capped_candidate_that_fails_is_not_a_cap(self, monkeypatch, strategy):
-        # a candidate whose canonical search hits the cap is verified: one
-        # that fails is dropped by assembly, and is a fault in levelwise
-        real_certify, real_verify = search._certify, search.verify_binomial
-
-        def complete(widths):
-            return len(widths) == 5 and widths[-1] == 1
+    def test_a_capped_candidate_caps_the_search_unbuilt(self, monkeypatch, strategy):
+        # a candidate whose canonical search hits the cap ends the search
+        # before a poset is built for it
+        real_certify, real_from_down = search._certify, search._from_down
+        built = []
 
         def capped(widths, *args):
-            if complete(widths):
+            if len(widths) == 5:
                 raise CanonicalizationCapError("forced cap")
             return real_certify(widths, *args)
 
-        def fails(p):
-            if complete(p.widths):
-                return BinomialReport(ok=False, detail="forced failure")
-            return real_verify(p)
+        def from_down(levels, down):
+            built.append(len(levels))
+            return real_from_down(levels, down)
 
         monkeypatch.setattr(search, "_certify", capped)
-        monkeypatch.setattr(search, "verify_binomial", fails)
-        if strategy == "levelwise":
-            with pytest.raises(AssertionError, match="forced failure"):
-                enumerate_intervals((1, 2, 3, 4), strategy=strategy)
-        else:
-            res = enumerate_intervals((1, 2, 3, 4), strategy=strategy)
-            assert (res.verdict, res.nodes, res.classes) == ("exhausted", 28, ())
+        monkeypatch.setattr(search, "_from_down", from_down)
+        res = enumerate_intervals((1, 2, 3, 4), strategy=strategy)
+        detail = "classifying a candidate hit the canonicalization cap: forced cap"
+        assert (res.verdict, res.classes, res.detail) == ("capped", (), detail)
+        assert 5 not in built
+
+    def test_every_small_admissible_head_gives_binomial_classes(self):
+        # no search raises, and every class returned passes verify_binomial
+        # with its head: no candidate needs dropping
+        heads = [
+            (1, a2, a3, a4)
+            for a2, a3, a4 in product(range(1, 9), repeat=3)
+            if check_compatibility((1, a2, a3, a4)).ok
+        ]
+        assert len(heads) == 89
+        for head, strategy in product(heads, ["assembly", "levelwise"]):
+            res = enumerate_intervals(head, strategy=strategy, limits=SearchLimits(max_nodes=300))
+            for p in res.classes:
+                rep = verify_binomial(p)
+                assert rep.ok and rep.atoms.head == head, (head, strategy)
 
 
 # Exact work counters of fixed searches.  Any change to them is a change
