@@ -306,6 +306,12 @@ class GradedPoset:
         # level r holds the element indices _level_start[r] .. _level_start[r + 1] - 1
         return tuple(accumulate(self.widths, initial=0))
 
+    @cached_property
+    def _sweep(self) -> tuple:
+        # the outcome of the all-pairs atom sweep (see _atom_sweep), kept
+        # so that verify_binomial and atomic_numbers sweep a poset once
+        return _atom_sweep(self)
+
     def le(self, x: str, y: str) -> bool:
         """Order relation generated by the covers."""
         ix, iy = self._require(x), self._require(y)
@@ -444,11 +450,11 @@ def count_maximal_chains(p: GradedPoset) -> int:
 # the all-pairs atom sweep
 
 
-def _rank_span(p: GradedPoset, lo: int, hi: int) -> int:
-    """Bitset of the elements whose rank lies in lo..hi (empty if lo > hi)."""
+def _rank_span(start: Sequence[int], lo: int, hi: int) -> int:
+    """Bitset of the elements whose rank lies in lo..hi (empty if lo > hi),
+    given a poset's ``_level_start``."""
     if lo > hi:
         return 0
-    start = p._level_start
     return ((1 << (start[hi + 1] - start[lo])) - 1) << start[lo]
 
 
@@ -464,87 +470,104 @@ def _pairs_of_length(p: GradedPoset, n: int) -> Iterator[tuple[int, int]]:
     """Index pairs (s, t) with s <= t and rank(t) - rank(s) = n, in index order."""
     up = p._up_mask
     lv = p._level_of
+    start = p._level_start
     for s in range(len(lv)):
         r = lv[s] + n
         if r > p.height:
             return
-        for t in _bits(up[s] & _rank_span(p, r, r)):
+        for t in _bits(up[s] & _rank_span(start, r, r)):
             yield s, t
 
 
-def _atom_planes(p: GradedPoset, s: int) -> tuple[int, list[int]]:
-    """Atom counts of every interval with bottom ``s``, as bit planes.
-
-    Returns ``(above, planes)``: bit t of ``above`` is set iff s < t, and
-    bit t of ``planes[j]`` is bit j of the number of atoms of [s, t].  The
-    atoms of [s, t] are the upper covers of s whose up-set holds t, so the
-    up-sets of the upper covers are summed bitwise with a carry-save adder.
-    """
+def _atom_count(p: GradedPoset, s: int, t: int) -> int:
+    """The number of atoms of [s, t]: upper covers of s whose up-set holds t."""
     up = p._up_mask
-    above = 0
-    planes: list[int] = []
-    for k in p._up[s]:
-        x = up[k]
-        above |= x
-        for j, plane in enumerate(planes):
-            planes[j] = plane ^ x
-            x &= plane
-            if not x:
-                break
-        else:
-            planes.append(x)
-    return above, planes
-
-
-def _count_at(planes: list[int], t: int) -> int:
-    """The count whose bit j is bit t of ``planes[j]``."""
-    return sum((plane >> t & 1) << j for j, plane in enumerate(planes))
+    return sum(up[k] >> t & 1 for k in p._up[s])
 
 
 def _atom_sweep(
-    p: GradedPoset, ref: list[tuple[int, int, int]]
-) -> Iterator[tuple[int, list[int], int]]:
+    p: GradedPoset,
+) -> tuple[tuple[int, ...], int | None, tuple[tuple[int, int], tuple[int, int], int] | None]:
     """The all-pairs kernel behind :func:`verify_binomial` and :func:`atomic_numbers`.
 
-    Sources s are taken in index order.  ``ref`` is extended in place:
-    ``ref[d - 1]`` is ``(atoms, s, t)`` for the first length-d pair (s, t)
-    in index order, added when the sweep first reaches length d (lengths
-    are reached as a prefix 1..len(ref), since a chain crosses every rank).
-    Each source with an interval whose atom count differs from its
-    length's reference is yielded as ``(s, planes, bad)``, where ``bad``
-    marks those tops t and ``planes`` is as in :func:`_atom_planes`.
+    Sources s are taken in index order.  For each, the atom counts of
+    every interval [s, t] are summed as bit planes: bit t of ``above`` is
+    set iff s < t, and bit t of ``planes[j]`` is bit j of the number of
+    atoms of [s, t].  The atoms of [s, t] are the upper covers of s whose
+    up-set holds t, so the up-sets of the upper covers are summed bitwise
+    with a carry-save adder.
+
+    The reference of length d is the first length-d pair (s, t) in index
+    order; lengths are reached as a prefix 1, 2, ..., since a chain
+    crosses every rank.  Returns ``(atoms, least, first)``: ``atoms[d -
+    1]`` is the atom count of the length-d reference, ``least`` the least
+    length at which some interval's atom count differs from its length's
+    reference, and ``first`` is ``((s0, t0), (s, t), count)`` for the
+    first such interval [s, t] in sweep order (least t for the first s)
+    and the reference [s0, t0] of its length; both are None when every
+    count agrees.  :attr:`GradedPoset._sweep` keeps this outcome, so a
+    poset is swept at most once.
     """
+    ups = p._up
+    up = p._up_mask
+    start = p._level_start
     lv = p._level_of
     height = p.height
+    atoms: list[int] = []
+    refs: list[tuple[int, int]] = []
     runs: list[list[tuple[int, int]]] = []
     expected: list[int] = []
     level = -1
-    for s in range(len(lv)):
-        above, planes = _atom_planes(p, s)
+    least: int | None = None
+    first: tuple[tuple[int, int], tuple[int, int], int] | None = None
+    for s, covers in enumerate(ups):
+        above = 0
+        planes: list[int] = []
+        for k in covers:
+            x = up[k]
+            above |= x
+            for j, plane in enumerate(planes):
+                planes[j] = plane ^ x
+                x &= plane
+                if not x:
+                    break
+            else:
+                planes.append(x)
         if not above:
             continue
         r = lv[s]
         reach = lv[above.bit_length() - 1] - r
-        if reach > len(ref):
-            for d in range(len(ref) + 1, reach + 1):
-                t = next(_bits(above & _rank_span(p, r + d, r + d)))
-                ref.append((_count_at(planes, t), s, t))
-            runs = _bit_runs([a for a, _, _ in ref])
+        if reach > len(atoms):
+            for d in range(len(atoms) + 1, reach + 1):
+                t = next(_bits(above & _rank_span(start, r + d, r + d)))
+                atoms.append(_atom_count(p, s, t))
+                refs.append((s, t))
+            runs = _bit_runs(atoms)
             level = -1
         if r != level:
             # bit t of expected[j] is bit j of the reference count at t's
             # length; the spans are disjoint, so their sum is their union
             expected = [
-                sum(_rank_span(p, r + d1, min(r + d2, height)) for d1, d2 in rj)
+                sum(_rank_span(start, r + d1, min(r + d2, height)) for d1, d2 in rj)
                 for rj in runs
             ]
             level = r
         diff = 0
-        for got, want in zip_longest(planes, expected, fillvalue=0):
-            diff |= got ^ want
+        if len(planes) == len(expected):
+            for got, want in zip(planes, expected):
+                diff |= got ^ want
+        else:
+            for got, want in zip_longest(planes, expected, fillvalue=0):
+                diff |= got ^ want
         bad = above & diff
         if bad:
-            yield s, planes, bad
+            t = next(_bits(bad))
+            d = lv[t] - r
+            if least is None or d < least:
+                least = d
+            if first is None:
+                first = refs[d - 1], (s, t), _atom_count(p, s, t)
+    return tuple(atoms), least, first
 
 
 def _bit_runs(values: list[int]) -> list[list[tuple[int, int]]]:
@@ -584,12 +607,9 @@ def _witness_pass(
     """Lexicographically least pair of length-d intervals with unequal counts,
     given that every length-(d-1) interval has ``below`` maximal chains."""
     els = p.elements
-    pairs: list[tuple[str, str, int]] = []
-    source, planes = -1, []
-    for s, t in _pairs_of_length(p, d):
-        if s != source:
-            source, planes = s, _atom_planes(p, s)[1]
-        pairs.append((els[s], els[t], _count_at(planes, t) * below))
+    pairs = [
+        (els[s], els[t], _atom_count(p, s, t) * below) for s, t in _pairs_of_length(p, d)
+    ]
     pairs.sort(key=lambda r: (r[0], r[1]))
     x1, y1, c1 = pairs[0]
     for x2, y2, c2 in pairs[1:]:
@@ -612,20 +632,15 @@ def verify_binomial(p: GradedPoset) -> BinomialReport:
     ``counts[d-1]`` times the common atom count A(d), with no remainder.
     So the check runs on atom counts (see :func:`_atom_sweep`), and only
     the witness, at the first disagreeing length, is turned back into
-    chain counts.
+    chain counts.  The poset keeps the sweep's outcome, shared with
+    :func:`atomic_numbers`, so asking the same object twice sweeps once.
     """
-    lv = p._level_of
-    ref: list[tuple[int, int, int]] = []
-    first_bad: int | None = None
-    for s, _planes, bad in _atom_sweep(p, ref):
-        d = lv[next(_bits(bad))] - lv[s]
-        if first_bad is None or d < first_bad:
-            first_bad = d
+    atoms, least, _first = p._sweep
     counts = {0: 1}
-    for d, (a, _s, _t) in enumerate(ref, 1):
+    for d, a in enumerate(atoms, 1):
         counts[d] = counts[d - 1] * a
-    if first_bad is not None:
-        d = first_bad
+    if least is not None:
+        d = least
         w1, w2, c1, c2 = _witness_pass(p, d, counts[d - 1])
         return BinomialReport(
             ok=False,
@@ -635,10 +650,9 @@ def verify_binomial(p: GradedPoset) -> BinomialReport:
                 f"maximal chains, [{w2[0]}, {w2[1]}] has {c2}"
             ),
         )
-    if len(ref) < p.height:
-        return BinomialReport(ok=False, detail=f"no interval of length {len(ref) + 1}")
-    atoms = AtomicSequence(tuple(a for a, _s, _t in ref))
-    return BinomialReport(ok=True, counts=counts, atoms=atoms)
+    if len(atoms) < p.height:
+        return BinomialReport(ok=False, detail=f"no interval of length {len(atoms) + 1}")
+    return BinomialReport(ok=True, counts=counts, atoms=AtomicSequence(atoms))
 
 
 @dataclass(frozen=True)
@@ -657,19 +671,18 @@ class AtomicNumbersReport:
 def atomic_numbers(p: GradedPoset) -> AtomicNumbersReport:
     """Measure A(n) = atom count of every length-n interval, per length.
 
-    Counted directly from covers by the same sweep as
-    :func:`verify_binomial`, so it is not an independent check on it; the
-    brute-force oracles in ``tests/conftest.py`` are.  The witness pairs the
-    first interval of its length in (bottom, top) index order with the
-    first interval in that order whose atom count differs from it."""
-    els = p.elements
-    lv = p._level_of
-    ref: list[tuple[int, int, int]] = []
-    for s, planes, bad in _atom_sweep(p, ref):
-        t = next(_bits(bad))
-        d = lv[t] - lv[s]
-        a0, s0, t0 = ref[d - 1]
-        a = _count_at(planes, t)
+    Read off the same kept sweep as :func:`verify_binomial`, so it is not
+    an independent check on it (the brute-force oracles in
+    ``tests/conftest.py`` are), and asking after it sweeps nothing.  The
+    witness pairs the first interval of its length in (bottom, top) index
+    order with the first interval in that order whose atom count differs
+    from it."""
+    atoms, _least, first = p._sweep
+    if first is not None:
+        els = p.elements
+        (s0, t0), (s, t), a = first
+        d = p._level_of[t] - p._level_of[s]
+        a0 = atoms[d - 1]
         return AtomicNumbersReport(
             ok=False,
             witness=((els[s0], els[t0]), (els[s], els[t])),
@@ -678,9 +691,9 @@ def atomic_numbers(p: GradedPoset) -> AtomicNumbersReport:
                 f"[{els[s0]}, {els[t0]}] has {a0}, [{els[s]}, {els[t]}] has {a}"
             ),
         )
-    if len(ref) < p.height:
-        return AtomicNumbersReport(ok=False, detail=f"no interval of length {len(ref) + 1}")
-    return AtomicNumbersReport(ok=True, atoms=AtomicSequence(tuple(a for a, _s, _t in ref)))
+    if len(atoms) < p.height:
+        return AtomicNumbersReport(ok=False, detail=f"no interval of length {len(atoms) + 1}")
+    return AtomicNumbersReport(ok=True, atoms=AtomicSequence(atoms))
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +732,8 @@ def poset_to_json(p: GradedPoset) -> str:
 def poset_from_json(text: str) -> GradedPoset:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:
+        # a deeply nested document exhausts the decoder's recursion limit
         raise PosetError(f"bad poset JSON: {e}") from None
     if not isinstance(doc, dict):
         raise PosetError("poset JSON must be an object")

@@ -69,6 +69,8 @@ cap into a "capped" verdict, and ``classify``, which canonicalizes a
 completed candidate against the classes stored so far and stores it if
 it is a new class.  A new class is verified first, and one that fails
 raises ``AssertionError``: it is a fault in the search, not a verdict.
+The class keeps that check's sweep, so a caller that verifies a
+returned class again sweeps nothing.
 A strategy supplies only the candidate generator: its walk and
 prunes, a ``spend()`` per branch it opens, the states it dedups on (as
 level widths and integer lower-cover lists) and a dedup table per

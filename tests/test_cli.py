@@ -147,6 +147,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 2 and not out and "Traceback" not in err
 
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2 and not out
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "absent.json"))
         assert code == 2 and "cannot read" in err

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from binposet import core
 from binposet.classify import (
     co_cover_partitions,
     cover_partitions,
     enumerate_interval_classes,
+    phi,
     section_type,
 )
 from binposet.construct import (
@@ -462,6 +464,90 @@ class TestDifferentialOracle:
         assert {3, 4} <= witness_lengths
 
 
+def _rewired(p: GradedPoset, rng: random.Random, moves: int) -> GradedPoset:
+    """``p`` with ``moves`` covers each moved, at its upper end, to another
+    element of the same level that its lower end does not cover yet."""
+    covers = set(p.covers)
+    for _ in range(moves):
+        lo, hi = rng.choice(sorted(covers))
+        others = [x for x in p.levels[p.rank(hi)] if (lo, x) not in covers]
+        if others:
+            covers.remove((lo, hi))
+            covers.add((lo, rng.choice(others)))
+    return GradedPoset(p.levels, frozenset(covers))
+
+
+class TestKeptSweep:
+    """A poset keeps its sweep: both reports, asked in either order on one
+    object, equal those of a fresh copy and the brute-force ones."""
+
+    @staticmethod
+    def check(p: GradedPoset) -> tuple[str, str]:
+        want = {
+            verify_binomial: repr(brute_binomial_report(p)),
+            atomic_numbers: repr(brute_atomic_report(p)),
+        }
+        for order in ((verify_binomial, atomic_numbers), (atomic_numbers, verify_binomial)):
+            q = GradedPoset(p.levels, p.covers)
+            for report in order:
+                assert repr(report(q)) == want[report]
+                assert repr(report(GradedPoset(p.levels, p.covers))) == want[report]
+        return verify_binomial(p).detail, atomic_numbers(p).detail
+
+    def test_rewired_covers(self, cube, butterfly, not_binomial):
+        rng = random.Random(4)
+        failing = apart = 0
+        for base in (
+            cube,
+            butterfly,
+            not_binomial,
+            poset_from_string("12112121121"),
+            divisible_poset((1, 2, 4), 5),
+            debruijn_poset(3, 2, 5),
+        ):
+            self.check(base)
+            for moves in (1, 2) * 6:
+                chains, atoms = self.check(_rewired(base, rng, moves))
+                if atoms:
+                    failing += 1
+                    # "length-d intervals disagree ...": the two witnesses' lengths
+                    apart += chains.split()[0] != atoms.split()[0]
+        assert failing > 30 and apart > 0
+
+
+class TestOneSweep:
+    """The all-pairs sweep runs at most once per poset object."""
+
+    @staticmethod
+    def swept(monkeypatch) -> list[GradedPoset]:
+        runs: list[GradedPoset] = []
+        real = core._atom_sweep
+        monkeypatch.setattr(core, "_atom_sweep", lambda p: runs.append(p) or real(p))
+        return runs
+
+    def test_reports_and_phi_share_one_sweep(self, monkeypatch):
+        runs = self.swept(monkeypatch)
+        p = poset_from_string("1211")
+        assert verify_binomial(p).ok and atomic_numbers(p).ok and phi(p) == "1211"
+        assert len(runs) == 1 and runs[0] is p
+        q = GradedPoset(p.levels, p.covers)
+        assert q == p and verify_binomial(q).ok
+        assert len(runs) == 2 and runs[1] is q
+
+    def test_search_classes_are_swept(self, monkeypatch):
+        res = enumerate_intervals((1, 2, 2, 2))
+        assert res.classes
+        runs = self.swept(monkeypatch)
+        assert all(verify_binomial(p).ok for p in res.classes)
+        assert runs == []
+
+    def test_extension_search_sweeps_its_base_once(self, monkeypatch, butterfly):
+        runs = self.swept(monkeypatch)
+        for _ in range(2):
+            assert extension_search(butterfly, (1, 2, 2, 2)).verdict == "found"
+        assert sum(p is butterfly for p in runs) == 1
+
+
 class TestIntervalOracle:
     """``interval`` equals the induced subdiagram built by definition."""
 
@@ -567,6 +653,11 @@ class TestSerialization:
             poset_from_json('{"height":1}')
         with pytest.raises(PosetError, match="height"):
             poset_from_json('{"height":3,"levels":[["a"],["b"]],"covers":[["a","b"]]}')
+
+    def test_deeply_nested_json(self):
+        # the decoder runs out of recursion before it sees the document's shape
+        with pytest.raises(PosetError, match="bad poset JSON"):
+            poset_from_json("[" * 100_000 + "]" * 100_000)
 
     @pytest.mark.parametrize(
         "text, message",
