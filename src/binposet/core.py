@@ -553,12 +553,8 @@ def _atom_sweep(
             ]
             level = r
         diff = 0
-        if len(planes) == len(expected):
-            for got, want in zip(planes, expected):
-                diff |= got ^ want
-        else:
-            for got, want in zip_longest(planes, expected, fillvalue=0):
-                diff |= got ^ want
+        for got, want in zip_longest(planes, expected, fillvalue=0):
+            diff |= got ^ want
         bad = above & diff
         if bad:
             t = next(_bits(bad))
@@ -607,9 +603,15 @@ def _witness_pass(
     """Lexicographically least pair of length-d intervals with unequal counts,
     given that every length-(d-1) interval has ``below`` maximal chains."""
     els = p.elements
-    pairs = [
-        (els[s], els[t], _atom_count(p, s, t) * below) for s, t in _pairs_of_length(p, d)
-    ]
+    ups = p._up
+    down = p._down_mask
+    pairs: list[tuple[str, str, int]] = []
+    source, covers = -1, 0
+    for s, t in _pairs_of_length(p, d):
+        if s != source:
+            # bit k is set iff k covers s; those at or below t are the atoms of [s, t]
+            source, covers = s, sum(1 << k for k in ups[s])
+        pairs.append((els[s], els[t], (covers & down[t]).bit_count() * below))
     pairs.sort(key=lambda r: (r[0], r[1]))
     x1, y1, c1 = pairs[0]
     for x2, y2, c2 in pairs[1:]:
@@ -732,8 +734,9 @@ def poset_to_json(p: GradedPoset) -> str:
 def poset_from_json(text: str) -> GradedPoset:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:
-        # a deeply nested document exhausts the decoder's recursion limit
+    except (ValueError, RecursionError) as e:
+        # ValueError covers JSONDecodeError and an integer literal too long
+        # to convert; a deeply nested document exhausts the recursion limit
         raise PosetError(f"bad poset JSON: {e}") from None
     if not isinstance(doc, dict):
         raise PosetError("poset JSON must be an object")

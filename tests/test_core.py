@@ -654,10 +654,15 @@ class TestSerialization:
         with pytest.raises(PosetError, match="height"):
             poset_from_json('{"height":3,"levels":[["a"],["b"]],"covers":[["a","b"]]}')
 
-    def test_deeply_nested_json(self):
+    def test_json_past_the_decoder_limits(self):
         # the decoder runs out of recursion before it sees the document's shape
         with pytest.raises(PosetError, match="bad poset JSON"):
             poset_from_json("[" * 100_000 + "]" * 100_000)
+        # Python 3.11 and later refuse to convert an integer literal of more
+        # than 4,300 digits with a plain ValueError; without that limit the
+        # height parses and fails its own check
+        with pytest.raises(PosetError, match="bad poset JSON|does not match"):
+            poset_from_json('{"height":' + "1" * 5000 + ',"levels":[["a"]],"covers":[]}')
 
     @pytest.mark.parametrize(
         "text, message",
