@@ -29,6 +29,7 @@ from .core import (
     poset_to_json,
     verify_binomial,
 )
+from .iso import CanonicalizationCapError
 from .search import SearchLimits, extension_search
 from .seqcheck import check_compatibility, decide_family
 
@@ -298,7 +299,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return e.code
     except PosetError as e:
         print(str(e), file=sys.stderr)
-        return 2
+        return 3 if isinstance(e, CanonicalizationCapError) else 2
 
 
 if __name__ == "__main__":

@@ -190,6 +190,11 @@ class GradedPoset:
     several minima or dangling elements; comparisons of bare sections and
     partially built search states need that freedom.  Use
     :func:`build_poset` for the validated single-bottom form.
+
+    Elements are indexed level by level.  The validating pass keeps the
+    id index ``_index``, the level of each index ``_level_of`` and the
+    ascending upper- and lower-cover lists ``_adjacency`` in the instance
+    ``__dict__``, as ``cached_property`` keeps a value.
     """
 
     levels: tuple[tuple[str, ...], ...]
@@ -198,17 +203,26 @@ class GradedPoset:
     def __post_init__(self) -> None:
         if not self.levels or any(not lv for lv in self.levels):
             raise PosetError("levels must be non-empty")
-        pos: dict[str, int] = {}
+        index: dict[str, int] = {}
+        level_of: list[int] = []
         for r, lv in enumerate(self.levels):
             for x in lv:
-                if x in pos:
+                if x in index:
                     raise PosetError(f"duplicate element id {x!r}")
-                pos[x] = r
+                index[x] = len(level_of)
+                level_of.append(r)
+        up: list[list[int]] = [[] for _ in level_of]
+        down: list[list[int]] = [[] for _ in level_of]
         for lo, hi in self.covers:
-            if lo not in pos or hi not in pos:
+            i, j = index.get(lo), index.get(hi)
+            if i is None or j is None:
                 raise PosetError(f"cover ({lo!r}, {hi!r}) names an unknown element")
-            if pos[hi] != pos[lo] + 1:
+            if level_of[j] != level_of[i] + 1:
                 raise PosetError(f"cover ({lo!r}, {hi!r}) must join consecutive levels")
+            up[i].append(j)
+            down[j].append(i)
+        adjacency = tuple(tuple([tuple(sorted(nbrs)) for nbrs in lists]) for lists in (up, down))
+        self.__dict__.update(_index=index, _level_of=tuple(level_of), _adjacency=adjacency)
 
     @property
     def height(self) -> int:
@@ -222,17 +236,6 @@ class GradedPoset:
     def elements(self) -> tuple[str, ...]:
         return tuple(x for lv in self.levels for x in lv)
 
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {x: i for i, x in enumerate(self.elements)}
-
-    @cached_property
-    def _level_of(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for r, lv in enumerate(self.levels):
-            out.extend([r] * len(lv))
-        return tuple(out)
-
     def __contains__(self, x: str) -> bool:
         return x in self._index
 
@@ -241,19 +244,6 @@ class GradedPoset:
             return self._level_of[self._index[x]]
         except KeyError:
             raise PosetError(f"unknown id {x!r}") from None
-
-    @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        idx = self._index
-        up: list[list[int]] = [[] for _ in self.elements]
-        down: list[list[int]] = [[] for _ in self.elements]
-        for lo, hi in self.covers:
-            up[idx[lo]].append(idx[hi])
-            down[idx[hi]].append(idx[lo])
-        return (
-            tuple(tuple(sorted(nbrs)) for nbrs in up),
-            tuple(tuple(sorted(nbrs)) for nbrs in down),
-        )
 
     @property
     def _up(self) -> tuple[tuple[int, ...], ...]:
@@ -343,11 +333,11 @@ def _validated(p: GradedPoset) -> GradedPoset:
     if len(p.levels[0]) != 1:
         raise PosetError(f"want exactly one bottom element, got {len(p.levels[0])}")
     up, down = p._adjacency
-    for i, x in enumerate(p.elements):
-        r = p._level_of[i]
+    top = p.height
+    for i, (x, r) in enumerate(zip(p.elements, p._level_of)):
         if r > 0 and not down[i]:
             raise PosetError(f"{x!r} at level {r} has no lower cover")
-        if r < p.height and not up[i]:
+        if r < top and not up[i]:
             raise PosetError(f"{x!r} at level {r} has no upper cover")
     return p
 
@@ -361,8 +351,10 @@ def dual(p: GradedPoset) -> GradedPoset:
 
 
 def _cover_lists(down: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The upper- and lower-cover lists, as ``_adjacency`` gives them, of
-    the diagram whose i-th element has the lower covers ``down[i]``."""
+    """The upper- and lower-cover lists, ascending as a poset's
+    ``_adjacency`` holds them, of the integer diagram whose i-th element
+    has the lower covers ``down[i]``.  The census and the searches
+    certify such diagrams without building a poset."""
     lower = [tuple(sorted(set(cs))) for cs in down]
     upper: list[list[int]] = [[] for _ in lower]
     for i, cs in enumerate(lower):
@@ -373,18 +365,13 @@ def _cover_lists(down: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], 
 
 def _from_down(levels: Sequence[Sequence[str]], down: Iterable[Iterable[int]]) -> GradedPoset:
     """The diagram whose i-th element, counted level by level through
-    ``levels``, has the lower covers ``down[i]`` (positions in that count).
-
-    The integer cover lists are kept as the poset's ``_adjacency``, which
-    would otherwise be rebuilt from the id pairs."""
+    ``levels``, has the lower covers ``down[i]`` (positions in that count,
+    in any order, repeats allowed), with its covers as id pairs."""
     els = [x for lv in levels for x in lv]
-    adjacency = _cover_lists(down)
-    p = GradedPoset(
+    return GradedPoset(
         tuple(map(tuple, levels)),
-        frozenset([(els[c], els[i]) for i, cs in enumerate(adjacency[1]) for c in cs]),
+        frozenset([(els[c], els[i]) for i, cs in enumerate(down) for c in cs]),
     )
-    p.__dict__["_adjacency"] = adjacency
-    return p
 
 
 # ---------------------------------------------------------------------------

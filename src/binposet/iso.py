@@ -94,8 +94,8 @@ need:
   level widths and cover lists, so the census and the searches build no
   poset to certify; only it takes known leaves and a deadline.  A poset
   keeps its last complete run (certificate, element order, node count)
-  in its own ``__dict__``, as ``cached_property`` keeps its adjacency,
-  so asking the same object twice searches once; a search stores each
+  in its own ``__dict__``, as its constructor keeps its cover lists, so
+  asking the same object twice searches once; a search stores each
   class with the run that certified it.  Nothing is kept elsewhere.  A
   kept run whose node count exceeds the caller's cap raises as a fresh
   run would.  A capped run is not kept, nor is one stopped at a known

@@ -211,7 +211,7 @@ class _Core:
         except _DeadlinePassed:
             raise _Capped("time budget exhausted") from None
 
-    def repeats(self, seen: dict, widths: list[int], down: list[list[int]]) -> bool:
+    def repeats(self, seen: dict, widths: Sequence[int], down: Sequence[Sequence[int]]) -> bool:
         """Is the diagram with level ``widths`` and lower-cover lists
         ``down`` isomorphic to a state already in ``seen``?  Records it if
         not.  ``seen`` maps the hash of a degree shape to the one state of
@@ -239,7 +239,9 @@ class _Core:
             held = certs
         return self._record(held, widths, down)
 
-    def _record(self, certs: set[bytes], widths: Sequence[int], down: list[list[int]]) -> bool:
+    def _record(
+        self, certs: set[bytes], widths: Sequence[int], down: Sequence[Sequence[int]]
+    ) -> bool:
         """Is the certificate of the diagram in ``certs``?  Adds it if not.
         Always False when the canonicalization cap is hit, and nothing is
         recorded: searching on is still sound."""
@@ -380,7 +382,7 @@ class _Levelwise:
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
                     self._emit()
-                elif not (j and core.repeats(self.seen[j], *self._diagram(range(e)))):
+                elif not (j and core.repeats(self.seen[j], widths[: j + 1], self.covers_of)):
                     # level j + 1 opens unless level j holds no set of a(j+1) covers
                     if seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
@@ -467,7 +469,7 @@ class _Levelwise:
         return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
 
     def _emit(self) -> None:
-        self.core.classify(*self._diagram(range(len(self.level_of))), self.seq, self.out)
+        self.core.classify(self.widths, self.covers_of, self.seq, self.out)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from binposet import cli
+from binposet import classify, cli, search
 from binposet.cli import main
 from binposet.construct import m_interval, poset_from_string
 from binposet.core import poset_from_json, poset_to_json, verify_binomial
+from binposet.iso import CanonicalizationCapError
 
 
 def run(capsys, *argv):
@@ -187,6 +188,15 @@ class TestIntervals:
         code, _, err = run(capsys, "intervals", cube_file, "--length", "9")
         assert code == 2 and err
 
+    def test_canonicalization_cap(self, capsys, monkeypatch, cube_file):
+        # a capped census is undecided (3), not unusable input (2)
+        def capped(*args):
+            raise CanonicalizationCapError("canonical labeling exceeded 7 nodes")
+
+        monkeypatch.setattr(classify, "_certify", capped)
+        code, out, err = run(capsys, "intervals", cube_file, "--length", "2")
+        assert (code, out, err) == (3, "", "canonical labeling exceeded 7 nodes\n")
+
 
 class TestCheckSeq:
     def test_pass(self, capsys):
@@ -263,6 +273,15 @@ class TestSearchExtension:
         assert code == 3
         assert rows(out)["verdict"] == "capped"
         assert "budget" in err
+
+    def test_base_certification_cap(self, capsys, monkeypatch, cube_file):
+        # certifying the base can hit the canonicalization cap: undecided
+        def capped(p, *args):
+            raise CanonicalizationCapError("canonical labeling exceeded 7 nodes")
+
+        monkeypatch.setattr(search, "canonical_form", capped)
+        code, out, err = run(capsys, "search-extension", cube_file, "--target", "1,2,3,4")
+        assert (code, out, err) == (3, "", "canonical labeling exceeded 7 nodes\n")
 
     def test_negative_node_budget(self, capsys, butterfly_file):
         code, out, err = run(

@@ -581,14 +581,44 @@ class TestIntervalOracle:
         self.check(build())
 
 
+def _relabelled(p: GradedPoset, rng: random.Random) -> GradedPoset:
+    """The same diagram through the raw constructor, with fresh ids and
+    each level in a shuffled order (as the benchmark's set-up builds one)."""
+    names = list(range(len(p.elements)))
+    rng.shuffle(names)
+    new = {x: f"v{names[i]}" for i, x in enumerate(p.elements)}
+    levels = []
+    for lv in p.levels:
+        row = [new[x] for x in lv]
+        rng.shuffle(row)
+        levels.append(tuple(row))
+    return GradedPoset(tuple(levels), frozenset((new[a], new[b]) for a, b in p.covers))
+
+
 class TestSeededAdjacency:
-    """The integer cover lists ``_from_down`` keeps are those ``_adjacency``
-    rebuilds from the id pairs of a poset built anew."""
+    """The integer tables a poset keeps from construction (``_index``,
+    ``_level_of`` and the cover lists of ``_adjacency``) equal those read
+    off its ``levels`` and ``covers`` by definition."""
 
     @staticmethod
     def check(p: GradedPoset) -> None:
-        assert "_adjacency" in p.__dict__
-        assert p._adjacency == GradedPoset(p.levels, p.covers)._adjacency
+        assert {"_index", "_level_of", "_adjacency"} <= p.__dict__.keys()
+        where = {x: (r, i) for r, lv in enumerate(p.levels) for i, x in enumerate(lv)}
+        # the index counts the levels below, then the place in the level
+        offset = [sum(map(len, p.levels[:r])) for r in range(len(p.levels))]
+        index = {x: offset[r] + i for x, (r, i) in where.items()}
+        level = {index[x]: r for x, (r, _) in where.items()}
+        n = len(index)
+        assert p._index == index
+        assert p._level_of == tuple(level[i] for i in range(n))
+        above, below = [set() for _ in range(n)], [set() for _ in range(n)]
+        for lo, hi in p.covers:
+            above[index[lo]].add(index[hi])
+            below[index[hi]].add(index[lo])
+        assert p._adjacency == (
+            tuple(tuple(sorted(s)) for s in above),
+            tuple(tuple(sorted(s)) for s in below),
+        )
 
     def test_constructions(self):
         count = 0
@@ -596,6 +626,20 @@ class TestSeededAdjacency:
             self.check(p)
             count += 1
         assert count == 281
+
+    def test_raw_constructor_copies(self):
+        # relabelled copies list each level in a shuffled order, so their
+        # covers name indices out of order; duals turn every level over
+        rng = random.Random(2026)
+        for p in construction_corpus():
+            self.check(_relabelled(p, rng))
+            self.check(dual(p))
+
+    def test_json_round_trips(self):
+        rng = random.Random(4)
+        for p in construction_corpus():
+            for q in p, _relabelled(p, rng):
+                self.check(poset_from_json(poset_to_json(q)))
 
     def test_census_intervals(self):
         p = poset_from_string(versal_string(3))

@@ -445,6 +445,24 @@ class TestEnumerate:
         assert (res.verdict, res.classes, res.detail) == ("capped", (), detail)
         assert 5 not in built
 
+    def test_only_the_anchor_check_relists_a_diagram(self, monkeypatch, cube):
+        # dedup and completion hand the core the widths and cover lists the
+        # search holds; only an anchored run re-lists a lower set
+        real = search._Levelwise._diagram
+        calls = []
+
+        def diagram(self, keep):
+            calls.append(1)
+            return real(self, keep)
+
+        monkeypatch.setattr(search._Levelwise, "_diagram", diagram)
+        for head in (1, 2, 3, 4), (1, 2, 4, 4), (1,) * 6:
+            res = enumerate_intervals(head, strategy="levelwise")
+            assert res.verdict == "found" and res.nodes > 0, head
+        assert not calls
+        res = enumerate_intervals((1, 2, 3, 4), base=cube, strategy="levelwise")
+        assert res.verdict == "found" and calls
+
     def test_every_small_admissible_head_gives_binomial_classes(self):
         # no search raises, and every class returned passes verify_binomial
         # with its head: no candidate needs dropping
