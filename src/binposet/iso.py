@@ -145,19 +145,22 @@ def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> N
                 start.append(y)
 
 
-def _preserves_covers(adj: list[list[int]], g: dict[int, int]) -> bool:
+def _preserves_covers(adj: list[list[int]], near: list[set[int]], g: dict[int, int]) -> bool:
     """Whether the rank-keeping bijection ``g`` (moved points only) maps
-    covers onto covers; ``adj`` lists each element's upper and lower covers.
+    covers onto covers; ``adj`` lists each element's upper and lower
+    covers, and ``near`` holds each such list as a set.
 
     Every cover with a moved endpoint v is checked from v, whichever end
     of it v is, and a cover between two fixed points maps to itself.  So g
     maps covers into covers, and as a bijection of a finite set it maps
     them onto covers.  Checking only the covers among the moved points
-    would not do: a cover from a moved point to a fixed one could break."""
+    would not do: a cover from a moved point to a fixed one could break.
+    The images of v's covers are distinct, so they are all of g(v)'s when
+    they number as many and all lie among them."""
     get = g.get
     for v, gv in g.items():
         nbrs = adj[v]
-        if set(map(get, nbrs, nbrs)) != set(adj[gv]):
+        if not (len(nbrs) == len(near[gv]) and near[gv].issuperset(map(get, nbrs, nbrs))):
             return False
     return True
 
@@ -185,6 +188,7 @@ class _Canonicalizer:
         self.nodes = 0
         self.n = len(up)
         self.adj = [u + d for u, d in zip(up, down)]
+        self.near = [set(nbrs) for nbrs in self.adj]
         self.best: bytes | None = None
         self.best_order: list[int] = []
         # (lab, end, ncells) of each node on the best path, the leaf included
@@ -457,7 +461,7 @@ class _Canonicalizer:
         if ncells != best_ncells or end != best_end:
             return None
         aut = {a: b for a, b in zip(best_lab, lab) if a != b}
-        return aut if _preserves_covers(self.adj, aut) else None
+        return aut if _preserves_covers(self.adj, self.near, aut) else None
 
     def _leaf(self, order: list[int], end: list[int], ncells: int, stack: list[list]) -> int:
         """Compare a leaf with the best; the depth to resume at.

@@ -73,23 +73,26 @@ The class keeps that check's sweep, so a caller that verifies a
 returned class again sweeps nothing.
 A strategy supplies only the candidate generator: its walk and
 prunes, a ``spend()`` per branch it opens, the states it dedups on (as
-level widths and integer lower-cover lists) and a dedup table per
-stage.  The tables are never shared between stages or runs, because the
-partial states of two stages can be the same diagram and would then
-prune each other.
+level widths and integer lower-cover lists, each with a bucket key) and
+its dedup table.  A key names the stage, and a table is never shared
+between runs, because the partial states of two stages can be the same
+diagram and would then prune each other.
 
-Dedup buckets a stage's states by their degree shape: the level widths
-and the sorted (level, lower degree, upper degree) triples, which
-isomorphic diagrams share.  The first state of a bucket is kept packed
-in integer arrays, uncertified: no diagram is built and no canonical
-search is run for it, as no earlier state can be isomorphic to it.  When
-a second state comes to the bucket, the kept one is certified first,
-then the new one, so the states pruned are exactly those that
-certifying every state would prune.  A state whose canonical search
-hits the cap is recorded by neither.  A bucket is keyed by the shape's
-hash, so that a stage keeps a few bytes per element of a state, as a
-certificate does; two shapes that share a hash share a bucket, which
-costs canonical searches but prunes nothing, as certificates decide.
+Dedup buckets a stage's states under a key the strategy already holds,
+which fixes their degree shape (the level widths and the sorted (level,
+lower degree, upper degree) triples, shared by isomorphic diagrams) and,
+within a table, is fixed by it.  Levelwise keys by the level j just
+completed: a level-i element has a(i) lower covers, a(N-i) upper ones
+below j (see ``_fitting``) and none at j.  Assembly keys by the block
+count and the atoms' sorted block counts: the widths are (a4, a3 blocks,
+blocks), and atom x, a row element and a block have the triples
+(0, 0, a2 count[x]), (1, a2, 1) and (2, a3, 0).  The first state of a
+bucket is kept packed in integer arrays, uncertified: no diagram is
+built and no canonical search is run for it, as no earlier state can be
+isomorphic to it.  When a second state comes to the bucket, the kept one
+is certified first, then the new one, so the states pruned are exactly
+those that certifying every state would prune.  A state whose canonical
+search hits the cap is recorded by neither.
 
 Every canonical search of the core shares one dict of known leaves
 (see Known leaves in ``iso``): dedup, ``classify`` and the levelwise
@@ -211,24 +214,18 @@ class _Core:
         except _DeadlinePassed:
             raise _Capped("time budget exhausted") from None
 
-    def repeats(self, seen: dict, widths: Sequence[int], down: Sequence[Sequence[int]]) -> bool:
+    def repeats(self, seen: dict, shape, widths: Sequence[int], down: Sequence) -> bool:
         """Is the diagram with level ``widths`` and lower-cover lists
         ``down`` isomorphic to a state already in ``seen``?  Records it if
-        not.  ``seen`` maps the hash of a degree shape to the one state of
-        that hash so far, packed and uncertified, or to the certificates of
-        its states (see the module docstring)."""
-        updeg = [0] * len(down)
-        for cs in down:
-            for c in cs:
-                updeg[c] += 1
-        level = [r for r, w in enumerate(widths) for _ in range(w)]
-        degrees = [len(cs) for cs in down]
-        shape = hash((tuple(widths), tuple(sorted(zip(level, degrees, updeg)))))
+        not.  ``shape`` is the caller's bucket key, which fixes the degree
+        shape and is fixed by it; ``seen`` maps it to the one state of that
+        key so far, packed and uncertified, or to the certificates of its
+        states (see the module docstring)."""
         held = seen.get(shape)
         if held is None:
             # widths, degrees and positions are below the element count
             code = "H" if len(down) <= 0xFFFF else "L"
-            packed = (widths, degrees, chain.from_iterable(down))
+            packed = (widths, map(len, down), chain.from_iterable(down))
             seen[shape] = tuple(array(code, values) for values in packed)
             return False
         if isinstance(held, tuple):
@@ -310,12 +307,13 @@ def _sets_from(
 
 
 def _fitting(
-    count: Sequence[int], universe: Iterable[int], cap: int, picks: int
+    counts: Iterable[tuple[int, int]], cap: int, picks: int
 ) -> tuple[list[int], set[int]]:
     """The pool and the required members of the next of ``picks`` sets
-    drawn from ``universe``, when each set adds one to the ``count`` of
-    its members and every count must end at ``cap``: the elements still
-    below ``cap``, and those that need every pick left.
+    drawn from the elements that ``counts`` pairs with their counts, when
+    each set adds one to the count of its members and every count must end
+    at ``cap``: the elements still below ``cap``, and those that need every
+    pick left.
 
     No element needs more picks than are left.  At a level's first pick
     every count is 0, and the caller has checked ``cap <= picks``:
@@ -325,8 +323,8 @@ def _fitting(
     element's need falls with the picks left whenever it equals them."""
     pool: list[int] = []
     must: set[int] = set()
-    for x in universe:
-        short = cap - count[x]
+    for x, count in counts:
+        short = cap - count
         if short > picks:
             raise AssertionError("an element needs more picks than are left")
         if short:
@@ -357,47 +355,48 @@ class _Levelwise:
         # enumerate_intervals' ratio check proved every quotient integral
         B = list(accumulate(seq.head, operator.mul, initial=1))
         self.widths = [B[self.N] // (B[j] * B[self.N - j]) for j in range(self.N + 1)]
+        # level j holds the elements start[j] <= e < start[j + 1]
+        self.start = [0, *accumulate(self.widths)]
         # element state, indexed in creation order; index 0 is the bottom
-        self.level_of = [0]
         self.down_mask = [1]
         self.upcov_mask = [0]
         self.covers_of: list[tuple[int, ...]] = [()]
-        self.updeg = [0]
-        self.seen: list[dict] = [{} for _ in range(self.N)]
+        # the completed levels' states, keyed by the last level j
+        self.seen: dict = {}
 
     def run(self) -> None:
-        core, seq, N, widths, level_of = self.core, self.seq, self.N, self.widths, self.level_of
-        # level j holds the elements start[j] <= e < start[j + 1]
-        start = [0, *accumulate(widths)]
+        core, seq, N, widths, start = self.core, self.seq, self.N, self.widths, self.start
+        covers_of = self.covers_of
         # One frame per element being placed, element k at stack[k - 1]:
         # its level, the unused-atom mark and the cover sets left to try.
         stack: list[tuple[int, int, Iterator[tuple[int, ...]]]] = []
         j, placed = 0, True  # the element placed last, the bottom, is on level j
         while True:
             if placed:
-                e, first = len(level_of), None
+                e, first = len(covers_of), None
                 if e < start[j + 1]:
                     # the next element of level j takes sets from the last one's on
-                    first = self.covers_of[-1]
+                    first = covers_of[-1]
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
-                    self._emit()
-                elif not (j and core.repeats(self.seen[j], widths[: j + 1], self.covers_of)):
+                    core.classify(widths, covers_of, seq, self.out)
+                elif not (j and core.repeats(self.seen, j, widths[: j + 1], covers_of)):
                     # level j + 1 opens unless level j holds no set of a(j+1) covers
                     if seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
                         first = tuple(range(used, used + seq.a(j)))
                 if first is not None:
                     # every element of level j-1 reaches its forced up-degree
-                    prev = range(start[j - 1], start[j])
-                    fit = _fitting(self.updeg, prev, seq.a(N - j + 1), start[j + 1] - e)
+                    lo, hi = start[j - 1], start[j]
+                    counts = enumerate(map(int.bit_count, self.upcov_mask[lo:hi]), lo)
+                    fit = _fitting(counts, seq.a(N - j + 1), start[j + 1] - e)
                     stack.append((j, used, _sets_from(first, *fit)))
             if not stack:
                 return
             # the deepest frame takes its element back, if placed, and places
             # the next set that makes one; a frame out of sets is dropped
             j, used, sets = stack[-1]
-            if len(level_of) > len(stack):
+            if len(covers_of) > len(stack):
                 self._destroy()
             placed = False
             for C in sets:
@@ -416,23 +415,24 @@ class _Levelwise:
         down = 0
         for c in C:
             down |= self.down_mask[c]
-        # [x, e] must have a_d atoms; every element below e passed the same
-        # check when it was created, so chain counts follow as in
-        # verify_binomial
-        level_of, upcov_mask, head = self.level_of, self.upcov_mask, self.seq.head
+        # [x, e] must have a_d atoms for each x at distance d >= 2 (``down``
+        # comes level by level); every element below e passed the same check
+        # when it was created, so chain counts follow as in verify_binomial
+        start, upcov_mask, head = self.start, self.upcov_mask, self.seq.head
+        level = 0
         for x in _bits(down):
-            d = j - level_of[x]
-            if d >= 2 and (upcov_mask[x] & down).bit_count() != head[d - 1]:
+            while x >= start[level + 1]:
+                level += 1
+            if level == j - 1:
+                break
+            if (upcov_mask[x] & down).bit_count() != head[j - level - 1]:
                 return False
-        e = len(level_of)
+        e = len(self.covers_of)
         mask = 1 << e
-        level_of.append(j)
         self.down_mask.append(down | mask)
         upcov_mask.append(0)
         self.covers_of.append(C)
-        self.updeg.append(0)
         for u in C:
-            self.updeg[u] += 1
             upcov_mask[u] |= mask
         if self.anchor is not None and j == self.anchor[1] and not self._anchored(e):
             self._destroy()
@@ -449,27 +449,23 @@ class _Levelwise:
 
     def _destroy(self) -> None:
         """Remove the element created last."""
-        self.level_of.pop()
-        mask = ~(1 << len(self.level_of))
+        mask = ~(1 << (len(self.covers_of) - 1))
         for u in self.covers_of.pop():
-            self.updeg[u] -= 1
             self.upcov_mask[u] &= mask
         self.down_mask.pop()
         self.upcov_mask.pop()
-        self.updeg.pop()
 
     def _diagram(self, keep: Iterable[int]) -> tuple[list[int], list[list[int]]]:
         """The level widths and lower-cover lists of the diagram on the
         down-closed elements ``keep``, listed in creation order; covers are
         positions in that order."""
         pos = {g: i for i, g in enumerate(keep)}
-        widths = [0] * (self.level_of[max(pos)] + 1)
+        widths = [0]
         for g in pos:
-            widths[self.level_of[g]] += 1
+            while g >= self.start[len(widths)]:
+                widths.append(0)
+            widths[-1] += 1
         return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
-
-    def _emit(self) -> None:
-        self.core.classify(self.widths, self.covers_of, self.seq, self.out)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +529,7 @@ class _Assembly:
             return
         cap = self.a3
         # every atom lies in a3 blocks; each later block takes it at most once
-        fit = _fitting(self.count, range(self.a4), cap, self.a4 - len(self.chosen))
+        fit = _fitting(enumerate(self.count), cap, self.a4 - len(self.chosen))
         for S in _sets_from(first, *fit):
             # unused atoms are taken lowest-first: atoms below ``used``
             # are exactly those in the blocks chosen so far
@@ -567,7 +563,9 @@ class _Assembly:
                     d % self.a2 and any(self.count[x] >= cap for x in T)
                     for T, d in self.demand.items()
                 )
-                if not stuck and not self.core.repeats(self.seen, *self._state()):
+                # the block count and the sorted atom counts fix the degree shape
+                shape = len(self.chosen), tuple(sorted(self.count))
+                if not stuck and not self.core.repeats(self.seen, shape, *self._state()):
                     self._slots(S, k, max(used, S[-1] + 1))
                 self.chosen.pop()
                 for row in rows:

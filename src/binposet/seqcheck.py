@@ -263,27 +263,16 @@ def check_R_equivalence(p: GradedPoset) -> RClassReport:
         )
     atoms = p.levels[1]
     related: dict[str, set[str]] = {x: {x} for x in atoms}
+    # each atom's class so far: a rank-2 element merges its lower covers'
+    classes: dict[str, frozenset[str]] = {x: frozenset((x,)) for x in atoms}
     for y in p.levels[2]:
         lows = p.lower_covers(y)
+        merged = frozenset().union(*(classes[a] for a in lows))
         for a in lows:
             related[a].update(lows)
-    classes: list[tuple[str, ...]] = []
-    assigned: dict[str, int] = {}
-    for x in atoms:
-        if x in assigned:
-            continue
-        comp = {x}
-        frontier = [x]
-        while frontier:
-            v = frontier.pop()
-            for w in related[v]:
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        for v in comp:
-            assigned[v] = len(classes)
-        classes.append(tuple(sorted(comp)))
-    ordered = tuple(sorted(classes))
+        for v in merged:
+            classes[v] = merged
+    ordered = tuple(sorted({tuple(sorted(cls)) for cls in classes.values()}))
     for cls in ordered:
         for v in cls:
             missing = [w for w in cls if w not in related[v]]

@@ -480,9 +480,11 @@ def test_cover_check_sees_a_broken_cover_to_a_fixed_point():
     )
     i = p._index
     swap = {i["a"]: i["b"], i["b"]: i["a"], i["c"]: i["d"], i["d"]: i["c"]}
-    assert not _preserves_covers(canonicalizer(p, 1).adj, swap)
+    search = canonicalizer(p, 1)
+    assert not _preserves_covers(search.adj, search.near, swap)
     q = build_poset(p.levels, sorted(p.covers) + [("b", "e")])
-    assert _preserves_covers(canonicalizer(q, 1).adj, swap)
+    search = canonicalizer(q, 1)
+    assert _preserves_covers(search.adj, search.near, swap)
 
 
 widths_strategy = st.lists(st.integers(1, 4), min_size=1, max_size=3)

@@ -40,7 +40,7 @@ def without_dedup(*args, **kwargs):
     """``enumerate_intervals`` with no partial diagram pruned as a repeat:
     the reference that each strategy's dedup stages are checked against."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search._Core, "repeats", lambda self, seen, widths, down: False)
+        mp.setattr(search._Core, "repeats", lambda self, seen, shape, widths, down: False)
         return enumerate_intervals(*args, **kwargs)
 
 
@@ -575,8 +575,9 @@ def shuffled(widths, down, rng):
 
 
 class TestShapeBuckets:
-    """``_Core.repeats`` keys states by degree shape and certifies a state
-    only once a second state of its shape comes."""
+    """``_Core.repeats`` buckets states by the caller's key, here one key
+    for two diagrams of one degree shape, and certifies a state only once
+    a second state of its bucket comes."""
 
     @pytest.fixture
     def searches(self, monkeypatch):
@@ -597,30 +598,77 @@ class TestShapeBuckets:
 
     def test_one_shape_two_classes(self, searches):
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(5)
-        assert not core.repeats(seen, [4, 4], EIGHT_CYCLE)
+        assert not core.repeats(seen, 0, [4, 4], EIGHT_CYCLE)
         assert searches.calls == [] and core.known == {}
-        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
+        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
         assert len(searches.calls) == 2 and len(seen) == 1
         for down in (EIGHT_CYCLE, TWO_SQUARES) * 3:
-            assert core.repeats(seen, [4, 4], shuffled([4, 4], down, rng))
+            assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], down, rng))
 
     def test_a_relabelled_copy_of_the_pending_state_repeats(self, searches):
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(6)
-        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
-        assert core.repeats(seen, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
+        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
         assert len(searches.calls) == 2
 
     def test_a_pending_state_capped_late_is_dropped(self, searches):
         searches.cap_first = True
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(7)
-        assert not core.repeats(seen, [4, 4], EIGHT_CYCLE)
+        assert not core.repeats(seen, 0, [4, 4], EIGHT_CYCLE)
         # the eight-cycle's late search hits the cap; the squares are new
-        assert not core.repeats(seen, [4, 4], TWO_SQUARES)
+        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
         assert len(searches.calls) == 2
         # so the eight-cycle was never recorded: a copy is new, then repeats
-        assert not core.repeats(seen, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
-        assert core.repeats(seen, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
-        assert core.repeats(seen, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+        assert not core.repeats(seen, 0, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
+        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
+        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+
+
+def degree_shape(widths, down):
+    """The level widths and the sorted (level, lower degree, upper degree)
+    triples of a diagram, which isomorphic diagrams share."""
+    updeg = [0] * len(down)
+    for cs in down:
+        for c in cs:
+            updeg[c] += 1
+    level = [r for r, w in enumerate(widths) for _ in range(w)]
+    return tuple(widths), tuple(sorted(zip(level, map(len, down), updeg)))
+
+
+def test_bucket_keys_are_the_degree_shapes(monkeypatch):
+    """Within each dedup table, a state's bucket key and its degree shape
+    determine each other, so every bucket holds the states of one shape."""
+    real, tables = search._Core.repeats, {}
+
+    def spy(core, seen, shape, widths, down):
+        # the table itself is kept, so that its id is never reused
+        buckets = tables.setdefault(id(seen), (seen, {}))[1]
+        buckets.setdefault(shape, set()).add(degree_shape(widths, down))
+        return real(core, seen, shape, widths, down)
+
+    monkeypatch.setattr(search._Core, "repeats", spy)
+    m3 = m_interval(3)
+    for head, strategy, budget, base in [
+        ((1, 2, 4, 8), "assembly", 2000, None),
+        ((1, 3, 6, 12), "assembly", 20_000, None),
+        ((1, 3, 4, 9), "assembly", None, m3),
+        ((1, 2, 3, 8), "assembly", None, None),
+        ((1, 2, 2, 4), "assembly", None, None),
+        ((1, 3, 8), "levelwise", 20_000, None),
+        ((1, 1, 3, 3, 3), "levelwise", 30_000, None),
+        ((1, 2, 4, 8), "levelwise", 15_000, None),
+        ((1, 2, 3, 4, 4), "levelwise", 15_000, None),
+    ]:
+        limits = SearchLimits() if budget is None else SearchLimits(max_nodes=budget)
+        enumerate_intervals(head, base=base, strategy=strategy, limits=limits)
+    keys = {int: 0, tuple: 0}  # levelwise stages and assembly keys
+    for _, buckets in tables.values():
+        assert all(len(shapes) == 1 for shapes in buckets.values())
+        assert len(set().union(*buckets.values())) == len(buckets)
+        for key in buckets:
+            keys[type(key)] += 1
+    # each assembly run holds a levelwise run for its rank-3 catalog
+    assert keys == {int: 21, tuple: 53}
 
 
 def test_dedup_builds_no_diagram_for_an_unseen_shape(monkeypatch):

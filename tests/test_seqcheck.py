@@ -1,4 +1,5 @@
 import itertools
+import random
 import time
 from fractions import Fraction
 
@@ -15,13 +16,14 @@ from binposet.core import (
     interval,
     verify_binomial,
 )
+from binposet.search import enumerate_intervals
 from binposet.seqcheck import (
     check_compatibility,
     check_R_equivalence,
     decide_family,
     lcm_extension,
 )
-from conftest import brute_ratio_ok
+from conftest import brute_ratio_ok, relabel
 
 
 def bounded_section_cycle() -> GradedPoset:
@@ -38,6 +40,26 @@ def bounded_section_squares() -> GradedPoset:
     covers = [("0", x) for x in "abcd"] + [(m, "T") for m in blocks]
     covers += [(x, m) for m, atoms in blocks.items() for x in atoms]
     return build_poset([["0"], list("abcd"), sorted(blocks), ["T"]], covers)
+
+
+def atom_components(p: GradedPoset) -> tuple[tuple[str, ...], ...]:
+    """The atoms of ``p`` grouped into connected components, two atoms
+    joined when a rank-2 element covers both: each atom takes the least
+    label among the lower covers of a rank-2 element above it, until no
+    label changes."""
+    label = {x: x for x in p.levels[1]}
+    changed = True
+    while changed:
+        changed = False
+        for y in p.levels[2]:
+            least = min(label[a] for a in p.lower_covers(y))
+            for a in p.lower_covers(y):
+                if label[a] != least:
+                    label[a], changed = least, True
+    groups: dict[str, list[str]] = {}
+    for x in sorted(label):
+        groups.setdefault(label[x], []).append(x)
+    return tuple(sorted(map(tuple, groups.values())))
 
 
 class TestCompatibility:
@@ -257,6 +279,15 @@ class TestREquivalence:
         assert not rep.ok
         assert "size" in rep.detail
         assert rep.k == 2
+
+    def test_classes_are_the_connected_components(self):
+        rng = random.Random(3)
+        inputs = [stripped_boolean_interval(n, k) for n in (2, 3, 4) for k in (1, 2, 3)]
+        inputs += [bounded_section_cycle(), bounded_section_squares()]
+        inputs.append(enumerate_intervals((1, 2, 3, 8), strategy="assembly").witness)
+        for p in inputs:
+            for q in [p] + [relabel(p, rng) for _ in range(3)]:
+                assert check_R_equivalence(q).classes == atom_components(q)
 
     def test_needs_counting_up_prefix(self):
         with pytest.raises(PosetError, match="1, ..., 2"):
