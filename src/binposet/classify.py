@@ -178,65 +178,88 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
     level below the top, the upper covers of its elements as positions in
     the level above, so it fixes U's diagram position by position.  Those
     cover lists depend only on the level, so each level met is listed
-    once per call and numbered, and the key is U's sequence of numbers.
+    once and numbered, and the key is U's sequence of numbers.
     Inside U, z <= t holds exactly when a chain of U's own covers joins
     them, since every element between z and t lies in U.  So when
     bottoms s and s' have equal keys, the map between their U's by
     position carries [s, t] onto [s', t'] for tops t and t' at equal
     positions.  So the first bottom with a key certifies each of its tops,
     and the list of their certificates serves every later bottom with
-    that key.
+    that key, which only adds one to the key's count of bottoms.
+
+    None of this depends on n, so ``p`` keeps it in its own ``__dict__``
+    (see ``GradedPoset``): the step from each level met to the level
+    above and its number, and each bottom's walk, its levels and step
+    numbers, taken as far as the longest length asked so far.  The key
+    of s at length n is the walk's first n numbers, and the tops are its
+    level n, so the census at every length walks each up-set once.
 
     An interval is certified from its own key, its cover lists in the
     order of ``p``'s elements.  Equal interval keys are the same labelled
     diagram, so only the first interval with a key is canonicalized, as
-    its key and level widths, not a poset.  The canonical searches share
-    one dict of known leaves (see Known leaves in ``iso``), so a search
-    of a class already met stops at its first leaf."""
+    its key and level widths, not a poset.  The canonical searches of a
+    call share one dict of known leaves (see Known leaves in ``iso``), so
+    a search of a class already met stops at its first leaf.  The
+    certificates and known leaves are the call's own, so each length
+    runs the same canonical searches whatever was asked before."""
     n = _whole(n, "interval length")
     if n > p.height:
         raise PosetError(f"interval length {n} out of range 0..{p.height}")
     els, rank, up = p.elements, p._level_of, p._up
-    # a level of some U -> (the level above it, the number of its step)
-    steps: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
-    step_number: dict[tuple[tuple[int, ...], ...], int] = {}
-    # U's key -> the certificates of [s, t] for the tops t of U, in order
-    certs_of: dict[tuple[int, ...], list[bytes]] = {}
+    # a level of some U -> (the level above it, the number of its step);
+    # a step's cover lists -> its number; a bottom -> (U's levels, U's steps)
+    steps, step_number, walks = p.__dict__.setdefault("_census_walks", ({}, {}, {}))
+    # U's key -> its first bottom and the certificates of [s, t] for its tops
+    firsts: dict[tuple[int, ...], tuple[int, list[bytes]]] = {}
+    bottoms: dict[tuple[int, ...], int] = {}
     seen: dict[tuple[tuple[int, ...], ...], bytes] = {}
     known: dict[bytes, bytes] = {}
-    first: dict[bytes, tuple[str, str]] = {}
-    size: dict[bytes, int] = {}
     for s in range(len(els)):
         if rank[s] + n > p.height:
             break
-        level, key = (s,), []
-        for _ in range(n):
+        walk = walks.get(s)
+        if walk is None:
+            walk = walks[s] = [(s,)], []
+        levels, numbers = walk
+        while len(numbers) < n:
+            level = levels[-1]
             step = steps.get(level)
             if step is None:
                 above = tuple(sorted({k for e in level for k in up[e]}))
                 pos = dict(zip(above, range(len(above))))
                 covers = tuple([tuple([pos[k] for k in up[e]]) for e in level])
                 step = steps[level] = above, step_number.setdefault(covers, len(step_number))
-            level = step[0]
-            key.append(step[1])
-        key = tuple(key)
-        certs = certs_of.get(key)
-        if certs is None:
-            certs = certs_of[key] = []
-            for t in level:
-                members = _between(p, s, t)
-                ikey = _induced_down(p, members)
-                cert = seen.get(ikey)
-                if cert is None:
-                    widths = [sum(rank[z] - rank[s] == d for z in members) for d in range(n + 1)]
-                    adjacency = _cover_lists(ikey)
-                    cert = seen[ikey] = _certify(widths, *adjacency, DEFAULT_NODE_CAP, known)[0]
-                certs.append(cert)
-        for t, cert in zip(level, certs):
+            levels.append(step[0])
+            numbers.append(step[1])
+        key = tuple(numbers[:n])
+        count = bottoms.get(key)
+        if count is not None:
+            bottoms[key] = count + 1
+            continue
+        bottoms[key] = 1
+        certs = []
+        for t in levels[n]:
+            members = _between(p, s, t)
+            ikey = _induced_down(p, members)
+            cert = seen.get(ikey)
+            if cert is None:
+                widths = [0] * (n + 1)
+                for z in members:
+                    widths[rank[z] - rank[s]] += 1
+                adjacency = _cover_lists(ikey)
+                cert = seen[ikey] = _certify(widths, *adjacency, DEFAULT_NODE_CAP, known)[0]
+            certs.append(cert)
+        firsts[key] = s, certs
+    # keys come in the order of their first bottoms, so each class's first
+    # pair is met first, as in a walk over every pair in level order
+    first: dict[bytes, tuple[str, str]] = {}
+    size: dict[bytes, int] = {}
+    for key, (s, certs) in firsts.items():
+        for t, cert in zip(walks[s][0][n], certs):
             if cert in size:
-                size[cert] += 1
+                size[cert] += bottoms[key]
             else:
-                first[cert], size[cert] = (els[s], els[t]), 1
+                first[cert], size[cert] = (els[s], els[t]), bottoms[key]
     classes = tuple(
         IntervalClass(cert, *first[cert], size[cert]) for cert in sorted(size)
     )

@@ -194,7 +194,11 @@ class GradedPoset:
     Elements are indexed level by level.  The validating pass keeps the
     id index ``_index``, the level of each index ``_level_of`` and the
     ascending upper- and lower-cover lists ``_adjacency`` in the instance
-    ``__dict__``, as ``cached_property`` keeps a value.
+    ``__dict__``, as ``cached_property`` keeps a value.  Results that
+    depend on the poset alone are kept there too, each by its owner: the
+    all-pairs sweep ``_sweep``, the last complete canonical run
+    ``_canonical_run`` (``iso``) and the interval census's step table and
+    up-set walks ``_census_walks`` (``classify``).
     """
 
     levels: tuple[tuple[str, ...], ...]

@@ -14,7 +14,8 @@ unless a resource cap interrupts):
   below it, and up-degrees are tracked against their forced values.  As
   in ``verify_binomial``, exact atom counts force exact chain counts and
   level widths in every interval.  Completed partial diagrams (past the
-  bare bottom) are deduplicated by canonical certificate.
+  bare bottom) are deduplicated by canonical certificate, except those
+  whose levels all have width 1: each is the only diagram of its widths.
 
 * rank-4 assembly: enumerate rank-3 classes first, then choose which
   rank-3 interval sits under each coatom (an atom set plus a wiring
@@ -113,7 +114,7 @@ import operator
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice, permutations, product
+from itertools import accumulate, chain, combinations, islice, permutations, product, takewhile
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
@@ -357,6 +358,8 @@ class _Levelwise:
         self.widths = [B[self.N] // (B[j] * B[self.N - j]) for j in range(self.N + 1)]
         # level j holds the elements start[j] <= e < start[j + 1]
         self.start = [0, *accumulate(self.widths)]
+        # a(1) .. a(j) are all 1 for j <= ones
+        self.ones = len(list(takewhile((1).__eq__, seq.head)))
         # element state, indexed in creation order; index 0 is the bottom
         self.down_mask = [1]
         self.upcov_mask = [0]
@@ -367,6 +370,9 @@ class _Levelwise:
     def run(self) -> None:
         core, seq, N, widths, start = self.core, self.seq, self.N, self.widths, self.start
         covers_of = self.covers_of
+        # levels 0 .. j all have width 1 for j < narrow; such a stage is the
+        # only diagram of its widths, so it cannot repeat and is not recorded
+        narrow = len(list(takewhile((1).__eq__, widths)))
         # One frame per element being placed, element k at stack[k - 1]:
         # its level, the unused-atom mark and the cover sets left to try.
         stack: list[tuple[int, int, Iterator[tuple[int, ...]]]] = []
@@ -380,7 +386,7 @@ class _Levelwise:
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
                     core.classify(widths, covers_of, seq, self.out)
-                elif not (j and core.repeats(self.seen, j, widths[: j + 1], covers_of)):
+                elif not (j >= narrow and core.repeats(self.seen, j, widths[: j + 1], covers_of)):
                     # level j + 1 opens unless level j holds no set of a(j+1) covers
                     if seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
@@ -417,16 +423,19 @@ class _Levelwise:
             down |= self.down_mask[c]
         # [x, e] must have a_d atoms for each x at distance d >= 2 (``down``
         # comes level by level); every element below e passed the same check
-        # when it was created, so chain counts follow as in verify_binomial
+        # when it was created, so chain counts follow as in verify_binomial.
+        # While a(1) .. a(j) are all 1, e has one lower cover c, [x, e] has
+        # the atoms of [x, c], and the check holds without a walk
         start, upcov_mask, head = self.start, self.upcov_mask, self.seq.head
-        level = 0
-        for x in _bits(down):
-            while x >= start[level + 1]:
-                level += 1
-            if level == j - 1:
-                break
-            if (upcov_mask[x] & down).bit_count() != head[j - level - 1]:
-                return False
+        if j > self.ones:
+            level = 0
+            for x in _bits(down):
+                while x >= start[level + 1]:
+                    level += 1
+                if level == j - 1:
+                    break
+                if (upcov_mask[x] & down).bit_count() != head[j - level - 1]:
+                    return False
         e = len(self.covers_of)
         mask = 1 << e
         self.down_mask.append(down | mask)

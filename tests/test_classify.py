@@ -294,12 +294,31 @@ def test_census_matches_grouping_by_definition(case):
         assert got == census_by_definition(p, n), n
 
 
+@pytest.mark.parametrize("case", CENSUS_CASES)
+def test_census_does_not_depend_on_call_history(case):
+    """A poset keeps its up-set walks between census calls, so one object
+    asked its lengths longest first, then in a shuffled order with repeats,
+    gives every length's census as defined."""
+    p = CENSUS_CASES[case]()
+    lengths = list(range(p.height + 1))
+    want = {n: census_by_definition(p, n) for n in lengths}
+    shuffled = lengths * 2
+    random.Random(case).shuffle(shuffled)
+    for n in lengths[::-1] + shuffled:
+        got = [
+            (c.certificate, c.bottom, c.top, c.size)
+            for c in enumerate_interval_classes(p, n).classes
+        ]
+        assert got == want[n], n
+
+
 def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatch):
     """The census's canonical searches are pinned: one per distinct labelled
     interval diagram (its cover lists in the poset's element order), on the
     first interval with that diagram, given as its level widths and those
     lists, each handed known leaves that map to exactly the certificates
-    found before it."""
+    found before it.  Each poset object is asked lengths 0..7 and then
+    7..0, and the walks it keeps between calls change none of them."""
     word = random.Random(23).choice(list(valid_words(12)))
     posets = [poset_from_string(versal_string(3)), poset_from_string(word)]
     posets += [relabel(p, random.Random(i)) for i, p in enumerate(posets)]
@@ -316,7 +335,7 @@ def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatc
     monkeypatch.setattr(classify, "_certify", spy)
     for p in posets:
         els, start = p.elements, p._level_start
-        for n in range(8):
+        for n in [*range(8), *range(7, -1, -1)]:
             calls.clear()
             enumerate_interval_classes(p, n)
             firsts = {}

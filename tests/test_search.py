@@ -283,6 +283,32 @@ class TestEnumerate:
         chain = enumerate_intervals((1,) * 400)
         assert (chain.verdict, chain.nodes) == ("found", 400)
 
+    def test_a_chain_walks_no_down_set_and_records_no_state(self, monkeypatch):
+        # a spy, not a timer: while a(1) .. a(j) are all 1 a new element has
+        # one lower cover and passes the atom check without a walk, and a
+        # stage of width-1 levels is the only diagram of its widths
+        calls = {"_bits": 0, "repeats": 0}
+        real_bits, real_repeats = search._bits, search._Core.repeats
+
+        def bits(mask):
+            calls["_bits"] += 1
+            return real_bits(mask)
+
+        def repeats(core, *args):
+            calls["repeats"] += 1
+            return real_repeats(core, *args)
+
+        monkeypatch.setattr(search, "_bits", bits)
+        monkeypatch.setattr(search._Core, "repeats", repeats)
+        chain = enumerate_intervals((1,) * 300)
+        assert (chain.verdict, len(chain.classes), chain.nodes) == ("found", 1, 300)
+        assert calls == {"_bits": 0, "repeats": 0}
+        # past the leading ones (level 3 of (1, 1, 2)) the check walks, and
+        # a stage with a level of width 2 is recorded
+        res = enumerate_intervals((1, 1, 2))
+        assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, 5)
+        assert calls["_bits"] > 0 and calls["repeats"] > 0
+
     def test_level_widths_read_each_atom_once(self, monkeypatch):
         def levelwise(head):
             return search._Levelwise(AtomicSequence(head), search._Core(SearchLimits()), None, {})
