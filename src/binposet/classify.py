@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import GradedPoset, PosetError, verify_binomial
-from .core import _between, _cover_lists, _induced_down, _whole
+from .core import _between, _induced_down, _whole
 from .iso import DEFAULT_NODE_CAP, _certify
 
 __all__ = [
@@ -240,14 +240,13 @@ def enumerate_interval_classes(p: GradedPoset, n: int) -> IntervalClassification
         certs = []
         for t in levels[n]:
             members = _between(p, s, t)
-            ikey = _induced_down(p, members)
+            ikey = _induced_down(p._down, members)
             cert = seen.get(ikey)
             if cert is None:
                 widths = [0] * (n + 1)
                 for z in members:
                     widths[rank[z] - rank[s]] += 1
-                adjacency = _cover_lists(ikey)
-                cert = seen[ikey] = _certify(widths, *adjacency, DEFAULT_NODE_CAP, known)[0]
+                cert = seen[ikey] = _certify(widths, ikey, DEFAULT_NODE_CAP, known)[0]
             certs.append(cert)
         firsts[key] = s, certs
     # keys come in the order of their first bottoms, so each class's first

@@ -167,10 +167,16 @@ def _whole(value, what: str, least: int = 0) -> int:
 def _ratio_failure(seq: AtomicSequence, top: int) -> tuple[int, int, Fraction] | None:
     """The first non-integral B(i+j) / (B(i) B(j)) over 1 <= i <= j with
     i + j <= top, as ``(i, j, value)``, taking the pairs by i + j and then
-    by i; None when all are integers."""
+    by i; None when all are integers.
+
+    B(i) = 1 through the leading 1s, and B(j) divides B(i + j), so every
+    pair whose i lies among them divides.  The scan takes i past them, so
+    a chain is checked in linear time."""
     B = list(accumulate(seq.prefix(top), operator.mul, initial=1))
-    for n in range(2, top + 1):
-        for i in range(1, n // 2 + 1):
+    # the atom counts are positive, so B(n) = 1 exactly through the leading 1s
+    ones = B.count(1) - 1
+    for n in range(2 * ones + 2, top + 1):
+        for i in range(ones + 1, n // 2 + 1):
             below = B[i] * B[n - i]
             if B[n] % below:
                 return i, n - i, Fraction(B[n], below)
@@ -193,10 +199,11 @@ class GradedPoset:
 
     Elements are indexed level by level.  The validating pass keeps the
     id index ``_index``, the level of each index ``_level_of`` and the
-    ascending upper- and lower-cover lists ``_adjacency`` in the instance
-    ``__dict__``, as ``cached_property`` keeps a value.  Results that
-    depend on the poset alone are kept there too, each by its owner: the
-    all-pairs sweep ``_sweep``, the last complete canonical run
+    ascending upper- and lower-cover lists ``_up`` and ``_down`` in the
+    instance ``__dict__``, as ``cached_property`` keeps a value; a
+    canonical search takes ``_down`` as it is (see ``iso._certify``).
+    Results that depend on the poset alone are kept there too, each by its
+    owner: the all-pairs sweep ``_sweep``, the last complete canonical run
     ``_canonical_run`` (``iso``) and the interval census's step table and
     up-set walks ``_census_walks`` (``classify``).
     """
@@ -225,8 +232,8 @@ class GradedPoset:
                 raise PosetError(f"cover ({lo!r}, {hi!r}) must join consecutive levels")
             up[i].append(j)
             down[j].append(i)
-        adjacency = tuple(tuple([tuple(sorted(nbrs)) for nbrs in lists]) for lists in (up, down))
-        self.__dict__.update(_index=index, _level_of=tuple(level_of), _adjacency=adjacency)
+        up, down = (tuple([tuple(sorted(cs)) for cs in lists]) for lists in (up, down))
+        self.__dict__.update(_index=index, _level_of=tuple(level_of), _up=up, _down=down)
 
     @property
     def height(self) -> int:
@@ -248,14 +255,6 @@ class GradedPoset:
             return self._level_of[self._index[x]]
         except KeyError:
             raise PosetError(f"unknown id {x!r}") from None
-
-    @property
-    def _up(self) -> tuple[tuple[int, ...], ...]:
-        return self._adjacency[0]
-
-    @property
-    def _down(self) -> tuple[tuple[int, ...], ...]:
-        return self._adjacency[1]
 
     def upper_covers(self, x: str) -> tuple[str, ...]:
         els = self.elements
@@ -336,7 +335,7 @@ def _validated(p: GradedPoset) -> GradedPoset:
     above level 0 and an upper cover for everything below the top."""
     if len(p.levels[0]) != 1:
         raise PosetError(f"want exactly one bottom element, got {len(p.levels[0])}")
-    up, down = p._adjacency
+    up, down = p._up, p._down
     top = p.height
     for i, (x, r) in enumerate(zip(p.elements, p._level_of)):
         if r > 0 and not down[i]:
@@ -352,19 +351,6 @@ def dual(p: GradedPoset) -> GradedPoset:
         tuple(reversed(p.levels)),
         frozenset((hi, lo) for lo, hi in p.covers),
     )
-
-
-def _cover_lists(down: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """The upper- and lower-cover lists, ascending as a poset's
-    ``_adjacency`` holds them, of the integer diagram whose i-th element
-    has the lower covers ``down[i]``.  The census and the searches
-    certify such diagrams without building a poset."""
-    lower = [tuple(sorted(set(cs))) for cs in down]
-    upper: list[list[int]] = [[] for _ in lower]
-    for i, cs in enumerate(lower):
-        for c in cs:
-            upper[c].append(i)
-    return tuple(map(tuple, upper)), tuple(lower)
 
 
 def _from_down(levels: Sequence[Sequence[str]], down: Iterable[Iterable[int]]) -> GradedPoset:
@@ -394,7 +380,7 @@ def interval(p: GradedPoset, bottom: str, top: str) -> GradedPoset:
     lv: list[list[str]] = [[] for _ in range(p._level_of[it] - lo + 1)]
     for i in order:
         lv[p._level_of[i] - lo].append(els[i])
-    return _from_down(lv, _induced_down(p, order))
+    return _from_down(lv, _induced_down(p._down, order))
 
 
 def _between(p: GradedPoset, s: int, t: int) -> list[int]:
@@ -406,14 +392,16 @@ def _between(p: GradedPoset, s: int, t: int) -> list[int]:
     return [s + i for i, d in enumerate(reversed(digits)) if d == "1"]
 
 
-def _induced_down(p: GradedPoset, order: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The lower covers of each element of ``order`` inside ``order``, as
-    positions in ``order``; ascending when ``order`` is."""
+def _induced_down(
+    down: Sequence[Sequence[int]], order: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    """The lower covers ``down`` of each element of ``order`` inside
+    ``order``, as positions in ``order``; ascending when ``order`` and the
+    lists of ``down`` are."""
     # the census builds this key for every top of each up-set it keys
     # first, so it is built with list comprehensions, which run faster
     # than generator expressions here
     pos = dict(zip(order, range(len(order))))
-    down = p._down
     return tuple([tuple([pos[k] for k in down[e] if k in pos]) for e in order])
 
 

@@ -91,10 +91,11 @@ need:
   backtracking that proves a leaf least.
 
 * Cache.  ``_certify``, the one search entry, takes a diagram as its
-  level widths and cover lists, so the census and the searches build no
-  poset to certify; only it takes known leaves and a deadline.  A poset
-  keeps its last complete run (certificate, element order, node count)
-  in its own ``__dict__``, as its constructor keeps its cover lists, so
+  level widths and ascending lower-cover lists, and lists the upper
+  covers itself, so the census and the searches build no poset to
+  certify; only it takes known leaves and a deadline.  A poset keeps its
+  last complete run (certificate, element order, node count) in its own
+  ``__dict__``, as its constructor keeps its cover lists, so
   asking the same object twice searches once; a search stores each
   class with the run that certified it.  Nothing is kept elsewhere.  A
   kept run whose node count exceeds the caller's cap raises as a fresh
@@ -103,7 +104,7 @@ need:
 
 A node cap guards against pathological inputs and is reported, never
 silently hit.  A caller's deadline, read every 64 nodes, ends a search
-the same way.
+with ``_Capped``, the signal by which a search's own budgets stop it.
 """
 
 from __future__ import annotations
@@ -130,8 +131,12 @@ class CanonicalizationCapError(PosetError):
     """The canonical-labeling backtracking exceeded its node budget."""
 
 
-class _DeadlinePassed(Exception):
-    """The caller's deadline passed during a canonical search."""
+class _Capped(Exception):
+    """A search's node or time budget ran out; ``detail`` says which."""
+
+    def __init__(self, detail: str):
+        super().__init__(detail)
+        self.detail = detail
 
 
 def _close(reached: set[int], gens: list[dict[int, int]], start: list[int]) -> None:
@@ -169,13 +174,12 @@ class _Canonicalizer:
     def __init__(
         self,
         widths: Sequence[int],
-        up: Sequence[tuple[int, ...]],
-        down: Sequence[tuple[int, ...]],
+        down: Sequence[Sequence[int]],
         node_cap: int,
         known: dict[bytes, bytes] | None = None,
         deadline: float | None = None,
     ):
-        self.widths, self.up = widths, up
+        self.widths = widths
         self.starts = list(accumulate(widths, initial=0))
         self.level_of = level_of = [r for r, w in enumerate(widths) for _ in range(w)]
         self.cap = node_cap
@@ -186,9 +190,14 @@ class _Canonicalizer:
         # the encodings of the leaves met
         self.leaves: set[bytes] = set()
         self.nodes = 0
-        self.n = len(up)
-        self.adj = [u + d for u, d in zip(up, down)]
-        self.near = [set(nbrs) for nbrs in self.adj]
+        self.n = n = len(down)
+        # the upper covers, each list ascending as it is filled in element order
+        self.up = up = [[] for _ in range(n)]
+        for v, cs in enumerate(down):
+            for c in cs:
+                up[c].append(v)
+        self.adj = adj = [(*u, *d) for u, d in zip(up, down)]
+        self.near = [set(nbrs) for nbrs in adj]
         self.best: bytes | None = None
         self.best_order: list[int] = []
         # (lab, end, ncells) of each node on the best path, the leaf included
@@ -197,11 +206,12 @@ class _Canonicalizer:
         self.agree = 0
         self.gens: list[dict[int, int]] = []
         self.path: list[int] = []
-        # Twins share a level, upper covers and lower covers.  A twin class
-        # is named by its first member, and the swap of two consecutive
-        # members is an automorphism known before the search starts.
+        # Twins share a level and an ``adj`` entry (upper covers, then lower
+        # ones).  A twin class is named by its first member, and the swap of
+        # two consecutive members is an automorphism known before the search
+        # starts.
         names: dict[tuple, int] = {}
-        self.twin = [names.setdefault(key, v) for v, key in enumerate(zip(level_of, up, down))]
+        self.twin = [names.setdefault(key, v) for v, key in enumerate(zip(level_of, adj))]
         last: dict[int, int] = {}
         for v, t in enumerate(self.twin):
             if t in last:
@@ -261,7 +271,7 @@ class _Canonicalizer:
             raise CanonicalizationCapError(f"canonical labeling exceeded {self.cap} nodes")
         if self.deadline is not None and not self.nodes % 64:
             if time.monotonic() > self.deadline:
-                raise _DeadlinePassed
+                raise _Capped("time budget exhausted")
         adj, n = self.adj, self.n
         pending = deque(queue)
         queued = set(queue)
@@ -485,17 +495,28 @@ class _Canonicalizer:
 
 def _certify(
     widths: Sequence[int],
-    up: Sequence[tuple[int, ...]],
-    down: Sequence[tuple[int, ...]],
+    down: Sequence[Sequence[int]],
     node_cap: int,
     known: dict[bytes, bytes] | None = None,
     deadline: float | None = None,
 ) -> tuple[bytes, list[int], _Canonicalizer]:
     """Certificate, element order and search of the diagram with level
-    ``widths`` and cover lists ``up`` and ``down`` (as in ``_adjacency``).
-    It stops at a leaf in ``known``, or adds its leaves if complete (see
-    Known leaves); past ``deadline`` it raises ``_DeadlinePassed``."""
-    search = _Canonicalizer(widths, up, down, node_cap, known, deadline)
+    ``widths`` whose i-th element, counted level by level, has the lower
+    covers ``down[i]``.  It stops at a leaf in ``known``, or adds its
+    leaves if complete (see Known leaves); past ``deadline`` it raises
+    ``_Capped``.
+
+    Each list of ``down`` must be ascending; it is neither sorted nor
+    de-duplicated here.  Every caller meets that: the poset constructor
+    sorts its lists, ``core._induced_down`` of an ascending order keeps
+    them ascending, levelwise cover sets come sorted from
+    ``search._sets_from``, assembly rows map sorted patterns through
+    sorted atom sets, its blocks and the top are ranges, and its coatoms
+    take their positions in increasing order.  Twin detection and the
+    order inside refined cells read the lists in order, so an unsorted
+    list can cost nodes, never change the certificate, which is the least
+    encoding over the whole tree (see Twins)."""
+    search = _Canonicalizer(widths, down, node_cap, known, deadline)
     cert, order = search.run()
     if known is not None and not search.stopped:
         known.update(dict.fromkeys(search.leaves, cert))
@@ -505,7 +526,7 @@ def _certify(
 def _canonical(p: GradedPoset, node_cap: int) -> tuple[bytes, tuple[int, ...]]:
     """Certificate and canonical element order, from the run ``p`` keeps."""
     if "_canonical_run" not in p.__dict__:
-        _certify(p.widths, *p._adjacency, node_cap)[2].keep(p)
+        _certify(p.widths, p._down, node_cap)[2].keep(p)
     cert, order, nodes = p.__dict__["_canonical_run"]
     if nodes > node_cap:
         raise CanonicalizationCapError(f"canonical labeling exceeded {node_cap} nodes")

@@ -98,12 +98,16 @@ search hits the cap is recorded by neither.
 Every canonical search of the core shares one dict of known leaves
 (see Known leaves in ``iso``): dedup, ``classify`` and the levelwise
 anchor check.  A search of a class already met stops at its first leaf.
-The deadline reaches these searches too: one that runs past it caps the
-search as ``spend()`` would.
+The deadline reaches these searches too: one that runs past it raises
+``_Capped``, which ``iso`` defines and ``spend()`` raises, so it caps
+the search the same way.
 
-States and candidates stay level widths and lower-cover lists, and are
-certified as such; a ``GradedPoset`` is built only for a new class.  A
-candidate whose canonical search hits the cap caps the search unbuilt.
+States and candidates stay level widths and ascending lower-cover
+lists, and are certified as such (see ``iso._certify``); the anchor
+check alone relists a diagram, the lower set of the new element, with
+``core._induced_down``.  A ``GradedPoset`` is built only for a new
+class.  A candidate whose canonical search hits the cap caps the search
+unbuilt.
 
 A search reports "exhausted" only when no branch was cut by a cap.
 """
@@ -126,8 +130,8 @@ from .core import (
     verify_binomial,
     _as_sequence,
     _bits,
-    _cover_lists,
     _from_down,
+    _induced_down,
     _ratio_failure,
     _whole,
 )
@@ -135,8 +139,8 @@ from .iso import (
     DEFAULT_NODE_CAP,
     CanonicalizationCapError,
     canonical_form,
+    _Capped,
     _certify,
-    _DeadlinePassed,
 )
 
 __all__ = [
@@ -175,12 +179,6 @@ class SearchResult:
         return self.classes[0] if self.classes else None
 
 
-class _Capped(Exception):
-    def __init__(self, detail: str):
-        super().__init__(detail)
-        self.detail = detail
-
-
 class _Core:
     """The budget, dedup and classification shared by every strategy, on integer diagrams."""
 
@@ -206,14 +204,10 @@ class _Core:
         if not self.nodes % 256:
             self.check_deadline()
 
-    def _certificate(self, widths: Sequence[int], down: Iterable[Iterable[int]]) -> tuple:
+    def _certificate(self, widths: Sequence[int], down: Sequence[Sequence[int]]) -> tuple:
         """``_certify`` on the diagram with level ``widths`` and lower covers
         ``down``, stopping at a known leaf; the deadline caps the search."""
-        adjacency = _cover_lists(down)
-        try:
-            return _certify(widths, *adjacency, DEFAULT_NODE_CAP, self.known, self.deadline)
-        except _DeadlinePassed:
-            raise _Capped("time budget exhausted") from None
+        return _certify(widths, down, DEFAULT_NODE_CAP, self.known, self.deadline)
 
     def repeats(self, seen: dict, shape, widths: Sequence[int], down: Sequence) -> bool:
         """Is the diagram with level ``widths`` and lower-cover lists
@@ -450,7 +444,11 @@ class _Levelwise:
 
     def _anchored(self, e: int) -> bool:
         """Is the lower set of ``e`` isomorphic to the anchor interval?"""
-        widths, down = self._diagram(_bits(self.down_mask[e]))
+        mask = self.down_mask[e]
+        # its elements on levels r and above number (mask >> start[r]).bit_count()
+        above = [(mask >> s).bit_count() for s in self.start[: self.anchor[1] + 2]]
+        widths = [a - b for a, b in zip(above, above[1:])]
+        down = _induced_down(self.covers_of, list(_bits(mask)))
         try:
             return self.core._certificate(widths, down)[0] == self.anchor[0]
         except CanonicalizationCapError as exc:
@@ -463,18 +461,6 @@ class _Levelwise:
             self.upcov_mask[u] &= mask
         self.down_mask.pop()
         self.upcov_mask.pop()
-
-    def _diagram(self, keep: Iterable[int]) -> tuple[list[int], list[list[int]]]:
-        """The level widths and lower-cover lists of the diagram on the
-        down-closed elements ``keep``, listed in creation order; covers are
-        positions in that order."""
-        pos = {g: i for i, g in enumerate(keep)}
-        widths = [0]
-        for g in pos:
-            while g >= self.start[len(widths)]:
-                widths.append(0)
-            widths[-1] += 1
-        return widths, [[pos[c] for c in self.covers_of[g]] for g in pos]
 
 
 # ---------------------------------------------------------------------------

@@ -325,10 +325,10 @@ def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatc
     calls = []
     real = classify._certify
 
-    def spy(widths, up, down, cap, known, *args):
+    def spy(widths, down, cap, known, *args):
         # the certificates the known leaves map to before the call
         before = set(known.values())
-        out = real(widths, up, down, cap, known, *args)
+        out = real(widths, down, cap, known, *args)
         calls.append(((tuple(widths), down), before, out[0]))
         return out
 
@@ -342,7 +342,7 @@ def test_census_canonicalizes_the_first_interval_of_each_labelled_key(monkeypatc
             for s, t in _pairs_of_length(p, n):
                 between = range(start[p.rank(els[s])], start[p.rank(els[t]) + 1])
                 order = [i for i in between if p.le(els[s], els[i]) and p.le(els[i], els[t])]
-                firsts.setdefault(_induced_down(p, order), (els[s], els[t]))
+                firsts.setdefault(_induced_down(p._down, order), (els[s], els[t]))
             want = [(interval(p, *pair).widths, key) for key, pair in firsts.items()]
             assert [diagram for diagram, _, _ in calls] == want, (p.levels[1], n)
             for i, (_, known, _) in enumerate(calls):

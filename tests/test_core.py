@@ -597,12 +597,12 @@ def _relabelled(p: GradedPoset, rng: random.Random) -> GradedPoset:
 
 class TestSeededAdjacency:
     """The integer tables a poset keeps from construction (``_index``,
-    ``_level_of`` and the cover lists of ``_adjacency``) equal those read
+    ``_level_of`` and the cover lists ``_up`` and ``_down``) equal those read
     off its ``levels`` and ``covers`` by definition."""
 
     @staticmethod
     def check(p: GradedPoset) -> None:
-        assert {"_index", "_level_of", "_adjacency"} <= p.__dict__.keys()
+        assert {"_index", "_level_of", "_up", "_down"} <= p.__dict__.keys()
         where = {x: (r, i) for r, lv in enumerate(p.levels) for i, x in enumerate(lv)}
         # the index counts the levels below, then the place in the level
         offset = [sum(map(len, p.levels[:r])) for r in range(len(p.levels))]
@@ -615,7 +615,7 @@ class TestSeededAdjacency:
         for lo, hi in p.covers:
             above[index[lo]].add(index[hi])
             below[index[hi]].add(index[lo])
-        assert p._adjacency == (
+        assert (p._up, p._down) == (
             tuple(tuple(sorted(s)) for s in above),
             tuple(tuple(sorted(s)) for s in below),
         )

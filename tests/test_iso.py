@@ -31,8 +31,8 @@ from binposet.iso import (
     CanonicalizationCapError,
     _canonical,
     _Canonicalizer,
+    _Capped,
     _certify,
-    _DeadlinePassed,
     _preserves_covers,
     are_isomorphic,
     canonical_form,
@@ -216,12 +216,12 @@ def kept_run(p: GradedPoset):
 
 def canonicalizer(p: GradedPoset, *args) -> _Canonicalizer:
     """A canonical search of the integer lists of ``p``, not yet run."""
-    return _Canonicalizer(p.widths, *p._adjacency, *args)
+    return _Canonicalizer(p.widths, p._down, *args)
 
 
 def certify(p: GradedPoset, *args):
     """``_certify`` on the integer lists of ``p``: (certificate, order, search)."""
-    return _certify(p.widths, *p._adjacency, *args)
+    return _certify(p.widths, p._down, *args)
 
 
 class TestInstanceCache:
@@ -516,6 +516,37 @@ def test_certificate_equality_matches_brute_force(p, q):
     assert (canonical_form(p) == canonical_form(q)) == brute_isomorphic(p, q)
 
 
+def certify_shuffled(p: GradedPoset, rng: random.Random) -> bytes:
+    """The certificate ``_certify`` gives ``p`` with each lower-cover list
+    in a random order instead of ascending."""
+    down = [rng.sample(cs, len(cs)) for cs in p._down]
+    return _certify(p.widths, down, DEFAULT_NODE_CAP)[0]
+
+
+# _certify takes ascending lower-cover lists and does not sort them; a list
+# out of order may cost nodes (twin detection reads the order), but it never
+# changes the certificate
+@given(raw_diagrams(), st.integers(0, 2**32 - 1))
+def test_certificate_does_not_depend_on_the_order_of_lower_covers(p, seed):
+    assert certify_shuffled(p, random.Random(seed)) == certify(p, DEFAULT_NODE_CAP)[0]
+
+
+def test_large_certificates_do_not_depend_on_the_order_of_lower_covers():
+    rng = random.Random(17)
+    posets = [
+        poset_from_string(versal_string(3)),
+        divisible_poset((1, 2, 4), 5),
+        m_interval(3),
+        stripped_boolean_interval(4, 1),
+    ]
+    posets += enumerate_intervals((1, 2, 3, 8), strategy="assembly").classes
+    posets += enumerate_intervals((1, 3, 6), strategy="levelwise").classes
+    for p in posets:
+        cert = certify(p, DEFAULT_NODE_CAP)[0]
+        for _ in range(5):
+            assert certify_shuffled(p, rng) == cert, p.widths
+
+
 def random_graded(rng: random.Random) -> GradedPoset:
     """A random leveled diagram of at most 60 elements; every third one is
     a few copies of one random block between a bottom and a top, which
@@ -718,7 +749,7 @@ def test_known_certificate_matches_brute_force(p, q):
 class TestDeadline:
     def test_a_passed_deadline_ends_a_search(self):
         p = poset_from_string(versal_string(3))
-        with pytest.raises(_DeadlinePassed):
+        with pytest.raises(_Capped, match="time budget exhausted"):
             certify(p, DEFAULT_NODE_CAP, {}, time.monotonic() - 1)
         assert kept_run(p) is None
 

@@ -211,10 +211,10 @@ class TestEnumerate:
         # a canonicalization cap lets dedup search on.
         real, word = search._certify, poset_from_string(versal_string(3))
 
-        def slow(widths, up, down, node_cap, known, deadline):
+        def slow(widths, down, node_cap, known, deadline):
             if (widths[-1] == 1) == (stage == "complete"):
-                widths, (up, down) = word.widths, word._adjacency
-            return real(widths, up, down, node_cap, known, deadline)
+                widths, down = word.widths, word._down
+            return real(widths, down, node_cap, known, deadline)
 
         monkeypatch.setattr(search, "_certify", slow)
         res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=0))
@@ -474,14 +474,14 @@ class TestEnumerate:
     def test_only_the_anchor_check_relists_a_diagram(self, monkeypatch, cube):
         # dedup and completion hand the core the widths and cover lists the
         # search holds; only an anchored run re-lists a lower set
-        real = search._Levelwise._diagram
+        real = search._induced_down
         calls = []
 
-        def diagram(self, keep):
+        def induced_down(down, order):
             calls.append(1)
-            return real(self, keep)
+            return real(down, order)
 
-        monkeypatch.setattr(search._Levelwise, "_diagram", diagram)
+        monkeypatch.setattr(search, "_induced_down", induced_down)
         for head in (1, 2, 3, 4), (1, 2, 4, 4), (1,) * 6:
             res = enumerate_intervals(head, strategy="levelwise")
             assert res.verdict == "found" and res.nodes > 0, head
@@ -613,11 +613,11 @@ class TestShapeBuckets:
         real = search._certify
         log = SimpleNamespace(calls=[], cap_first=False)
 
-        def spy(widths, up, down, *args):
+        def spy(widths, down, *args):
             log.calls.append((widths, down))
             if log.cap_first and len(log.calls) == 1:
                 raise CanonicalizationCapError("forced cap")
-            return real(widths, up, down, *args)
+            return real(widths, down, *args)
 
         monkeypatch.setattr(search, "_certify", spy)
         return log

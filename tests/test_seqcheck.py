@@ -128,6 +128,20 @@ class TestCompatibility:
         else:
             assert not brute_ratio_ok(values, *rep.witness)
 
+    @given(st.integers(0, 40), st.lists(st.integers(1, 12), max_size=6))
+    def test_leading_ones_keep_the_first_failure(self, ones, rest):
+        # the ratio scan takes i past the leading 1s, as every pair with i
+        # among them divides; the first failing pair by (i + j, i) stays the
+        # one reported
+        values = [1] * (1 + ones) + sorted(rest)
+        pairs = [(i, n - i) for n in range(2, len(values) + 1) for i in range(1, n // 2 + 1)]
+        failures = [pair for pair in pairs if not brute_ratio_ok(values, *pair)]
+        rep = check_compatibility(tuple(values))
+        if failures:
+            assert (rep.ok, rep.kind, rep.witness) == (False, "ratio", failures[0])
+        else:
+            assert rep.ok
+
     def test_tail_violations_past_the_head_are_caught(self):
         # the finite head is admissible on its own; the constant tail is
         # too small and breaks a ratio one step past it
