@@ -122,8 +122,7 @@ def poset_from_string(word: str, height: int | None = None) -> GradedPoset:
     if not validate_string(word):
         raise PosetError(f"invalid section word {word!r}: adjacent 2s")
     want = len(word) + 2
-    if height is None:
-        height = want
+    height = want if height is None else _whole(height, "height")
     if height != want:
         raise PosetError(f"word of length {len(word)} forces height {want}, got {height}")
     # Width 2 -> 4: each bottom-level element gets both elements of one

@@ -13,9 +13,8 @@ unless a resource cap interrupts):
   distance d >= 2 below a new element must have exactly a_d upper covers
   below it, and up-degrees are tracked against their forced values.  As
   in ``verify_binomial``, exact atom counts force exact chain counts and
-  level widths in every interval.  Completed partial diagrams (past the
-  bare bottom) are deduplicated by canonical certificate, except those
-  whose levels all have width 1: each is the only diagram of its widths.
+  level widths in every interval.  Completed partial diagrams are
+  deduplicated by canonical certificate.
 
 * rank-4 assembly: enumerate rank-3 classes first, then choose which
   rank-3 interval sits under each coatom (an atom set plus a wiring
@@ -72,12 +71,12 @@ it is a new class.  A new class is verified first, and one that fails
 raises ``AssertionError``: it is a fault in the search, not a verdict.
 The class keeps that check's sweep, so a caller that verifies a
 returned class again sweeps nothing.
-A strategy supplies only the candidate generator: its walk and
-prunes, a ``spend()`` per branch it opens, the states it dedups on (as
-level widths and integer lower-cover lists, each with a bucket key) and
-its dedup table.  A key names the stage, and a table is never shared
-between runs, because the partial states of two stages can be the same
-diagram and would then prune each other.
+A strategy supplies only the candidate generator: its walk and prunes, a
+``spend()`` per branch it opens, the states it dedups on (its own
+records, a bucket key for each, and a function expanding one to level
+widths and integer lower-cover lists) and its dedup table.  A key names
+the stage; a table is never shared between runs, as the partial states
+of two stages can be the same diagram and would then prune each other.
 
 Dedup buckets a stage's states under a key the strategy already holds,
 which fixes their degree shape (the level widths and the sorted (level,
@@ -87,13 +86,14 @@ completed: a level-i element has a(i) lower covers, a(N-i) upper ones
 below j (see ``_fitting``) and none at j.  Assembly keys by the block
 count and the atoms' sorted block counts: the widths are (a4, a3 blocks,
 blocks), and atom x, a row element and a block have the triples
-(0, 0, a2 count[x]), (1, a2, 1) and (2, a3, 0).  The first state of a
-bucket is kept packed in integer arrays, uncertified: no diagram is
-built and no canonical search is run for it, as no earlier state can be
-isomorphic to it.  When a second state comes to the bucket, the kept one
-is certified first, then the new one, so the states pruned are exactly
-those that certifying every state would prune.  A state whose canonical
-search hits the cap is recorded by neither.
+(0, 0, a2 count[x]), (1, a2, 1) and (2, a3, 0).  Levelwise records a
+state as the record of levels 0..j-1 on the current path paired with
+level j's cover tuples, assembly as the tuple of chosen blocks.  The
+first state of a bucket is kept as that record, uncertified, as no
+earlier state can be isomorphic to it.  When a second state comes, the
+kept one is expanded and certified first, then the new one, so the
+states pruned are exactly those that certifying every state would prune.
+A state whose canonical search hits the cap is recorded by neither.
 
 Every canonical search of the core shares one dict of known leaves
 (see Known leaves in ``iso``): dedup, ``classify`` and the levelwise
@@ -102,10 +102,10 @@ The deadline reaches these searches too: one that runs past it raises
 ``_Capped``, which ``iso`` defines and ``spend()`` raises, so it caps
 the search the same way.
 
-States and candidates stay level widths and ascending lower-cover
-lists, and are certified as such (see ``iso._certify``); the anchor
-check alone relists a diagram, the lower set of the new element, with
-``core._induced_down``.  A ``GradedPoset`` is built only for a new
+Expanded states and candidates are level widths and ascending
+lower-cover lists, and are certified as such (see ``iso._certify``); the
+anchor check alone relists a diagram, the lower set of the new element,
+with ``core._induced_down``.  A ``GradedPoset`` is built only for a new
 class.  A candidate whose canonical search hits the cap caps the search
 unbuilt.
 
@@ -116,9 +116,8 @@ from __future__ import annotations
 
 import operator
 import time
-from array import array
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, islice, permutations, product, takewhile
+from itertools import accumulate, combinations, permutations, product, takewhile
 from numbers import Real
 from typing import Iterable, Iterator, Sequence
 
@@ -209,27 +208,22 @@ class _Core:
         ``down``, stopping at a known leaf; the deadline caps the search."""
         return _certify(widths, down, DEFAULT_NODE_CAP, self.known, self.deadline)
 
-    def repeats(self, seen: dict, shape, widths: Sequence[int], down: Sequence) -> bool:
-        """Is the diagram with level ``widths`` and lower-cover lists
-        ``down`` isomorphic to a state already in ``seen``?  Records it if
-        not.  ``shape`` is the caller's bucket key, which fixes the degree
-        shape and is fixed by it; ``seen`` maps it to the one state of that
-        key so far, packed and uncertified, or to the certificates of its
-        states (see the module docstring)."""
-        held = seen.get(shape)
+    def repeats(self, seen: dict, key, state, expand) -> bool:
+        """Is the search state ``state`` isomorphic to a state already in
+        ``seen``?  Records it if not.  ``state`` is the caller's immutable
+        record, and ``expand(state)`` gives its level widths and ascending
+        lower-cover lists.  ``key`` is the caller's bucket key, which fixes
+        the degree shape and is fixed by it; ``seen`` maps it to the one
+        state of that key so far, kept as it came, or to the certificates
+        of its states (see the module docstring)."""
+        held = seen.get(key)
         if held is None:
-            # widths, degrees and positions are below the element count
-            code = "H" if len(down) <= 0xFFFF else "L"
-            packed = (widths, map(len, down), chain.from_iterable(down))
-            seen[shape] = tuple(array(code, values) for values in packed)
+            seen[key] = state
             return False
-        if isinstance(held, tuple):
-            seen[shape] = certs = set()
-            kept_widths, kept_degrees, kept_covers = held
-            flat = iter(kept_covers)
-            self._record(certs, kept_widths, [list(islice(flat, d)) for d in kept_degrees])
-            held = certs
-        return self._record(held, widths, down)
+        if not isinstance(held, set):
+            seen[key] = set()
+            self._record(seen[key], *expand(held))
+        return self._record(seen[key], *expand(state))
 
     def _record(
         self, certs: set[bytes], widths: Sequence[int], down: Sequence[Sequence[int]]
@@ -333,6 +327,16 @@ def _fitting(
 # levelwise strategy
 
 
+def _unfold(record) -> tuple[list[int], list[tuple[int, ...]]]:
+    """The level widths and lower-cover lists of a levelwise record."""
+    levels = []
+    while record is not None:
+        record, level = record
+        levels.append(level)
+    levels.reverse()
+    return [len(level) for level in levels], [cs for level in levels for cs in level]
+
+
 class _Levelwise:
     def __init__(
         self,
@@ -358,15 +362,14 @@ class _Levelwise:
         self.down_mask = [1]
         self.upcov_mask = [0]
         self.covers_of: list[tuple[int, ...]] = [()]
-        # the completed levels' states, keyed by the last level j
+        # the completed levels' records, keyed by the last level j
         self.seen: dict = {}
 
     def run(self) -> None:
         core, seq, N, widths, start = self.core, self.seq, self.N, self.widths, self.start
         covers_of = self.covers_of
-        # levels 0 .. j all have width 1 for j < narrow; such a stage is the
-        # only diagram of its widths, so it cannot repeat and is not recorded
-        narrow = len(list(takewhile((1).__eq__, widths)))
+        # path[j + 1] records levels 0 .. j as (path[j], level j's cover tuples)
+        path: list = [None] * (N + 1)
         # One frame per element being placed, element k at stack[k - 1]:
         # its level, the unused-atom mark and the cover sets left to try.
         stack: list[tuple[int, int, Iterator[tuple[int, ...]]]] = []
@@ -380,9 +383,11 @@ class _Levelwise:
                     used = max(stack[-1][1], first[-1] + 1)
                 elif j == N:
                     core.classify(widths, covers_of, seq, self.out)
-                elif not (j >= narrow and core.repeats(self.seen, j, widths[: j + 1], covers_of)):
-                    # level j + 1 opens unless level j holds no set of a(j+1) covers
-                    if seq.a(j + 1) <= widths[j]:
+                else:
+                    path[j + 1] = state = (path[j], tuple(covers_of[start[j] :]))
+                    # level j + 1 opens unless the stage repeats or W(N, j) < a(j+1)
+                    repeat = core.repeats(self.seen, j, state, _unfold)
+                    if not repeat and seq.a(j + 1) <= widths[j]:
                         used, j = start[j], j + 1
                         first = tuple(range(used, used + seq.a(j)))
                 if first is not None:
@@ -560,7 +565,8 @@ class _Assembly:
                 )
                 # the block count and the sorted atom counts fix the degree shape
                 shape = len(self.chosen), tuple(sorted(self.count))
-                if not stuck and not self.core.repeats(self.seen, shape, *self._state()):
+                state = tuple(self.chosen)
+                if not stuck and not self.core.repeats(self.seen, shape, state, self._state):
                     self._slots(S, k, max(used, S[-1] + 1))
                 self.chosen.pop()
                 for row in rows:
@@ -572,13 +578,13 @@ class _Assembly:
                 for x in S:
                     self.count[x] -= 1
 
-    def _state(self) -> tuple[list[int], list]:
-        """The chosen blocks as level widths and lower-cover lists: atoms,
-        one mid element per placed row, one element per block."""
+    def _state(self, chosen: tuple) -> tuple[list[int], list]:
+        """The blocks ``chosen`` as level widths and lower-cover lists:
+        atoms, one mid element per placed row, one element per block."""
         a4 = self.a4
         mid: list[tuple[int, ...]] = []
         blocks: list[range] = []
-        for rows in self.chosen:
+        for rows in chosen:
             blocks.append(range(a4 + len(mid), a4 + len(mid) + len(rows)))
             mid.extend(rows)
         return [a4, len(mid), len(blocks)], [()] * a4 + mid + blocks

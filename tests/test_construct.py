@@ -60,6 +60,9 @@ class TestPosetFromString:
     def test_height_must_match_word(self):
         with pytest.raises(PosetError, match="height"):
             poset_from_string("11", height=7)
+        for height in (3.0, "3"):
+            with pytest.raises(PosetError, match="height must be an integer"):
+                poset_from_string("1", height)
         assert poset_from_string("11", height=4).height == 4
 
     def test_distinct_words_distinct_diagrams(self):

@@ -1,3 +1,4 @@
+import copy
 import math
 import os
 import random
@@ -5,7 +6,7 @@ import subprocess
 import sys
 import time
 from functools import cache
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -40,7 +41,7 @@ def without_dedup(*args, **kwargs):
     """``enumerate_intervals`` with no partial diagram pruned as a repeat:
     the reference that each strategy's dedup stages are checked against."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(search._Core, "repeats", lambda self, seen, shape, widths, down: False)
+        mp.setattr(search._Core, "repeats", lambda self, seen, key, state, expand: False)
         return enumerate_intervals(*args, **kwargs)
 
 
@@ -285,29 +286,58 @@ class TestEnumerate:
 
     def test_a_chain_walks_no_down_set_and_records_no_state(self, monkeypatch):
         # a spy, not a timer: while a(1) .. a(j) are all 1 a new element has
-        # one lower cover and passes the atom check without a walk, and a
-        # stage of width-1 levels is the only diagram of its widths
-        calls = {"_bits": 0, "repeats": 0}
-        real_bits, real_repeats = search._bits, search._Core.repeats
+        # one lower cover and passes the atom check without a walk, and each
+        # stage of a chain or a near-chain is the only state of its key, so
+        # it is kept as built: never expanded, never certified
+        calls = {"_bits": 0, "_certify": [], "expand": 0, "records": []}
+        real_bits, real_certify = search._bits, search._certify
+        real_repeats = search._Core.repeats
 
         def bits(mask):
             calls["_bits"] += 1
             return real_bits(mask)
 
-        def repeats(core, *args):
-            calls["repeats"] += 1
-            return real_repeats(core, *args)
+        def certify(widths, down, *args):
+            calls["_certify"].append(list(widths))
+            return real_certify(widths, down, *args)
+
+        def repeats(core, seen, key, state, expand):
+            def counted(record):
+                calls["expand"] += 1
+                return expand(record)
+
+            calls["records"].append(state)
+            return real_repeats(core, seen, key, state, counted)
 
         monkeypatch.setattr(search, "_bits", bits)
+        monkeypatch.setattr(search, "_certify", certify)
         monkeypatch.setattr(search._Core, "repeats", repeats)
-        chain = enumerate_intervals((1,) * 300)
-        assert (chain.verdict, len(chain.classes), chain.nodes) == ("found", 1, 300)
-        assert calls == {"_bits": 0, "repeats": 0}
-        # past the leading ones (level 3 of (1, 1, 2)) the check walks, and
-        # a stage with a level of width 2 is recorded
+        # the near-chain's top alone lies past the leading ones, and walks once
+        for head, nodes, wide, walks in [
+            ((1,) * 300, 300, 1, 0),
+            ((1,) * 300 + (2,), 899, 2, 1),
+        ]:
+            calls.update(_bits=0, _certify=[], records=[])
+            res = enumerate_intervals(head)
+            assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, nodes)
+            assert calls["_bits"] == walks and calls["expand"] == 0
+            # the one canonical search is the class's, on the whole diagram
+            assert calls["_certify"] == [list(res.classes[0].widths)]
+            # a record of stage j holds level j's cover lists, and links to
+            # the record of stage j - 1
+            records = calls["records"]
+            assert [len(level) for _, level in records] == [1] + [wide] * (len(head) - 1)
+            assert records[0][0] is None
+            assert all(below is records[j] for j, (below, _) in enumerate(records[1:]))
+        # past the leading ones (level 3 of (1, 1, 2)) the check walks
         res = enumerate_intervals((1, 1, 2))
         assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, 5)
-        assert calls["_bits"] > 0 and calls["repeats"] > 0
+        assert calls["_bits"] > 0
+        # a second state of a bucket expands the kept one, then itself
+        calls["expand"] = 0
+        res = enumerate_intervals((1, 2, 4))
+        assert (res.verdict, len(res.classes), res.nodes) == ("found", 2, 18)
+        assert calls["expand"] == 2
 
     def test_level_widths_read_each_atom_once(self, monkeypatch):
         def levelwise(head):
@@ -586,6 +616,11 @@ EIGHT_CYCLE = [[]] * 4 + [[0, 1], [1, 2], [2, 3], [3, 0]]
 TWO_SQUARES = [[]] * 4 + [[0, 1], [0, 1], [2, 3], [2, 3]]
 
 
+def as_is(state):
+    """The expansion of a state that is already its widths and lower covers."""
+    return state
+
+
 def shuffled(widths, down, rng):
     """The state ``down`` with the positions of each level permuted."""
     perm, start = [], 0
@@ -624,30 +659,30 @@ class TestShapeBuckets:
 
     def test_one_shape_two_classes(self, searches):
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(5)
-        assert not core.repeats(seen, 0, [4, 4], EIGHT_CYCLE)
+        assert not core.repeats(seen, 0, ([4, 4], EIGHT_CYCLE), as_is)
         assert searches.calls == [] and core.known == {}
-        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
+        assert not core.repeats(seen, 0, ([4, 4], TWO_SQUARES), as_is)
         assert len(searches.calls) == 2 and len(seen) == 1
         for down in (EIGHT_CYCLE, TWO_SQUARES) * 3:
-            assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], down, rng))
+            assert core.repeats(seen, 0, ([4, 4], shuffled([4, 4], down, rng)), as_is)
 
     def test_a_relabelled_copy_of_the_pending_state_repeats(self, searches):
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(6)
-        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
-        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+        assert not core.repeats(seen, 0, ([4, 4], TWO_SQUARES), as_is)
+        assert core.repeats(seen, 0, ([4, 4], shuffled([4, 4], TWO_SQUARES, rng)), as_is)
         assert len(searches.calls) == 2
 
     def test_a_pending_state_capped_late_is_dropped(self, searches):
         searches.cap_first = True
         core, seen, rng = search._Core(SearchLimits()), {}, random.Random(7)
-        assert not core.repeats(seen, 0, [4, 4], EIGHT_CYCLE)
+        assert not core.repeats(seen, 0, ([4, 4], EIGHT_CYCLE), as_is)
         # the eight-cycle's late search hits the cap; the squares are new
-        assert not core.repeats(seen, 0, [4, 4], TWO_SQUARES)
+        assert not core.repeats(seen, 0, ([4, 4], TWO_SQUARES), as_is)
         assert len(searches.calls) == 2
         # so the eight-cycle was never recorded: a copy is new, then repeats
-        assert not core.repeats(seen, 0, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
-        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], EIGHT_CYCLE, rng))
-        assert core.repeats(seen, 0, [4, 4], shuffled([4, 4], TWO_SQUARES, rng))
+        assert not core.repeats(seen, 0, ([4, 4], shuffled([4, 4], EIGHT_CYCLE, rng)), as_is)
+        assert core.repeats(seen, 0, ([4, 4], shuffled([4, 4], EIGHT_CYCLE, rng)), as_is)
+        assert core.repeats(seen, 0, ([4, 4], shuffled([4, 4], TWO_SQUARES, rng)), as_is)
 
 
 def degree_shape(widths, down):
@@ -666,11 +701,11 @@ def test_bucket_keys_are_the_degree_shapes(monkeypatch):
     determine each other, so every bucket holds the states of one shape."""
     real, tables = search._Core.repeats, {}
 
-    def spy(core, seen, shape, widths, down):
+    def spy(core, seen, key, state, expand):
         # the table itself is kept, so that its id is never reused
         buckets = tables.setdefault(id(seen), (seen, {}))[1]
-        buckets.setdefault(shape, set()).add(degree_shape(widths, down))
-        return real(core, seen, shape, widths, down)
+        buckets.setdefault(key, set()).add(degree_shape(*expand(state)))
+        return real(core, seen, key, state, expand)
 
     monkeypatch.setattr(search._Core, "repeats", spy)
     m3 = m_interval(3)
@@ -694,7 +729,48 @@ def test_bucket_keys_are_the_degree_shapes(monkeypatch):
         for key in buckets:
             keys[type(key)] += 1
     # each assembly run holds a levelwise run for its rank-3 catalog
-    assert keys == {int: 21, tuple: 53}
+    assert keys == {int: 30, tuple: 53}
+
+
+def test_a_kept_record_stays_the_diagram_it_was(monkeypatch):
+    """A dedup table keeps the first state of a bucket as the strategy's
+    own record.  Expanded when it is recorded, each state is a graded
+    diagram; every record still kept when the run ends expands to that
+    same diagram, whatever the walk did after it."""
+    real, log = search._Core.repeats, []
+
+    def spy(core, seen, key, state, expand):
+        widths, down = expand(state)
+        assert len(down) == sum(widths)
+        # every element's lower covers lie on the level below its own
+        starts = list(accumulate(widths, initial=0))
+        for r, (lo, hi) in enumerate(zip(starts, starts[1:])):
+            below = starts[r - 1] if r else lo
+            assert all(below <= c < lo for cs in down[lo:hi] for c in cs)
+        log.append((seen, key, state, expand, copy.deepcopy((widths, down))))
+        return real(core, seen, key, state, expand)
+
+    monkeypatch.setattr(search._Core, "repeats", spy)
+    m3 = m_interval(3)
+    for head, strategy, budget, base in [
+        ((1, 2, 4, 8), "assembly", 1000, None),
+        ((1, 3, 6, 12), "assembly", 5000, None),
+        ((1, 3, 4, 9), "assembly", None, m3),
+        ((1, 2, 3, 8), "assembly", None, None),
+        ((1, 2, 2, 4), "assembly", None, None),
+        ((1, 3, 8), "levelwise", 5000, None),
+        ((1, 1, 3, 3, 3), "levelwise", 5000, None),
+        ((1, 2, 4, 8), "levelwise", 5000, None),
+        ((1, 2, 3, 4, 4), "levelwise", 5000, None),
+    ]:
+        limits = SearchLimits() if budget is None else SearchLimits(max_nodes=budget)
+        enumerate_intervals(head, base=base, strategy=strategy, limits=limits)
+    kept = [
+        (key, expand(state), was) for seen, key, state, expand, was in log if seen[key] is state
+    ]
+    # levelwise keys are levels, assembly keys are tuples: both keep records
+    assert {type(key) for key, _, _ in kept} == {int, tuple}
+    assert all(now == was for _, now, was in kept)
 
 
 def test_dedup_builds_no_diagram_for_an_unseen_shape(monkeypatch):
