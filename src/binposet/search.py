@@ -3,18 +3,33 @@
 Two strategies, both complete (they enumerate every isomorphism class
 unless a resource cap interrupts):
 
-* levelwise: build the diagram one rank at a time, one element at a
-  time, walking an explicit stack with one frame per element being
-  placed, so a target of any length needs no recursion.  Cover sets are
-  generated in non-decreasing order within a level, and only those that
-  fit: each member is below its forced up-degree, and the set holds
-  every element whose remaining deficit equals the picks left, so no
-  deficit ever exceeds them (see ``_fitting``).  Every element x at
-  distance d >= 2 below a new element must have exactly a_d upper covers
-  below it, and up-degrees are tracked against their forced values.  As
-  in ``verify_binomial``, exact atom counts force exact chain counts and
-  level widths in every interval.  Completed partial diagrams are
-  deduplicated by canonical certificate.
+* levelwise: for N atom counts, build levels 1 .. N-1 of the diagram
+  (levels 0 .. N) one rank at a time, one element at a time, walking an
+  explicit stack with one frame per element being placed, so a target
+  of any length needs no recursion.  Cover sets are generated in
+  non-decreasing order within a level, and only those that fit: each
+  member is below its forced up-degree, and the set holds every element
+  whose remaining deficit equals the picks left, so no deficit ever
+  exceeds them (see ``_fitting``).  Every element x at distance d >= 2
+  below a new element must have exactly a_d upper covers below it, and
+  up-degrees are tracked against their forced values.  As in
+  ``verify_binomial``, exact atom counts force exact chain counts and
+  level widths in every interval.  Completed partial diagrams of levels
+  0 .. j, for j <= N-2, are deduplicated by canonical certificate.  A
+  node is a cover set tried for an element of levels 1 .. N-1.
+
+  The top is built, not searched: once level N-1 is complete, the
+  candidate is that diagram with the top covering all of level N-1.
+  This is exact.  W(N, N-1) = a_N, so the top's only possible cover set
+  is the whole level, the one set its frame could yield.  Its atom check
+  cannot fail: the atoms of [x, top] are the upper covers of x, and
+  ``_fitting`` fixes their number at a(N - rank x).  A stage of levels
+  0 .. N-1 has one completion, and isomorphic stages have isomorphic
+  completions, so dedup there would only prune stages whose completion
+  ``classify`` meets as a stored class; the known leaves stop each such
+  canonical search at its first leaf.  The walk order is that of a
+  search that places the top, so each class keeps the first candidate
+  of it that the walk completes as its representative.
 
 * rank-4 assembly: enumerate rank-3 classes first, then choose which
   rank-3 interval sits under each coatom (an atom set plus a wiring
@@ -26,7 +41,9 @@ unless a resource cap interrupts):
   from, fitted to the atoms' block counts as levelwise fits its sets to
   up-degrees, and for each set the patterns come from one sorted list,
   from the last block's pattern on while the set repeats the last
-  block's.  The deadline is read before each candidate is classified.
+  block's.  Each of the a3! atom relabelings that make the patterns of
+  a rank-3 class spends a node.  The deadline is read before each
+  candidate is classified.
 
 Both break the symmetry of the atoms before any certificate is computed.
 Until a block (assembly) or a rank-2 element (levelwise) covers an atom,
@@ -57,7 +74,8 @@ Every completed candidate is binomial with the target atom counts by
 construction, so none is dropped:
 
 * levelwise: ``_create`` checks the atom count of every pair that a new
-  element closes, and exact atom counts force the rest (see above).
+  element closes, the pairs under the top hold by ``_fitting``, and
+  exact atom counts force the rest (see above).
 * assembly: each block is a rank-3 class with atom counts (1, a2, a3) on
   a3 atoms, and ``_fitting`` ends with every atom in exactly a3 blocks.
   ``stuck`` keeps only row demands divisible by a2, and ``_assign`` gives
@@ -82,11 +100,11 @@ Dedup buckets a stage's states under a key the strategy already holds,
 which fixes their degree shape (the level widths and the sorted (level,
 lower degree, upper degree) triples, shared by isomorphic diagrams) and,
 within a table, is fixed by it.  Levelwise keys by the level j just
-completed: a level-i element has a(i) lower covers, a(N-i) upper ones
-below j (see ``_fitting``) and none at j.  Assembly keys by the block
-count and the atoms' sorted block counts: the widths are (a4, a3 blocks,
-blocks), and atom x, a row element and a block have the triples
-(0, 0, a2 count[x]), (1, a2, 1) and (2, a3, 0).  Levelwise records a
+completed, from 0 to N-2: a level-i element has a(i) lower covers,
+a(N-i) upper ones below j (see ``_fitting``) and none at j.  Assembly
+keys by the block count and the atoms' sorted block counts: the widths
+are (a4, a3 blocks, blocks), and atom x, a row element and a block have
+the triples (0, 0, a2 count[x]), (1, a2, 1) and (2, a3, 0).  Levelwise records a
 state as the record of levels 0..j-1 on the current path paired with
 level j's cover tuples, assembly as the tuple of chosen blocks.  The
 first state of a bucket is kept as that record, uncertified, as no
@@ -369,7 +387,7 @@ class _Levelwise:
         core, seq, N, widths, start = self.core, self.seq, self.N, self.widths, self.start
         covers_of = self.covers_of
         # path[j + 1] records levels 0 .. j as (path[j], level j's cover tuples)
-        path: list = [None] * (N + 1)
+        path: list = [None] * N
         # One frame per element being placed, element k at stack[k - 1]:
         # its level, the unused-atom mark and the cover sets left to try.
         stack: list[tuple[int, int, Iterator[tuple[int, ...]]]] = []
@@ -381,8 +399,10 @@ class _Levelwise:
                     # the next element of level j takes sets from the last one's on
                     first = covers_of[-1]
                     used = max(stack[-1][1], first[-1] + 1)
-                elif j == N:
-                    core.classify(widths, covers_of, seq, self.out)
+                elif j == N - 1:
+                    # the top covers all of level N-1 (see the module docstring)
+                    top = tuple(range(start[j], start[N]))
+                    core.classify(widths, [*covers_of, top], seq, self.out)
                 else:
                     path[j + 1] = state = (path[j], tuple(covers_of[start[j] :]))
                     # level j + 1 opens unless the stage repeats or W(N, j) < a(j+1)
@@ -474,14 +494,14 @@ class _Levelwise:
 
 def _row_patterns(rep: GradedPoset, a3: int, core: _Core) -> set[tuple[tuple[int, ...], ...]]:
     """All atom-relabelings of a rank-3 interval's mid-level row multiset;
-    the deadline is read after every 4,096th of the a3! relabelings."""
+    each of the a3! relabelings spends a node, so the node budget bounds
+    them and ``spend()`` reads the deadline between them."""
     # the atoms of each mid element, as positions among the atoms
     rows = [tuple(c - 1 for c in rep._down[y]) for y in range(1 + a3, len(rep._down) - 1)]
     pats = set()
-    for n, perm in enumerate(permutations(range(a3)), 1):
+    for perm in permutations(range(a3)):
+        core.spend()
         pats.add(tuple(sorted(tuple(sorted(perm[i] for i in row)) for row in rows)))
-        if not n % 4096:
-            core.check_deadline()
     return pats
 
 
@@ -505,6 +525,9 @@ class _Assembly:
         self.seen: dict = {}
 
     def run(self) -> None:
+        # no block of a3 atoms fits among a4 of them: nothing to catalog
+        if self.a3 > self.a4:
+            return
         catalog: dict[bytes, GradedPoset] = {}
         _Levelwise(AtomicSequence(self.seq.head[:3]), self.core, None, catalog).run()
         wanted = None if self.anchor is None else self.anchor[0]
@@ -517,8 +540,8 @@ class _Assembly:
         self.demand: dict[tuple[int, ...], int] = {}
         self.distinct_through = [0] * self.a4
         self.chosen: list[tuple[tuple[int, ...], ...]] = []
-        # no block fits if a3 > a4 or the anchor left no rank-3 class
-        if self.patterns and self.a3 <= self.a4:
+        # no block fits if the anchor left no rank-3 class
+        if self.patterns:
             self._slots(tuple(range(self.a3)), 0, 0)
 
     def _slots(self, first: tuple[int, ...], k0: int, used: int) -> None:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import math
 import os
 import random
@@ -29,6 +30,7 @@ from binposet.core import (
     build_poset,
     dual,
     interval,
+    poset_to_json,
     verify_binomial,
 )
 from binposet.iso import CanonicalizationCapError, are_isomorphic, canonical_form
@@ -163,10 +165,12 @@ class TestEnumerate:
 
         monkeypatch.setattr(search, "_certify", capped)
         res = enumerate_intervals((1, 2, 4))
-        assert (res.verdict, res.nodes) == ("capped", 9)
+        assert (res.verdict, res.nodes) == ("capped", 8)
         assert res.detail.startswith("classifying a candidate hit the canonicalization cap")
 
     def test_canonicalization_cap_on_a_partial_diagram_skips_dedup(self, monkeypatch):
+        # dedup prunes on (1,2,3,4) levelwise: 176 nodes against 196
+        # without it; with every partial search capped, nothing is pruned
         real = search._certify
 
         def partial_capped(widths, *args):
@@ -174,9 +178,12 @@ class TestEnumerate:
                 raise CanonicalizationCapError("forced cap")
             return real(widths, *args)
 
-        uncapped, reference = enumerate_intervals((1, 2, 4)), without_dedup((1, 2, 4))
+        head = (1, 2, 3, 4)
+        uncapped = enumerate_intervals(head, strategy="levelwise")
+        reference = without_dedup(head, strategy="levelwise")
+        assert (uncapped.nodes, reference.nodes) == (176, 196)
         monkeypatch.setattr(search, "_certify", partial_capped)
-        res = enumerate_intervals((1, 2, 4))
+        res = enumerate_intervals(head, strategy="levelwise")
         assert (res.verdict, res.nodes) == ("found", reference.nodes)
         assert [canonical_form(p) for p in res.classes] == [
             canonical_form(p) for p in uncapped.classes
@@ -207,9 +214,10 @@ class TestEnumerate:
     def test_deadline_reaches_a_slow_canonical_search(self, monkeypatch, stage):
         # Each search of the chosen stage certifies a fresh word poset
         # instead, which takes 96 nodes; the canonicalizer reads the clock
-        # at its 64th, while spend() never reads it in this search.  A hit
-        # in the dedup check of a partial diagram caps the search too: only
-        # a canonicalization cap lets dedup search on.
+        # at its 64th, while spend() reads it every 256 nodes and so never
+        # in this search.  A hit in the dedup check of a partial diagram
+        # caps the search too: only a canonicalization cap lets dedup
+        # search on.  (1,2,2,4) levelwise certifies two partial diagrams.
         real, word = search._certify, poset_from_string(versal_string(3))
 
         def slow(widths, down, node_cap, known, deadline):
@@ -217,11 +225,15 @@ class TestEnumerate:
                 widths, down = word.widths, word._down
             return real(widths, down, node_cap, known, deadline)
 
+        def run(seconds):
+            limits = SearchLimits(max_seconds=seconds)
+            return enumerate_intervals((1, 2, 2, 4), strategy="levelwise", limits=limits)
+
         monkeypatch.setattr(search, "_certify", slow)
-        res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=0))
+        res = run(0)
         assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
-        res = enumerate_intervals((1, 2, 4), limits=SearchLimits(max_seconds=3600))
-        assert res.verdict == "found"
+        res = run(3600)
+        assert res.verdict == "found" and res.nodes < 256
 
     def test_impossible_level_census_short_circuits(self):
         res = enumerate_intervals((1, 2, 3, 3))
@@ -279,10 +291,10 @@ class TestEnumerate:
             capped = enumerate_intervals((1, 1) + (2,) * 40, limits=SearchLimits(max_nodes=400))
         finally:
             sys.setrecursionlimit(limit)
-        assert (chain.verdict, chain.nodes) == ("found", 40)
+        assert (chain.verdict, chain.nodes) == ("found", 39)
         assert (capped.verdict, capped.nodes) == ("capped", 401)
         chain = enumerate_intervals((1,) * 400)
-        assert (chain.verdict, chain.nodes) == ("found", 400)
+        assert (chain.verdict, chain.nodes) == ("found", 399)
 
     def test_a_chain_walks_no_down_set_and_records_no_state(self, monkeypatch):
         # a spy, not a timer: while a(1) .. a(j) are all 1 a new element has
@@ -312,10 +324,11 @@ class TestEnumerate:
         monkeypatch.setattr(search, "_bits", bits)
         monkeypatch.setattr(search, "_certify", certify)
         monkeypatch.setattr(search._Core, "repeats", repeats)
-        # the near-chain's top alone lies past the leading ones, and walks once
+        # the near-chain's top alone lies past the leading ones, and it is
+        # built, not walked
         for head, nodes, wide, walks in [
-            ((1,) * 300, 300, 1, 0),
-            ((1,) * 300 + (2,), 899, 2, 1),
+            ((1,) * 300, 299, 1, 0),
+            ((1,) * 300 + (2,), 898, 2, 0),
         ]:
             calls.update(_bits=0, _certify=[], records=[])
             res = enumerate_intervals(head)
@@ -324,20 +337,46 @@ class TestEnumerate:
             # the one canonical search is the class's, on the whole diagram
             assert calls["_certify"] == [list(res.classes[0].widths)]
             # a record of stage j holds level j's cover lists, and links to
-            # the record of stage j - 1
+            # the record of stage j - 1; stages 0 .. N-2 are recorded, as
+            # the top completes stage N-1 without a search
             records = calls["records"]
-            assert [len(level) for _, level in records] == [1] + [wide] * (len(head) - 1)
+            assert [len(level) for _, level in records] == [1] + [wide] * (len(head) - 2)
             assert records[0][0] is None
             assert all(below is records[j] for j, (below, _) in enumerate(records[1:]))
-        # past the leading ones (level 3 of (1, 1, 2)) the check walks
-        res = enumerate_intervals((1, 1, 2))
-        assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, 5)
+        # past the leading ones (level 3 of (1, 1, 2, 2)) the check walks
+        res = enumerate_intervals((1, 1, 2, 2), strategy="levelwise")
+        assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, 16)
         assert calls["_bits"] > 0
         # a second state of a bucket expands the kept one, then itself
         calls["expand"] = 0
-        res = enumerate_intervals((1, 2, 4))
-        assert (res.verdict, len(res.classes), res.nodes) == ("found", 2, 18)
+        res = enumerate_intervals((1, 2, 2, 4), strategy="levelwise")
+        assert (res.verdict, len(res.classes), res.nodes) == ("found", 1, 38)
         assert calls["expand"] == 2
+
+    def test_the_top_is_built_not_searched(self, monkeypatch):
+        # a spy, not a counter: the top covers all of level N-1, so a stage
+        # of levels 0 .. N-1 is never certified and the top never placed
+        staged, tops = [], []
+        real_certify, real_create = search._certify, search._Levelwise._create
+
+        def certify(widths, *args):
+            staged.append(len(widths))
+            return real_certify(widths, *args)
+
+        def create(walk, j, C):
+            if j == walk.N:
+                tops.append(C)
+            return real_create(walk, j, C)
+
+        monkeypatch.setattr(search, "_certify", certify)
+        monkeypatch.setattr(search._Levelwise, "_create", create)
+        for head in (1, 3, 6), (1, 2, 3, 4), (1, 1, 2, 2, 2):
+            staged.clear()
+            res = enumerate_intervals(head, strategy="levelwise")
+            assert res.verdict == "found", head
+            # every candidate is certified on levels 0 .. N
+            assert staged.count(len(head) + 1) >= len(res.classes), head
+            assert len(head) not in staged and not tops, head
 
     def test_level_widths_read_each_atom_once(self, monkeypatch):
         def levelwise(head):
@@ -407,8 +446,8 @@ class TestEnumerate:
         assert proc.stdout.strip() == "capped|time budget exhausted"
 
     def test_a_time_budget_reaches_the_row_patterns(self):
-        # the seven (1,2,8) classes take 8! relabelings each, which the
-        # deadline is read between
+        # the seven (1,2,8) classes take 8! relabelings each, and each
+        # spends a node, so spend() reads the deadline between them
         started = time.monotonic()
         res = enumerate_intervals(
             (1, 2, 8, 8), strategy="assembly", limits=SearchLimits(max_seconds=0.5)
@@ -416,13 +455,28 @@ class TestEnumerate:
         assert (res.verdict, res.detail) == ("capped", "time budget exhausted")
         assert time.monotonic() - started < 2
 
+    def test_the_node_budget_bounds_the_row_patterns(self, monkeypatch):
+        # the seven (1,2,8) classes take 8! relabelings each, a node each:
+        # the budget runs out among them, before any block is chosen
+        slots = []
+        real = search._Assembly._slots
+        monkeypatch.setattr(
+            search._Assembly, "_slots", lambda walk, *args: slots.append(args) or real(walk, *args)
+        )
+        res = enumerate_intervals(
+            (1, 2, 8, 8), strategy="assembly", limits=SearchLimits(max_nodes=2000)
+        )
+        assert (res.verdict, res.nodes, res.detail) == ("capped", 2001, _BUDGET.format(2000))
+        assert slots == []
+
     @pytest.mark.parametrize(
-        "head, anchored, nodes", [((1, 2, 4, 2), False, 18), ((1, 3, 4, 3), False, 13),
-                                  ((1, 2, 3, 4), True, 8)],
+        "head, anchored, nodes", [((1, 2, 4, 2), False, 0), ((1, 3, 4, 3), False, 0),
+                                  ((1, 2, 3, 4), True, 7)],
     )
     def test_no_block_fits(self, not_binomial, head, anchored, nodes):
-        # a block has more atoms than there are, or the anchor is not binomial
-        # and so leaves no rank-3 class: only the catalog's nodes are spent
+        # a block has more atoms than there are, and no node is spent, not
+        # even on the catalog; or the anchor is not binomial and so leaves
+        # no rank-3 class, and only the catalog's nodes are spent
         base = not_binomial if anchored else None
         res = enumerate_intervals(head, base=base, strategy="assembly")
         assert (res.verdict, res.nodes, res.classes, res.detail) == ("exhausted", nodes, (), "")
@@ -472,9 +526,9 @@ class TestEnumerate:
         real = search.verify_binomial
         monkeypatch.setattr(search, "verify_binomial", lambda p: verified.append(p) or real(p))
         res = enumerate_intervals(
-            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=346)
         )
-        assert (res.verdict, res.nodes, len(res.classes)) == ("capped", 301, 6)
+        assert (res.verdict, res.nodes, len(res.classes)) == ("capped", 347, 6)
         # two rank-3 classes of the catalog and six rank-4 classes
         assert len(verified) == 8
 
@@ -544,17 +598,17 @@ PINNED = {
         "exhausted", 3067, 0, "",
     ),
     "m3 to a4=6": (
-        lambda: extension_search(m_interval(3), (1, 3, 4, 6)), "exhausted", 15, 0, "",
+        lambda: extension_search(m_interval(3), (1, 3, 4, 6)), "exhausted", 38, 0, "",
     ),
     "m3 to a4=9": (
-        lambda: extension_search(m_interval(3), (1, 3, 4, 9)), "exhausted", 24, 0, "",
+        lambda: extension_search(m_interval(3), (1, 3, 4, 9)), "exhausted", 47, 0, "",
     ),
     "m3 to a4=12": (
-        lambda: extension_search(m_interval(3), (1, 3, 4, 12)), "exhausted", 42, 0, "",
+        lambda: extension_search(m_interval(3), (1, 3, 4, 12)), "exhausted", 65, 0, "",
     ),
     "1349 assembly over m3": (
         lambda: enumerate_intervals((1, 3, 4, 9), base=m_interval(3), strategy="assembly"),
-        "exhausted", 24, 0, "",
+        "exhausted", 47, 0, "",
     ),
     "1349 levelwise capped": (
         lambda: enumerate_intervals(
@@ -563,13 +617,13 @@ PINNED = {
         "capped", 2001, 0, _BUDGET.format(2000),
     ),
     "1238 assembly": (
-        lambda: enumerate_intervals((1, 2, 3, 8), strategy="assembly"), "found", 87, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 8), strategy="assembly"), "found", 92, 1, "",
     ),
     "1248 assembly capped": (
         lambda: enumerate_intervals(
-            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+            (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=346)
         ),
-        "capped", 301, 6, _BUDGET.format(300),
+        "capped", 347, 6, _BUDGET.format(346),
     ),
     "1248 levelwise capped": (
         lambda: enumerate_intervals(
@@ -578,18 +632,18 @@ PINNED = {
         "capped", 301, 6, _BUDGET.format(300),
     ),
     "1234 levelwise": (
-        lambda: enumerate_intervals((1, 2, 3, 4), strategy="levelwise"), "found", 177, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="levelwise"), "found", 176, 1, "",
     ),
     "1234 assembly": (
-        lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 28, 1, "",
+        lambda: enumerate_intervals((1, 2, 3, 4), strategy="assembly"), "found", 33, 1, "",
     ),
-    "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 18, 2, ""),
+    "124": (lambda: enumerate_intervals((1, 2, 4)), "found", 16, 2, ""),
     # the deepest rank-3 prune a pinned case reaches
     "136 levelwise": (
-        lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 555, 7, "",
+        lambda: enumerate_intervals((1, 3, 6), strategy="levelwise"), "found", 548, 7, "",
     ),
     "124 without dedup": (
-        lambda: without_dedup((1, 2, 4)), "found", 18, 2, "",
+        lambda: without_dedup((1, 2, 4)), "found", 16, 2, "",
     ),
     # the rank-3 partials of the inner levelwise run and the assembly block
     # states are the same 1+1+1 diagram: one dedup set for both stages
@@ -609,6 +663,18 @@ def test_search_counters_are_pinned(case):
     )
     if verdict != "capped":
         assert_closed_under_dual(res.classes)
+
+
+def test_pinned_representatives_are_pinned():
+    # the classes of the pinned searches, not only their number: each
+    # representative is the first of its class that the walk completes
+    digest = hashlib.sha256()
+    for run, *_ in PINNED.values():
+        for p in run().classes:
+            digest.update(poset_to_json(p).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "1a515863fe18a2151803fee548413682d5440b7f4b24615bed48902c892a6fde"
+    )
 
 
 # two 4 + 4 states of one degree shape (every degree 2) and two classes
@@ -729,7 +795,7 @@ def test_bucket_keys_are_the_degree_shapes(monkeypatch):
         for key in buckets:
             keys[type(key)] += 1
     # each assembly run holds a levelwise run for its rank-3 catalog
-    assert keys == {int: 30, tuple: 53}
+    assert keys == {int: 22, tuple: 53}
 
 
 def test_a_kept_record_stays_the_diagram_it_was(monkeypatch):
@@ -792,7 +858,7 @@ def test_dedup_builds_no_diagram_for_an_unseen_shape(monkeypatch):
     # classes of the assembly's catalog
     built.clear()
     res = enumerate_intervals(
-        (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=300)
+        (1, 2, 4, 8), strategy="assembly", limits=SearchLimits(max_nodes=346)
     )
     assert len(res.classes) == 6 and len(built) == 8
     assert {id(p) for p in res.classes} <= {id(p) for p in built}
